@@ -7,14 +7,13 @@ time obstruction construction.
 """
 
 from .dyadic import (ROOT, CarlesonSequence, DyadicIndex, LeafWeight,
-                     StepDistribution, L_intensity, average,
-                     carleson_intensity, distribution, dyadic_maximal,
+                     StepDistribution, L_intensity, dyadic_maximal,
                      stopping_family)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ROOT", "CarlesonSequence", "DyadicIndex", "LeafWeight",
-    "StepDistribution", "L_intensity", "average", "carleson_intensity",
-    "distribution", "dyadic_maximal", "stopping_family", "__version__",
+    "StepDistribution", "L_intensity", "dyadic_maximal", "stopping_family",
+    "__version__",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel, PhiMap)
+from .bumps import BumpFamily, EpsilonModel
 from .dyadic import StepDistribution
 
 
@@ -28,36 +28,8 @@ class DataIntegrityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Domain points and budgets
+# Budgets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OmegaOnePoint:
-    N: float
-    A: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.N <= 1.0 and 0.0 <= self.A <= 1.0):
-            raise ValueError(f"({self.N}, {self.A}) outside the unit square")
-
-
-@dataclass(frozen=True)
-class OmegaTwoPoint:
-    u: float
-    v: float
-    L: float
-    A: float
-    delta: float = 1e-3
-    P: float = 100.0
-
-    def __post_init__(self):
-        if min(self.u, self.v, self.L) < 0 or not 0.0 <= self.A <= 1.0:
-            raise ValueError("u, v, L must be >= 0 and A in [0, 1]")
-        if self.u * self.v > self.delta * (1 + 1e-12):
-            raise ValueError(f"uv = {self.u * self.v:.3e} exceeds delta = {self.delta}")
-        if self.L > self.P * math.sqrt(self.u * self.v) * (1 + 1e-12):
-            raise ValueError("L exceeds P sqrt(uv)")
-
 
 @dataclass(frozen=True)
 class ConstantBudget:
@@ -93,17 +65,10 @@ def default_budget(family: BumpFamily, delta: float = 1e-3,
     c1 = 1.0 + b1.j(1.0)
     model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
     z_sup = P * math.sqrt(delta)
-    c2 = 1.0 + P * P * model.tail_mass(min(z_sup, _z_cap(model)))
+    c2 = 1.0 + P * P * model.tail_mass(min(z_sup, model.z_cap))
     return ConstantBudget(c1=float(c1), c2=float(c2), c_drop=c_drop,
                           delta1=c_drop / 10.0, derivative_floor=derivative_floor,
                           delta=delta, P=P)
-
-
-def _z_cap(model: EpsilonModel) -> float:
-    """Largest argument where f = phi^{-1} is available."""
-    if model.kind in ("power", "const"):
-        return math.inf
-    return 0.95 * float(model.phi(model.x_max))
 
 
 # ---------------------------------------------------------------------------
@@ -121,53 +86,10 @@ class B1:
         self.family = family
         self.C = float(C)
         self.base = family.companion() or family
-        tag = self.base.tag
-        if tag == "log":
-            self.kind, self.kappa = "log", self.base.sigma
-        elif tag == "loglog":
-            self.kind, self.kappa = "loglog", self.base.sigma
-        elif tag == "power":
-            if self.base.p <= 1.0:
-                raise DivergentIntegralError(
-                    "J diverges for the linear bump (Psi0 constant near 0)")
-            self.kind, self.kappa = "power", None
-        else:
-            self.kind, self.kappa = "custom", None
-
-    def psi0(self, s):
-        return self.base.psi(s)
-
-    def j(self, x):
-        """J(x) by closed-form antiderivative (quadrature for custom Phi)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("J is defined for x >= 0")
-        xc = np.minimum(np.maximum(x, 1e-300), 1.0)
-        if self.kind == "log":
-            k = self.kappa
-            inner = ((1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
-        elif self.kind == "loglog":
-            k = self.kappa
-            inner = np.log(math.e ** (1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
-        elif self.kind == "power":
-            p = self.base.p
-            alpha = (p - 1.0) / (2.0 * p - 1.0)
-            inner = p ** (alpha - 1.0) * xc ** alpha / alpha
-        else:
-            inner = np.vectorize(self._j_quad)(xc)
-        # beyond x = 1 the extended Psi0 is constant, J grows logarithmically
-        psi0_at_1 = float(self.psi0(1.0))
-        out = np.where(x > 1.0,
-                       inner + np.log(np.maximum(x, 1.0)) / psi0_at_1, inner)
-        return out if out.ndim else float(out)
-
-    def _j_quad(self, x):
-        # custom families only: J with the lower limit floored at s = 1e-12,
-        # the omitted piece being below quadrature accuracy whenever the
-        # table's Psi0 grows fast enough for J to be useful at all
-        body, _ = quad(lambda r: 1.0 / float(self.psi0(math.exp(-r))),
-                       math.log(1.0 / x), math.log(1e12), limit=400)
-        return body
+        # Psi0 is the base family's Psi; J and Psi0's log-derivative are its own
+        self.psi0, self.j = self.base.psi, self.base.j
+        self.psi0_logderiv = self.base.psi_logderiv
+        self.j(1.0)  # raises DivergentIntegralError where J diverges
 
     def j_increment_quad(self, x0, x1):
         """Quadrature oracle for J(x1) - J(x0), independent of the closed
@@ -202,28 +124,6 @@ class B1:
         if gN.ndim == 0:
             return float(gN), float(gA)
         return gN, gA
-
-    def psi0_logderiv(self, x):
-        """x Psi0'(x) / Psi0(x), zero on the constant branch x > 1."""
-        x = np.asarray(x, dtype=float)
-        xc = np.minimum(np.maximum(x, 1e-300), 1.0)
-        if self.kind == "log":
-            k = self.kappa
-            inner = -(1.0 + k) / ((1.0 + k) + np.log(1.0 / xc))
-        elif self.kind == "loglog":
-            k = self.kappa
-            big = math.e ** (1.0 + k) + np.log(1.0 / xc)
-            ell = np.log(big)
-            inner = -(1.0 + (1.0 + k) / ell) / big
-        elif self.kind == "power":
-            p = self.base.p
-            inner = np.full_like(xc, -(p - 1.0) / (2.0 * p - 1.0))
-        else:
-            h = 1e-6
-            inner = (np.log(self.psi0(xc * (1 + h))) -
-                     np.log(self.psi0(xc * (1 - h)))) / (2 * h)
-        out = np.where(x > 1.0, 0.0, inner)
-        return out if out.ndim else float(out)
 
     def hessian(self, N, A):
         """Analytic Hessian entries (F_NN, F_NA, F_AA); the determinant
@@ -262,23 +162,13 @@ class B2:
     def __init__(self, model: EpsilonModel, C: float = 1.0):
         self.model = model
         self.C = float(C)
-        self.phimap = PhiMap(model)
-        self.closed_form = model.kind == "power"
-
-    def tail(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.model.kind == "power":
-            return self.model.tail_mass(z)
-        return np.vectorize(lambda s: self.model.tail_mass(s) if s > 0 else 0.0)(z)
-
-    def f(self, z):
-        return self.model.inverse(z)
 
     def value(self, u, v, L, A):
         u, v, L, A = map(lambda t: np.asarray(t, dtype=float), (u, v, L, A))
         z = L / (A + 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(L > 0, L * L / np.maximum(v, 1e-300) * self.tail(z), 0.0)
+            term = np.where(L > 0, L * L / np.maximum(v, 1e-300)
+                            * self.model.tail_mass(z), 0.0)
         out = self.C * u - term
         return out if out.ndim else float(out)
 
@@ -293,8 +183,8 @@ class B2:
         """(dB2/du, dB2/dv, dB2/dL, dB2/dA), analytic."""
         u, v, L, A = map(lambda t: np.asarray(t, dtype=float), (u, v, L, A))
         z = L / (A + 1.0)
-        W = self.tail(z)
-        fz = self.f(z)
+        W = self.model.tail_mass(z)
+        fz = self.model.inverse(z)
         du = np.full(np.broadcast(u, v, L, A).shape or (), self.C)
         dv = L * L / (v * v) * W
         dL = -(2.0 * L / v) * W - (A + 1.0) * fz / v
@@ -310,8 +200,8 @@ class B2:
         (A+1)^2 g(z) / v^4.
         """
         z = L / (A + 1.0)
-        W = float(self.tail(z))
-        fz = float(self.f(z))
+        W = float(self.model.tail_mass(z))
+        fz = float(self.model.inverse(z))
         fp = float(self.model.f_prime(z)) if z > 0 else 0.0
         h_vv = -2.0 * L * L * W / v ** 3
         h_vL = (2.0 * L * W + (A + 1.0) * fz) / v ** 2
@@ -329,21 +219,15 @@ def g_function(model: EpsilonModel, s):
     s = np.asarray(s, dtype=float)
     f = model.inverse(s)
     fp = model.f_prime(s)
-    if model.kind == "power":
-        W = model.tail_mass(s)
-    else:
-        W = np.vectorize(model.tail_mass)(s)
-    return -f * f + 2.0 * s * s * fp * W
+    return -f * f + 2.0 * s * s * fp * model.tail_mass(s)
 
 
 def g_positivity(family_or_model, s_range: tuple[float, float],
                  n: int = 200) -> dict:
     """Check g > 0 and g nondecreasing on a log-spaced grid of s_range."""
-    model = family_or_model
-    if isinstance(family_or_model, BumpFamily):
-        model = family_or_model.epsilon_model()
+    model = family_or_model.epsilon_model()
     lo, hi = s_range
-    cap = _z_cap(model)
+    cap = model.z_cap
     if hi > cap:
         raise ValueError(f"s_range exceeds the range of phi^{{-1}} (max {cap:.3e})")
     s = np.geomspace(lo, hi, n)
@@ -494,7 +378,7 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
     """Seeded rejection sample of Omega2; columns (u, v, L, A).  L spans
     [phi(uv)/10, min(P sqrt(uv), z-cap)] log-uniformly so both sides of the
     combined-drop region are populated."""
-    cap = _z_cap(model) if model is not None else math.inf
+    cap = model.z_cap if model is not None else math.inf
     out = np.empty((n, 4))
     got = 0
     lo = 0.5 * math.log(uv_floor)
@@ -523,9 +407,7 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
 def b2_property_check(family_or_model, budget: ConstantBudget,
                       n_points: int = 10000, seed: int = 0) -> dict:
     """Sampled verification of every B2 condition on Omega2."""
-    model = family_or_model
-    if isinstance(family_or_model, BumpFamily):
-        model = family_or_model.epsilon_model()
+    model = family_or_model.epsilon_model()
     b2 = B2(model, budget.c2)
     rng = np.random.default_rng(seed)
     uv_floor = min(1e-6, 1e-3 * budget.delta)
@@ -533,7 +415,7 @@ def b2_property_check(family_or_model, budget: ConstantBudget,
     # adversarial boundary slice: the combined-drop margin is worst at
     # L = phi(uv) with A at its endpoints, so check that edge exactly
     uv_edge = np.geomspace(uv_floor, budget.delta, 128)
-    cap = _z_cap(model)
+    cap = model.z_cap
     edge = []
     for a_edge in (0.0, 1.0):
         for l_edge in (np.asarray(model.phi(uv_edge), dtype=float),
@@ -543,12 +425,9 @@ def b2_property_check(family_or_model, budget: ConstantBudget,
     pts = np.vstack([pts] + edge)
     u, v, L, A = pts.T
     uv = u * v
-    z = L / (A + 1.0)
 
     vals = b2.value(u, v, L, A)
     du, dv, dL, dA = b2.grad(u, v, L, A)
-    fz = np.asarray(b2.f(z), dtype=float)
-    W = np.asarray(b2.tail(z), dtype=float)
 
     # 0 <= B2 <= C u
     upper = budget.c2 * u - vals

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
-from .dyadic import ROOT, DyadicIndex, LeafWeight, StepDistribution
+from .dyadic import DyadicIndex, LeafWeight, StepDistribution
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
@@ -50,8 +49,12 @@ class EpsilonModel:
     kind "custom": eps given as a callable, numerics only
     """
 
+    # the parameters each kind uses, in serialization order
+    PARAMS = {"power": ("beta", "coeff"), "logpow": ("kappa", "coeff"),
+              "const": ("coeff",), "custom": ()}
+
     def __init__(self, kind, *, beta=None, kappa=None, coeff=1.0, func=None):
-        if kind not in ("power", "logpow", "const", "custom"):
+        if kind not in self.PARAMS:
             raise ValueError(f"unknown epsilon kind {kind!r}")
         if kind == "power" and not 0 < beta < 1:
             raise ValueError("power epsilon needs 0 < beta < 1")
@@ -64,6 +67,16 @@ class EpsilonModel:
         self.kappa = kappa
         self.coeff = float(coeff)
         self.func = func
+
+    def to_json(self) -> dict:
+        """The kind and the parameters that kind uses."""
+        return {"kind": self.kind,
+                **{k: getattr(self, k) for k in self.PARAMS[self.kind]}}
+
+    def epsilon_model(self) -> "EpsilonModel":
+        """The model itself, so that callers taking a family or a model
+        can ask either one for its model."""
+        return self
 
     def eps(self, t):
         t = np.asarray(t, dtype=float)
@@ -80,14 +93,19 @@ class EpsilonModel:
     @property
     def x_max(self) -> float:
         """Right end of the interval where phi is guaranteed increasing."""
-        if self.kind == "power":
-            return 1.0
         if self.kind == "logpow":
             # phi(x) = (x/coeff) log(1/x)^kappa increases for log(1/x) > kappa
             return math.exp(-self.kappa - 1.0)
-        if self.kind == "const":
-            return 1.0
-        return math.exp(-2.0)
+        if self.kind == "custom":
+            return math.exp(-2.0)
+        return 1.0
+
+    @property
+    def z_cap(self) -> float:
+        """Largest argument where f = phi^{-1} is available."""
+        if self.kind in ("power", "const"):
+            return math.inf
+        return 0.95 * float(self.phi(self.x_max))
 
     def phi(self, x):
         """phi(x) = x / eps(1/x), strictly increasing on (0, x_max]."""
@@ -175,29 +193,28 @@ class EpsilonModel:
             b = self.beta
             return ((1.0 - b) / b) * self.coeff ** (1.0 / (1.0 - b)) \
                 * z ** (b / (1.0 - b))
-        if self.kind == "logpow":
-            if self.kappa <= 1:
-                raise DivergentIntegralError(
-                    "tail mass diverges: logpow eps needs kappa > 1")
-            # substitute w = f(y), r = log(1/w):
-            # W(z) = coeff^{-1} * int_R^inf (r - kappa) r^{-kappa-1} dr
-            r0 = np.log(1.0 / self.inverse(z))
-            k = self.kappa
-            return (r0 ** (1.0 - k) / (k - 1.0) - r0 ** (-k)) / self.coeff
         if self.kind == "const":
             raise DivergentIntegralError(
                 "tail mass diverges for constant eps (the no-gap case)")
-        return self._tail_mass_quad(z)
+        if self.kind == "logpow" and self.kappa <= 1:
+            raise DivergentIntegralError(
+                "tail mass diverges: logpow eps needs kappa > 1")
+        # the bisection inverse and the quadrature take one point at a time
+        at = self._logpow_tail_mass if self.kind == "logpow" else self.tail_mass_quad
+        return np.vectorize(lambda s: at(s) if s > 0 else 0.0, otypes=[float])(z)
+
+    def _logpow_tail_mass(self, z):
+        # substitute w = f(y), r = log(1/w):
+        # W(z) = coeff * int_R^inf (r - kappa) r^{-kappa-1} dr
+        r0 = np.log(1.0 / self.inverse(z))
+        k = self.kappa
+        return self.coeff * (r0 ** (1.0 - k) / (k - 1.0) - r0 ** (-k))
 
     def tail_mass_quad(self, z, floor=1e-280):
         """Quadrature evaluation of W(z), used as an independent cross-check."""
         z = float(z)
         if self.kind == "const":
             raise DivergentIntegralError("tail mass diverges for constant eps")
-        return self._tail_mass_quad(z, floor)
-
-    def _tail_mass_quad(self, z, floor=1e-280):
-        z = float(z)
         if z == 0.0:
             return 0.0
         # substitute y = z e^{-r}: W(z) = int_0^inf f(z e^{-r}) e^r / z dr;
@@ -285,33 +302,6 @@ class EpsilonModel:
         return EpsilonModel("custom", func=lambda t: self.eps(t) ** 2)
 
 
-@dataclass
-class PhiMap:
-    """The increasing map phi(x) = x / eps(1/x) with its inverse."""
-
-    model: EpsilonModel
-    mode: str = field(init=False)
-
-    def __post_init__(self):
-        self.mode = "closed-form" if self.model.kind in ("power", "const") \
-            else "bisection"
-
-    @property
-    def x_max(self) -> float:
-        return self.model.x_max
-
-    def phi_of(self, x):
-        return self.model.phi(x)
-
-    def inverse_of(self, y):
-        return self.model.inverse(y)
-
-
-def phi_inverse(pm: PhiMap, y):
-    """phi^{-1}(y) with round-trip residual below 1e-12 relative."""
-    return pm.inverse_of(y)
-
-
 # ---------------------------------------------------------------------------
 # Bump families
 # ---------------------------------------------------------------------------
@@ -322,6 +312,10 @@ class BumpFamily:
     Tags: "power" (Phi = t^p), "log" (Phi ~ t log^{1+sigma} t),
     "loglog" (Phi ~ t log t (loglog t)^{1+sigma}), "custom" (tabulated Phi).
     """
+
+    # the parameters each tag takes, in serialization order
+    PARAMS = {"power": ("p",), "log": ("sigma",), "loglog": ("sigma", "delta"),
+              "custom": ("phi_table",)}
 
     def __init__(self, tag, *, p=None, sigma=None, delta=None, phi_table=None):
         self.tag = tag
@@ -351,13 +345,9 @@ class BumpFamily:
             raise ValueError(f"unknown bump tag {tag!r}")
 
     def __repr__(self):
-        if self.tag == "power":
-            return f"BumpFamily(power, p={self.p})"
-        if self.tag == "log":
-            return f"BumpFamily(log, sigma={self.sigma})"
-        if self.tag == "loglog":
-            return f"BumpFamily(loglog, sigma={self.sigma}, delta={self.delta})"
-        return "BumpFamily(custom)"
+        params = "".join(f", {k}={v}" for k, v in self.to_json().items()
+                         if k not in ("tag", "phi_table"))
+        return f"BumpFamily({self.tag}{params})"
 
     # -- Phi and Phi' ----------------------------------------------------------
 
@@ -415,6 +405,60 @@ class BumpFamily:
         out = np.array([psi_from_phi(self, float(x)) for x in np.atleast_1d(sc)])
         return float(out[0]) if scalar else out
 
+    def j(self, x):
+        """J(x) = integral_0^x ds / (s Psi(s)) by closed-form antiderivative
+        (quadrature for custom Phi).  Psi is constant beyond s = 1, so J
+        grows logarithmically there."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            raise ValueError("J is defined for x >= 0")
+        xc = np.minimum(np.maximum(x, 1e-300), 1.0)
+        if self.tag == "power":
+            if self.p <= 1.0:
+                raise DivergentIntegralError(
+                    "J diverges for the linear bump (Psi constant near 0)")
+            alpha = (self.p - 1.0) / (2.0 * self.p - 1.0)
+            inner = self.p ** (alpha - 1.0) * xc ** alpha / alpha
+        elif self.tag == "log":
+            k = self.sigma
+            inner = ((1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
+        elif self.tag == "loglog":
+            k = self.sigma
+            inner = np.log(math.e ** (1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
+        else:
+            inner = np.vectorize(self._j_quad)(xc)
+        out = np.where(x > 1.0, inner + np.log(np.maximum(x, 1.0))
+                       / float(self.psi(1.0)), inner)
+        return out if out.ndim else float(out)
+
+    def _j_quad(self, x):
+        # custom families only: J with the lower limit floored at s = 1e-12,
+        # the omitted piece being below quadrature accuracy whenever the
+        # table's Psi grows fast enough for J to be useful at all
+        body, _ = quad(lambda r: 1.0 / float(self.psi(math.exp(-r))),
+                       math.log(1.0 / x), math.log(1e12), limit=400)
+        return body
+
+    def psi_logderiv(self, x):
+        """x Psi'(x) / Psi(x), zero on the constant branch x > 1."""
+        x = np.asarray(x, dtype=float)
+        xc = np.minimum(np.maximum(x, 1e-300), 1.0)
+        if self.tag == "power":
+            inner = np.full_like(xc, -(self.p - 1.0) / (2.0 * self.p - 1.0))
+        elif self.tag == "log":
+            k = self.sigma
+            inner = -(1.0 + k) / ((1.0 + k) + np.log(1.0 / xc))
+        elif self.tag == "loglog":
+            k = self.sigma
+            big = math.e ** (1.0 + k) + np.log(1.0 / xc)
+            inner = -(1.0 + (1.0 + k) / np.log(big)) / big
+        else:
+            h = 1e-6
+            inner = (np.log(self.psi(xc * (1 + h))) -
+                     np.log(self.psi(xc * (1 - h)))) / (2 * h)
+        out = np.where(x > 1.0, 0.0, inner)
+        return out if out.ndim else float(out)
+
     def psi0(self, s):
         comp = self.companion()
         if comp is None:
@@ -448,24 +492,14 @@ class BumpFamily:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.tag == "power":
-            return {"tag": "power", "p": self.p}
-        if self.tag == "log":
-            return {"tag": "log", "sigma": self.sigma}
-        if self.tag == "loglog":
-            return {"tag": "loglog", "sigma": self.sigma, "delta": self.delta}
-        return {"tag": "custom", "phi_table": self.phi_table.tolist()}
+        return {"tag": self.tag, **{k: np.asarray(getattr(self, k)).tolist()
+                                    for k in self.PARAMS[self.tag]}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BumpFamily":
-        tag = obj["tag"]
-        if tag == "power":
-            return cls("power", p=obj["p"])
-        if tag == "log":
-            return cls("log", sigma=obj["sigma"])
-        if tag == "loglog":
-            return cls("loglog", sigma=obj["sigma"], delta=obj.get("delta"))
-        return cls("custom", phi_table=obj["phi_table"])
+        tag = obj["tag"]  # delta is optional; the other parameters are not
+        return cls(tag, **{k: obj.get(k) if k == "delta" else obj[k]
+                           for k in cls.PARAMS.get(tag, ())})
 
     @classmethod
     def load(cls, path) -> "BumpFamily":
@@ -555,11 +589,9 @@ def integrability_phi(family: BumpFamily, t_cut: float = 1e6) -> dict:
 
 def epsilon_integrability(family_or_model, t0: float = 2.0) -> dict:
     """Verdict for integral^infinity eps(t)/t dt."""
-    model = family_or_model
-    if isinstance(family_or_model, BumpFamily):
-        model = family_or_model.epsilon_model()
-        if model is None:
-            return {"verdict": "inconclusive", "value": None}
+    model = family_or_model.epsilon_model()
+    if model is None:
+        return {"verdict": "inconclusive", "value": None}
     return model.integral_over_t(t0)
 
 
@@ -568,11 +600,9 @@ def curv_translate(family_or_model) -> dict:
     sqrt(eps(t^2)) and compare the integrability requirements: ours is
     integral eps_curv(y)^2 / y dy (equivalently integral eps(t)/t dt), the
     older stopping-time route needs integral eps_curv(y)/y dy."""
-    model = family_or_model
-    if isinstance(family_or_model, BumpFamily):
-        model = family_or_model.epsilon_model()
-        if model is None:
-            raise ValueError("family carries no epsilon to translate")
+    model = family_or_model.epsilon_model()
+    if model is None:
+        raise ValueError("family carries no epsilon to translate")
     curv = model.curv_counterpart()
     ours = curv.squared().integral_over_t()
     older = curv.integral_over_t()
@@ -584,7 +614,7 @@ def curv_translate(family_or_model) -> dict:
         regime = "neither"
     else:
         regime = "inconclusive"
-    return {"epsilon_curv": curv, "integral_ours": ours,
+    return {"epsilon_curv": curv.to_json(), "integral_ours": ours,
             "integral_curv": older, "regime": regime}
 
 

@@ -5,11 +5,10 @@ bump, Bellman, sparse, and obstruction modules.
                           [--depth n] [--family path]
 
 Campaigns: bump-check | orlicz | bellman-b1 | bellman-b2 | glav | testing
-| obstruction | full.  Each writes report.json, summary.csv, and the
-campaign's plot-data series to the output directory.  Exit status 0 when
-every configured check passes, 1 on check failures (report still
-written), 2 on input errors (no partial report).  The environment
-variable TOOL_THREADS caps internal parallelism.
+| obstruction | full, each a runner in the CAMPAIGNS registry.  Each writes
+report.json, summary.csv, and the campaign's plot-data series to the output
+directory.  Exit status 0 when every configured check passes, 1 on check
+failures (report still written), 2 on input errors (no partial report).
 """
 
 from __future__ import annotations
@@ -18,45 +17,27 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .bellman import (B1, B2, _z_cap, aux_T_check, b1_property_check,
+from .bellman import (B1, B2, aux_T_check, b1_property_check,
                       b2_property_check, default_budget, g_positivity)
-from .bumps import (BumpFamily, curv_translate, epsilon_integrability,
-                    integrability_phi, log_bump, orlicz_norm_def,
-                    orlicz_norm_dist, psi_gap_check, self_improvement_check)
-from .dyadic import ROOT, LeafWeight
+from .bumps import (BumpFamily, EpsilonModel, curv_translate,
+                    epsilon_integrability, integrability_phi, log_bump,
+                    orlicz_norm_def, orlicz_norm_dist, psi_gap_check,
+                    self_improvement_check)
+from .dyadic import ROOT, CarlesonSequence, LeafWeight
 from .obstruction import b0_probe, growth_table, obstruction_report
 from .reports import emit_plotdata, make_report, write_report
-from .sparse import (glav_check, glav_levels, green_induction, load_instance,
-                     random_instance, save_instance, testing_condition,
-                     truncated, vavo_L_bound)
-from .bumps import EpsilonModel
-
-CAMPAIGNS = ("bump-check", "orlicz", "bellman-b1", "bellman-b2", "glav",
-             "testing", "obstruction", "full")
+from .sparse import (SparseOperator, glav_check, green_induction,
+                     load_instance, random_instance, save_instance,
+                     testing_condition, truncated, vavo_L_bound)
 
 
 class InputError(Exception):
     """Malformed or missing input; reported on stderr with status 2."""
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("TOOL_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"TOOL_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise InputError("TOOL_THREADS must be >= 1")
-    return n
 
 
 def _load_config(path: str | None) -> dict:
@@ -129,10 +110,10 @@ def _corpus(depth: int, n: int, seed: int) -> list[LeafWeight]:
 
 
 # ---------------------------------------------------------------------------
-# Campaigns: each returns (results dict, passed bool)
+# Campaigns: each takes (family, cfg, seed, out) and returns (results, passed)
 # ---------------------------------------------------------------------------
 
-def run_bump_check(family: BumpFamily, cfg: dict, seed: int):
+def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
     results = {
         "family": family.to_json(),
         "phi_integrability": integrability_phi(family),
@@ -143,8 +124,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int):
     model = family.epsilon_model()
     passed = results["psi_gap"]["pass"]
     if model is not None and model.kind != "const":
-        cap = _z_cap(model)
-        gp = g_positivity(model, (1e-6, min(0.1, 0.9 * cap)),
+        gp = g_positivity(model, (1e-6, min(0.1, 0.9 * model.z_cap)),
                           n=int(cfg.get("g_points", 200)))
         results["g_positivity"] = {k: gp[k] for k in
                                    ("min_g", "positive", "nondecreasing",
@@ -157,7 +137,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int):
     return results, bool(passed)
 
 
-def run_orlicz(family: BumpFamily, cfg: dict, seed: int):
+def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
     depth = int(cfg.get("depth", 6))
     n = int(cfg.get("n_weights", 200))
     ratios, si_ratios = [], []
@@ -189,7 +169,7 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int):
     return results, results["equivalence"]["pass"]
 
 
-def run_bellman_b1(family: BumpFamily, cfg: dict, seed: int):
+def run_bellman_b1(family: BumpFamily, cfg: dict, seed: int, out: Path):
     budget = _budget(family, cfg)
     rep = b1_property_check(family, budget,
                             n_n=int(cfg.get("n_n", 128)),
@@ -212,7 +192,7 @@ def run_bellman_b1(family: BumpFamily, cfg: dict, seed: int):
     return rep, rep["pass"]
 
 
-def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int):
+def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
     budget = _budget(family, cfg)
     model = family.epsilon_model()
     if model is None:
@@ -227,7 +207,7 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int):
     for _ in range(int(cfg.get("n_quad", 100))):
         u = math.exp(rng.uniform(-6.0, 0.0))
         v = min(math.exp(rng.uniform(-6.0, 0.0)), budget.delta / u)
-        z_hi = min(budget.P * math.sqrt(u * v), _z_cap(model))
+        z_hi = min(budget.P * math.sqrt(u * v), model.z_cap)
         L = math.exp(rng.uniform(math.log(u * v), math.log(z_hi)))
         A = rng.uniform(0.0, 1.0)
         closed = b2.value(u, v, L, A)
@@ -256,36 +236,27 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int):
     return rep, passed
 
 
-def _glav_one(family, budget, depth, bump_target, omega2_delta, seed):
-    inst = random_instance(depth, seed, family=family,
-                           bump_target=bump_target,
-                           omega2_delta=omega2_delta)
-    green = green_induction(inst["u"], inst["v"], inst["T"], family, budget)
-    glav = glav_check(inst["u"], inst["v"], inst["T"], family, budget)
-    return {
-        "seed": seed,
-        "telescoping_residual": green["telescoping_residual"],
-        "min_drop_constant": green["min_drop_constant"],
-        "glav_sup_ratio": glav["sup_ratio"],
-        "pass": green["pass"],
-    }
-
-
-def run_glav(family: BumpFamily, cfg: dict, seed: int):
+def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
     budget = _budget(family, cfg)
     depth = int(cfg.get("depth", 6))
     n = int(cfg.get("n_instances", 10))
     bump_target = float(cfg.get("bump_target", 0.01))
     seeds = [seed + i for i in range(n)]
-    workers = _threads()
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per = list(pool.map(
-                lambda s: _glav_one(family, budget, depth, bump_target,
-                                    budget.delta, s), seeds))
-    else:
-        per = [_glav_one(family, budget, depth, bump_target, budget.delta, s)
-               for s in seeds]
+    per = []
+    for s in seeds:
+        inst = random_instance(depth, s, family=family,
+                               bump_target=bump_target,
+                               omega2_delta=budget.delta)
+        green = green_induction(inst["u"], inst["v"], inst["T"], family,
+                                budget)
+        glav = glav_check(inst["u"], inst["v"], inst["T"], family, budget)
+        per.append({
+            "seed": s,
+            "telescoping_residual": green["telescoping_residual"],
+            "min_drop_constant": green["min_drop_constant"],
+            "glav_sup_ratio": glav["sup_ratio"],
+            "pass": green["pass"],
+        })
     # refinement stability of the (glav) sup-ratio on a few instances
     fine, coarse = int(cfg.get("refine_depth", depth + 2)), depth
     stability = []
@@ -314,7 +285,7 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int):
     return results, passed
 
 
-def run_testing(family: BumpFamily, cfg: dict, seed: int):
+def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
     if "instance" in cfg:
         p = Path(cfg["instance"])
         if not (p / "u.json").is_file():
@@ -335,8 +306,7 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int):
     return results, results["vavo"]["pass"]
 
 
-def run_obstruction(family: BumpFamily, cfg: dict, seed: int,
-                    out: Path | None = None):
+def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     depth = int(cfg.get("depth", 20))
     depths = tuple(sorted({10, 20, depth}))
     rep = obstruction_report(depth)
@@ -368,18 +338,14 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int,
                      for r in table],
         }},
     }
-    if out is not None:
-        bundle_depth = min(depth, 20)
-        brep = rep if bundle_depth == depth else obstruction_report(bundle_depth)
-        from .dyadic import CarlesonSequence
-        from .sparse import SparseOperator
-        entries = [(mem.dyadic_index(), 1.0 / 3.0)
-                   for _, mem in brep["hierarchy"].all_members()]
-        seq = CarlesonSequence.from_entries(bundle_depth, entries)
-        save_instance(out / "instance", brep["u"].to_leaf_weight(),
-                      brep["v"].to_leaf_weight(), SparseOperator(seq))
-        results["instance_bundle"] = {"path": "instance",
-                                      "depth": bundle_depth}
+    bundle_depth = min(depth, 20)
+    brep = rep if bundle_depth == depth else obstruction_report(bundle_depth)
+    entries = [(mem.dyadic_index(), 1.0 / 3.0)
+               for _, mem in brep["hierarchy"].all_members()]
+    seq = CarlesonSequence.from_entries(bundle_depth, entries)
+    save_instance(out / "instance", brep["u"].to_leaf_weight(),
+                  brep["v"].to_leaf_weight(), SparseOperator(seq))
+    results["instance_bundle"] = {"path": "instance", "depth": bundle_depth}
     passed = (rep["sv_ok"] and rep["sn_ok"]
               and rep["product_residual"] <= 1e-10
               and rep["a2_pass"] and rep["carleson_pass"]
@@ -393,24 +359,21 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int,
 
 
 def run_full(family: BumpFamily, cfg: dict, seed: int, out: Path):
-    sub = {
-        "bump-check": run_bump_check,
-        "orlicz": run_orlicz,
-        "bellman-b1": run_bellman_b1,
-        "bellman-b2": run_bellman_b2,
-        "glav": run_glav,
-        "testing": run_testing,
-    }
     results, passed = {}, True
-    for name, fn in sub.items():
-        res, ok = fn(family, cfg, seed)
+    for name, fn in CAMPAIGNS.items():
+        if fn is run_full:
+            continue
+        res, ok = fn(family, cfg, seed, out)
         res.pop("series", None)
         results[name] = {"results": res, "pass": ok}
         passed = passed and ok
-    res, ok = run_obstruction(family, cfg, seed, out=out)
-    res.pop("series", None)
-    results["obstruction"] = {"results": res, "pass": ok}
-    return results, passed and ok
+    return results, passed
+
+
+CAMPAIGNS = {"bump-check": run_bump_check, "orlicz": run_orlicz,
+             "bellman-b1": run_bellman_b1, "bellman-b2": run_bellman_b2,
+             "glav": run_glav, "testing": run_testing,
+             "obstruction": run_obstruction, "full": run_full}
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +396,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         family = _load_family(cfg.get("family"))
-        _threads()  # validate early so a bad value is an input error
         seed = int(cfg["seed"])
         out = Path(cfg["out"])
-        if args.campaign == "bump-check":
-            results, passed = run_bump_check(family, cfg, seed)
-        elif args.campaign == "orlicz":
-            results, passed = run_orlicz(family, cfg, seed)
-        elif args.campaign == "bellman-b1":
-            results, passed = run_bellman_b1(family, cfg, seed)
-        elif args.campaign == "bellman-b2":
-            results, passed = run_bellman_b2(family, cfg, seed)
-        elif args.campaign == "glav":
-            results, passed = run_glav(family, cfg, seed)
-        elif args.campaign == "testing":
-            results, passed = run_testing(family, cfg, seed)
-        elif args.campaign == "obstruction":
-            results, passed = run_obstruction(family, cfg, seed, out=out)
-        else:
-            results, passed = run_full(family, cfg, seed, out)
+        results, passed = CAMPAIGNS[args.campaign](family, cfg, seed, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,11 +156,6 @@ class LeafWeight:
                 and np.array_equal(other.values, self.values))
 
 
-def average(w: LeafWeight, index: DyadicIndex) -> float:
-    """Mean of w over the dyadic interval I."""
-    return w.average(index)
-
-
 class StepDistribution:
     """Right-continuous step function N(t) = |{x in I : u(x) >= t}| / |I|.
 
@@ -220,10 +215,6 @@ class StepDistribution:
             return StepDistribution([], [])
         mixed = np.array([(a.eval(x) + b.eval(x)) / 2.0 for x in t])
         return StepDistribution(t, mixed)
-
-
-def distribution(w: LeafWeight, index: DyadicIndex) -> StepDistribution:
-    return StepDistribution.of(w, index)
 
 
 class CarlesonSequence:
@@ -313,13 +304,6 @@ class CarlesonSequence:
     def load(cls, path) -> "CarlesonSequence":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-def carleson_intensity(seq: CarlesonSequence, index: DyadicIndex) -> float:
-    """A_I = (1/|I|) sum_{J subset-or-equal I} a_J |J|."""
-    if index.level > seq.depth:
-        return 0.0
-    return float(seq.intensity_levels()[index.level][index.pos])
 
 
 def l_intensity_levels(u: LeafWeight, v: LeafWeight,

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import B2, ConstantBudget
-from .bumps import BumpFamily, EpsilonModel
+from .bumps import EpsilonModel
 from .dyadic import DyadicIndex, LeafWeight, MAX_DEPTH
 
 
@@ -422,14 +421,6 @@ def growth_table(depths=(10, 20, 40), base: float = 3.0) -> list[dict]:
 # The B0 probe
 # ---------------------------------------------------------------------------
 
-def _b0_cap(model: EpsilonModel) -> float | None:
-    """Largest z at which the tail mass is evaluable (phi stops being
-    invertible past its maximum for log-power decay); None when unbounded."""
-    if model.kind in ("power", "const"):
-        return None
-    return 0.95 * float(model.phi(model.x_max))
-
-
 def _b0_point(model: EpsilonModel, C: float, u: float, v: float, A: float,
               P: float, y_floor: float | None, n_grid: int = 24) -> dict:
     """Evaluate B0(u, v, A) = C u - sup_L (L^2/v) W(L/(A+1)) over the
@@ -488,8 +479,7 @@ def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
     """
     if model.kind == "custom":
         raise ValueError("probe needs a named epsilon kind")
-    cap = _b0_cap(model)
-    delta_used = delta if cap is None else min(delta, 0.5 * (cap / P) ** 2)
+    delta_used = min(delta, 0.5 * (model.z_cap / P) ** 2)
 
     floors = [None] if model.kind != "const" else list(y_floors)
     per_floor = []

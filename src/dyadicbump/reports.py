@@ -24,7 +24,9 @@ SCHEMA_VERSION = 1
 
 def canonical(obj):
     """Recursively convert to plain JSON-serializable types with a stable
-    layout (numpy scalars/arrays to python numbers/lists, tuples to lists)."""
+    layout (numpy scalars/arrays to python numbers/lists, tuples to lists).
+    Any other type is a TypeError: its repr would put a memory address into
+    the report and break byte-identical reruns."""
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -39,7 +41,7 @@ def canonical(obj):
         return float(obj)
     if obj is None or isinstance(obj, str):
         return obj
-    return repr(obj)
+    raise TypeError(f"cannot put a {type(obj).__name__} into a report")
 
 
 def config_hash(config: dict) -> str:

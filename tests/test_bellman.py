@@ -8,8 +8,8 @@ import pytest
 
 from dyadicbump.bumps import EpsilonModel, log_bump, loglog_bump, power_bump
 from dyadicbump.bellman import (
-    B1, B2, BellmanNode, ConstantBudget, DataIntegrityError, OmegaOnePoint,
-    OmegaTwoPoint, aux_T_check, b1_property_check, b2_property_check,
+    B1, B2, BellmanNode, ConstantBudget, DataIntegrityError,
+    aux_T_check, b1_property_check, b2_property_check,
     default_budget, g_function, g_positivity, hessian_fd, master_bellman_eval,
     node_drop_check, sample_omega2, sylvester_nsd, t_grad, t_hessian, t_value,
 )
@@ -20,26 +20,8 @@ from dyadicbump.dyadic import (
 
 
 # ---------------------------------------------------------------------------
-# Domain points and budgets
+# Budgets
 # ---------------------------------------------------------------------------
-
-def test_omega1_point_validates():
-    OmegaOnePoint(0.5, 0.7)
-    with pytest.raises(ValueError):
-        OmegaOnePoint(1.5, 0.5)
-    with pytest.raises(ValueError):
-        OmegaOnePoint(0.5, -0.1)
-
-
-def test_omega2_point_validates():
-    OmegaTwoPoint(u=0.01, v=0.01, L=0.5, A=0.3)
-    with pytest.raises(ValueError):
-        OmegaTwoPoint(u=1.0, v=1.0, L=0.1, A=0.3)       # uv > delta
-    with pytest.raises(ValueError):
-        OmegaTwoPoint(u=0.01, v=0.01, L=11.0, A=0.3)    # L > P sqrt(uv)
-    with pytest.raises(ValueError):
-        OmegaTwoPoint(u=0.01, v=0.01, L=0.5, A=1.5)
-
 
 def test_budget_validates():
     ConstantBudget(c1=2.0, c2=5.0)
@@ -68,7 +50,7 @@ def test_j_closed_form_log():
     # log family sigma = 2 has companion exponent kappa = 1:
     # J(x) = 1 / (2 + log(1/x)); at x = e^{-2} this is exactly 1/4
     b1 = B1(log_bump(2.0))
-    assert b1.kind == "log" and b1.kappa == 1.0
+    assert b1.base.tag == "log" and b1.base.sigma == 1.0
     assert b1.j(math.exp(-2.0)) == pytest.approx(0.25, abs=1e-14)
     assert b1.j(1.0) == pytest.approx(0.5, abs=1e-14)
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicbump.bumps import (BumpFamily, DivergentIntegralError,
-                              EpsilonModel, PhiMap, curv_translate,
+                              EpsilonModel, curv_translate,
                               epsilon_integrability, integrability_phi,
                               log_bump, loglog_bump, orlicz_norm_def,
                               orlicz_norm_def_batch, orlicz_norm_dist,
-                              phi_inverse, power_bump, psi_from_phi,
+                              power_bump, psi_from_phi,
                               psi_gap_check, psi_parametric,
                               self_improvement_check, weak_concavity_probe)
 from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
@@ -268,25 +268,41 @@ def test_probe_rejects_nonpositive():
 # ---------------------------------------------------------------------------
 
 def test_phi_identity_for_constant_eps():
-    pm = PhiMap(EpsilonModel("const"))
-    assert pm.phi_of(0.3) == pytest.approx(0.3)
-    assert phi_inverse(pm, 0.3) == pytest.approx(0.3)
-    assert pm.mode == "closed-form"
+    model = EpsilonModel("const")
+    assert model.phi(0.3) == pytest.approx(0.3)
+    assert model.inverse(0.3) == pytest.approx(0.3)
 
 
 def test_phi_power_closed_form():
-    pm = PhiMap(log_bump(1.0).epsilon_model())  # beta = 1/4
-    assert pm.phi_of(0.2) == pytest.approx(0.2 ** 0.75, rel=1e-14)
-    assert phi_inverse(pm, 0.01) == pytest.approx(0.01 ** (4 / 3), rel=1e-14)
+    model = log_bump(1.0).epsilon_model()  # beta = 1/4
+    assert model.phi(0.2) == pytest.approx(0.2 ** 0.75, rel=1e-14)
+    assert model.inverse(0.01) == pytest.approx(0.01 ** (4 / 3), rel=1e-14)
 
 
 def test_phi_loglog_roundtrip():
     model = loglog_bump(2.0, 0.1).epsilon_model()
-    pm = PhiMap(model)
-    assert pm.mode == "bisection"
     for x in np.geomspace(1e-200, model.x_max, 25):
-        y = pm.phi_of(x)
-        assert abs(pm.phi_of(phi_inverse(pm, y)) - y) <= 1e-12 * y
+        y = model.phi(x)
+        assert abs(model.phi(model.inverse(y)) - y) <= 1e-12 * y
+
+
+def test_inverse_range_cap():
+    assert EpsilonModel("power", beta=0.25).z_cap == math.inf
+    assert EpsilonModel("const").z_cap == math.inf
+    model = loglog_bump(2.0, 0.1).epsilon_model()
+    assert model.z_cap == pytest.approx(0.95 * model.phi(model.x_max), rel=1e-15)
+    assert model.phi(model.inverse(model.z_cap)) == pytest.approx(model.z_cap,
+                                                                  rel=1e-12)
+
+
+def test_epsilon_model_json_holds_used_parameters():
+    assert EpsilonModel("power", beta=0.25, kappa=3.0).to_json() == {
+        "kind": "power", "beta": 0.25, "coeff": 1.0}
+    assert EpsilonModel("logpow", kappa=1.8, coeff=0.5).to_json() == {
+        "kind": "logpow", "kappa": 1.8, "coeff": 0.5}
+    assert EpsilonModel("const", coeff=2.0).to_json() == {"kind": "const",
+                                                          "coeff": 2.0}
+    assert EpsilonModel("custom", func=np.sqrt).to_json() == {"kind": "custom"}
 
 
 def test_phi_inverse_convex_second_difference():
@@ -327,11 +343,30 @@ def test_tail_mass_logpow_closed_vs_quad():
         assert model.tail_mass(z) == pytest.approx(model.tail_mass_quad(z), rel=5e-3)
 
 
+@pytest.mark.parametrize("model", [
+    EpsilonModel("logpow", kappa=1.8, coeff=0.5),
+    EpsilonModel("logpow", kappa=1.8, coeff=2.0),
+    # the two-exponent counterpart has kappa = 0.9, where W diverges; its
+    # square (the model the "ours" integrability verdict reads) has
+    # kappa = 1.8 and coeff = 2^(-1.8)
+    loglog_bump(2.0, 0.1).epsilon_model().curv_counterpart().squared(),
+])
+@pytest.mark.parametrize("z", [1e-10, 1e-4, 1e-2])
+def test_tail_mass_logpow_coefficient_scaling(model, z):
+    # phi_c = phi_1 / c, so f_c(y) = f_1(c y) and W_c(z) = c W_1(c z)
+    unit = EpsilonModel("logpow", kappa=model.kappa)
+    c = model.coeff
+    assert model.tail_mass(z) == pytest.approx(c * unit.tail_mass(c * z),
+                                               rel=1e-12)
+
+
 def test_tail_mass_divergent_cases():
     with pytest.raises(DivergentIntegralError):
         EpsilonModel("const").tail_mass(1.0)
     with pytest.raises(DivergentIntegralError):
         EpsilonModel("logpow", kappa=0.9).tail_mass(0.1)
+    with pytest.raises(DivergentIntegralError):  # kappa = 0.9, coeff 2^(-0.9)
+        loglog_bump(2.0, 0.1).epsilon_model().curv_counterpart().tail_mass(0.1)
     # truncated version stays defined
     assert EpsilonModel("const").truncated_tail_mass(1.0, 1e-3) == pytest.approx(
         math.log(1e3), rel=1e-12)
@@ -340,14 +375,16 @@ def test_tail_mass_divergent_cases():
 def test_curv_translate_power_fixed_point():
     res = curv_translate(EpsilonModel("power", beta=0.25))
     t = np.array([4.0, 16.0, 100.0])
-    assert np.allclose(res["epsilon_curv"].eps(t), t ** -0.25)
+    assert res["epsilon_curv"] == {"kind": "power", "beta": 0.25, "coeff": 1.0}
+    assert np.allclose(EpsilonModel(**res["epsilon_curv"]).eps(t), t ** -0.25)
     assert res["regime"] == "both"
 
 
 def test_curv_translate_logpow_algebra():
     res = curv_translate(EpsilonModel("logpow", kappa=1.5))
     t = np.array([3.0, 10.0, 100.0])
-    assert np.allclose(res["epsilon_curv"].eps(t), (2 * np.log(t)) ** -0.75)
+    curv = EpsilonModel(**res["epsilon_curv"])
+    assert np.allclose(curv.eps(t), (2 * np.log(t)) ** -0.75)
     # kappa/2 = 0.75 <= 1: only the squared integral converges
     assert res["integral_ours"]["verdict"] == "finite"
     assert res["integral_curv"]["verdict"] == "infinite"

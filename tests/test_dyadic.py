@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from dyadicbump.dyadic import (MAX_DEPTH, ROOT, CarlesonSequence, DyadicIndex,
                                LeafWeight, StepDistribution, TreeDepthError,
-                               L_intensity, average, carleson_intensity,
-                               distribution, dyadic_maximal,
+                               L_intensity, dyadic_maximal,
                                l_intensity_levels, stopping_family)
 
 
@@ -72,9 +71,9 @@ def test_average_two_leaves():
 
 def test_average_direct_sum():
     w = LeafWeight(2, [4.0, 2.0, 1.0, 1.0])
-    assert average(w, DyadicIndex(1, 0)) == 3.0
-    assert average(w, DyadicIndex(1, 1)) == 1.0
-    assert average(w, ROOT) == 2.0
+    assert w.average(DyadicIndex(1, 0)) == 3.0
+    assert w.average(DyadicIndex(1, 1)) == 1.0
+    assert w.average(ROOT) == 2.0
 
 
 def test_average_out_of_range():
@@ -126,14 +125,14 @@ def test_weight_json_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_distribution_constant():
-    dist = distribution(LeafWeight.constant(3, 4.0), ROOT)
+    dist = StepDistribution.of(LeafWeight.constant(3, 4.0), ROOT)
     assert dist.eval(0.5) == 1.0
     assert dist.eval(4.0) == 1.0
     assert dist.eval(4.0001) == 0.0
 
 
 def test_distribution_two_leaf():
-    dist = distribution(LeafWeight(1, [2.0, 0.0]), ROOT)
+    dist = StepDistribution.of(LeafWeight(1, [2.0, 0.0]), ROOT)
     assert dist.eval(1.0) == 0.5
     assert dist.eval(2.0) == 0.5
     assert dist.eval(2.5) == 0.0
@@ -141,7 +140,7 @@ def test_distribution_two_leaf():
 
 def test_distribution_integral_is_average():
     w = LeafWeight(2, [4.0, 2.0, 1.0, 1.0])
-    assert distribution(w, ROOT).integral() == average(w, ROOT) == 2.0
+    assert StepDistribution.of(w, ROOT).integral() == w.average(ROOT) == 2.0
 
 
 @given(leaf_weights())
@@ -149,15 +148,16 @@ def test_distribution_integral_is_average():
 def test_distribution_layer_cake(w):
     for pos in range(2):
         node = DyadicIndex(1, pos)
-        dist = distribution(w, node)
+        dist = StepDistribution.of(w, node)
         assert dist.integral() == pytest.approx(w.average(node), rel=1e-12, abs=1e-12)
 
 
 def test_distribution_midpoint_mix():
     w = LeafWeight(2, [4.0, 2.0, 1.0, 0.0])
     mixed = StepDistribution.midpoint_mix(
-        distribution(w, DyadicIndex(1, 0)), distribution(w, DyadicIndex(1, 1)))
-    whole = distribution(w, ROOT)
+        StepDistribution.of(w, DyadicIndex(1, 0)),
+        StepDistribution.of(w, DyadicIndex(1, 1)))
+    whole = StepDistribution.of(w, ROOT)
     for t in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
         assert mixed.eval(t) == whole.eval(t)
 
@@ -175,20 +175,22 @@ def test_distribution_validation():
 
 def test_intensity_all_zero():
     seq = CarlesonSequence.zeros(3)
-    assert carleson_intensity(seq, ROOT) == 0.0
+    assert seq.intensity_levels()[0][0] == 0.0
     assert seq.max_intensity() == 0.0
 
 
 def test_intensity_root_only():
     seq = CarlesonSequence.from_entries(2, [(ROOT, 1.0)])
-    assert carleson_intensity(seq, ROOT) == 1.0
-    assert carleson_intensity(seq, DyadicIndex(1, 0)) == 0.0
+    assert seq.intensity_levels()[0][0] == 1.0
+    assert seq.intensity_levels()[1][0] == 0.0
+    # a level beyond the sequence's depth carries no coefficient
+    assert seq.a(DyadicIndex(3, 0)) == 0.0
 
 
 def test_intensity_direct_sum():
     entries = [(ROOT, 1 / 3), (DyadicIndex(1, 0), 1 / 3), (DyadicIndex(1, 1), 1 / 3)]
     seq = CarlesonSequence.from_entries(1, entries)
-    assert carleson_intensity(seq, ROOT) == pytest.approx(2 / 3, rel=1e-15)
+    assert seq.intensity_levels()[0][0] == pytest.approx(2 / 3, rel=1e-15)
 
 
 def test_intensity_matches_double_sum():
@@ -202,7 +204,8 @@ def test_intensity_matches_double_sum():
             levels[k][j] * 2.0 ** -k
             for k in range(depth + 1) for j in range(2 ** k)
             if node.contains(DyadicIndex(k, j))) / node.length
-        assert carleson_intensity(seq, node) == pytest.approx(brute, rel=1e-12)
+        assert seq.intensity_levels()[level][pos] == pytest.approx(brute,
+                                                                  rel=1e-12)
 
 
 def test_l_intensity_trivial_cases():

@@ -28,7 +28,8 @@ from .bumps import (BumpFamily, EpsilonModel, curv_translate,
                     epsilon_integrability, integrability_phi, log_bump,
                     orlicz_norm_def, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
-from .dyadic import ROOT, CarlesonSequence, LeafWeight
+from .dyadic import (ROOT, CarlesonSequence, LeafWeight, TreeDepthError,
+                     check_depth)
 from .obstruction import b0_probe, growth_table, obstruction_report
 from .reports import emit_plotdata, make_report, write_report
 from .sparse import (SparseOperator, glav_check, green_induction,
@@ -89,6 +90,9 @@ def _resolve(args) -> dict:
         if key in cfg and not (isinstance(cfg[key], (int, float))
                                and cfg[key] > 0):
             raise InputError(f"config field {key!r} must be a positive number")
+    for key in ("depth", "refine_depth"):
+        if key in cfg and (type(cfg[key]) is not int or cfg[key] < 0):
+            raise InputError(f"config field {key!r} must be an integer >= 0")
     return cfg
 
 
@@ -104,6 +108,7 @@ def _budget(family: BumpFamily, cfg: dict):
 
 
 def _corpus(depth: int, n: int, seed: int) -> list[LeafWeight]:
+    check_depth(depth)
     rng = np.random.default_rng(seed)
     return [LeafWeight(depth, rng.lognormal(0.0, 1.5, 2 ** depth))
             for _ in range(n)]
@@ -399,7 +404,7 @@ def main(argv=None) -> int:
         seed = int(cfg["seed"])
         out = Path(cfg["out"])
         results, passed = CAMPAIGNS[args.campaign](family, cfg, seed, out)
-    except InputError as exc:
+    except (InputError, TreeDepthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

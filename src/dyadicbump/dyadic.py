@@ -20,6 +20,15 @@ class TreeDepthError(ValueError):
     """Requested tree depth exceeds the configured resource cap."""
 
 
+def check_depth(depth: int) -> None:
+    """Reject a negative depth, or one above MAX_DEPTH, before any
+    2**depth array is drawn."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth > MAX_DEPTH:
+        raise TreeDepthError(f"depth {depth} exceeds cap {MAX_DEPTH}")
+
+
 @dataclass(frozen=True, order=True)
 class DyadicIndex:
     """The dyadic interval I = [pos * 2**-level, (pos+1) * 2**-level)."""
@@ -36,10 +45,6 @@ class DyadicIndex:
     @property
     def length(self) -> float:
         return 2.0 ** -self.level
-
-    @property
-    def left_endpoint(self) -> float:
-        return self.pos * 2.0 ** -self.level
 
     def parent(self) -> "DyadicIndex":
         if self.level == 0:
@@ -83,10 +88,7 @@ class LeafWeight:
     """A nonnegative weight on [0,1) given by its values on 2**depth leaves."""
 
     def __init__(self, depth: int, values):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        if depth > MAX_DEPTH:
-            raise TreeDepthError(f"depth {depth} exceeds cap {MAX_DEPTH}")
+        check_depth(depth)
         arr = np.asarray(values, dtype=float)
         if arr.shape != (2 ** depth,):
             raise ValueError(f"expected {2 ** depth} leaf values, got shape {arr.shape}")
@@ -222,8 +224,7 @@ class CarlesonSequence:
     with a target Carleson constant for (1/|J|) sum_{I subset J} a_I |I|."""
 
     def __init__(self, depth: int, levels, bound: float = 1.0):
-        if depth > MAX_DEPTH:
-            raise TreeDepthError(f"depth {depth} exceeds cap {MAX_DEPTH}")
+        check_depth(depth)
         if len(levels) != depth + 1:
             raise ValueError(f"need {depth + 1} per-level arrays, got {len(levels)}")
         self.depth = depth
@@ -265,13 +266,7 @@ class CarlesonSequence:
 
     def intensity_levels(self) -> list[np.ndarray]:
         """A_I = a_I + (A_{I+} + A_{I-})/2 for every node, leaves seeded with a."""
-        out = [None] * (self.depth + 1)
-        cur = self.levels[self.depth].copy()
-        out[self.depth] = cur
-        for k in range(self.depth - 1, -1, -1):
-            cur = self.levels[k] + (cur[0::2] + cur[1::2]) / 2.0
-            out[k] = cur
-        return out
+        return upward_levels(self.levels)
 
     def max_intensity(self) -> float:
         return max(float(arr.max()) for arr in self.intensity_levels())
@@ -306,20 +301,22 @@ class CarlesonSequence:
             return cls.from_json(json.load(fh))
 
 
+def upward_levels(terms) -> list[np.ndarray]:
+    """X_k = t_k + (X_{k+1}[0::2] + X_{k+1}[1::2]) / 2 from the bottom
+    level X_depth = t_depth up to the root, for per-level arrays t_k."""
+    out = list(terms)
+    for k in range(len(out) - 2, -1, -1):
+        out[k] = out[k] + (out[k + 1][0::2] + out[k + 1][1::2]) / 2.0
+    return out
+
+
 def l_intensity_levels(u: LeafWeight, v: LeafWeight,
                        seq: CarlesonSequence) -> list[np.ndarray]:
     """L_I = a_I u_I v_I + (L_{I+} + L_{I-})/2 for every node."""
     if u.depth != v.depth or seq.depth > u.depth:
         raise ValueError("weights must share a depth covering the sequence")
-    out = [None] * (seq.depth + 1)
-    k = seq.depth
-    cur = seq.levels[k] * u.node_averages(k) * v.node_averages(k)
-    out[k] = cur
-    for k in range(seq.depth - 1, -1, -1):
-        cur = seq.levels[k] * u.node_averages(k) * v.node_averages(k) \
-            + (cur[0::2] + cur[1::2]) / 2.0
-        out[k] = cur
-    return out
+    return upward_levels(a * u.node_averages(k) * v.node_averages(k)
+                         for k, a in enumerate(seq.levels))
 
 
 def L_intensity(u: LeafWeight, v: LeafWeight, seq: CarlesonSequence,

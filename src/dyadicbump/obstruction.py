@@ -150,10 +150,6 @@ class StoppingHierarchy:
     sv_records: list = field(default_factory=list)
     sn_records: list = field(default_factory=list)
 
-    @property
-    def depth_of_generations(self) -> int:
-        return len(self.generations)
-
     def all_members(self):
         for n, gen in enumerate(self.generations, start=1):
             for mem in gen:

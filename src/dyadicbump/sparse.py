@@ -14,7 +14,8 @@ from .bellman import (B1, B2, BellmanNode, ConstantBudget, default_budget,
                       master_bellman_eval)
 from .bumps import BumpFamily, EpsilonModel, orlicz_norm_def_batch
 from .dyadic import (CarlesonSequence, DyadicIndex, LeafWeight, ROOT,
-                     StepDistribution, l_intensity_levels)
+                     StepDistribution, check_depth, l_intensity_levels,
+                     upward_levels)
 
 
 class SparseOperator:
@@ -66,37 +67,56 @@ def apply_sparse(T: SparseOperator, f: LeafWeight) -> LeafWeight:
     return LeafWeight(f.depth, out)
 
 
-def _weighted_l2_sq(g: np.ndarray, w: LeafWeight) -> float:
-    return float(np.dot(g * g, w.values)) / w.values.size
+def _level_sup(levels) -> tuple[float, tuple[int, int] | None]:
+    """(sup, (level, pos)) over per-level arrays in level-then-position
+    order; the first strictly greater entry wins, and (0.0, None) when no
+    entry is positive."""
+    sup, at = 0.0, None
+    for k, arr in enumerate(levels):
+        j = int(np.argmax(arr))
+        if arr[j] > sup:
+            sup, at = float(arr[j]), (k, j)
+    return sup, at
 
 
-def _masked(w: LeafWeight, index: DyadicIndex) -> LeafWeight:
-    lo, hi = index.leaf_range(w.depth)
-    vals = np.zeros_like(w.values)
-    vals[lo:hi] = w.values[lo:hi]
-    return LeafWeight(w.depth, vals)
+def _joint_a2(u: LeafWeight, v: LeafWeight, depth: int) -> float:
+    """max over dyadic I down to the depth of <u>_I <v>_I."""
+    return _level_sup(u.node_averages(k) * v.node_averages(k)
+                      for k in range(depth + 1))[0]
 
 
 def _one_sided_testing(T: SparseOperator, u: LeafWeight,
                        v: LeafWeight) -> dict:
-    """ratio(J) = ||chi_J T(u chi_J)||^2_{L^2(v)} / u(J) over all dyadic J."""
-    ratios = []
-    sup, sup_at = 0.0, None
-    for level in range(T.depth + 1):
-        for pos in range(2 ** level):
-            J = DyadicIndex(level, pos)
-            lo, hi = J.leaf_range(u.depth)
-            mass = u.average(J) * J.length  # u(J) = integral of u over J
-            if mass <= 0.0:
-                continue
-            img = apply_sparse(T, _masked(u, J)).values
-            g = np.zeros_like(img)
-            g[lo:hi] = img[lo:hi]
-            num = _weighted_l2_sq(g, v)
-            ratio = num / mass
-            ratios.append(((level, pos), ratio))
-            if ratio > sup:
-                sup, sup_at = ratio, (level, pos)
+    """ratio(J) = ||chi_J T(u chi_J)||^2_{L^2(v)} / u(J) over all dyadic J.
+
+    On J at level k, T(u chi_J) = S_k + c_J, where S_k sums a_I <u>_I chi_I
+    over the I at levels >= k and c_J = u(J) sum_{I strictly containing J}
+    a_I / |I|.  So one bottom-up pass keeps S_k as a leaf array, and each
+    level's numerators are three block sums of nonnegative leaf arrays."""
+    if u.depth < T.depth:
+        raise ValueError(
+            f"weight depth {u.depth} shallower than operator depth {T.depth}")
+    a = T.coeffs.levels
+    above = [np.zeros(1)]
+    for k in range(T.depth):
+        above.append(np.repeat(above[k] + a[k] * 2.0 ** k, 2))
+    S = np.zeros(2 ** u.depth)
+    per_level, kept = [None] * (T.depth + 1), [None] * (T.depth + 1)
+    for k in range(T.depth, -1, -1):
+        S += np.repeat(a[k] * u.node_averages(k), 2 ** (u.depth - k))
+        Sv = S * v.values
+        mass = u.node_averages(k) * 2.0 ** -k  # u(J)
+        c = mass * above[k]
+        num = ((S * Sv).reshape(2 ** k, -1).sum(axis=1)
+               + 2.0 * c * Sv.reshape(2 ** k, -1).sum(axis=1)
+               + c * c * v.sums[k]) / 2 ** u.depth
+        live = mass > 0
+        per_level[k] = np.divide(num, mass, out=np.zeros_like(num), where=live)
+        kept[k] = np.flatnonzero(live)
+    ratios = list(zip(
+        [(k, p) for k, pos in enumerate(kept) for p in pos.tolist()],
+        np.concatenate([r[pos] for r, pos in zip(per_level, kept)]).tolist()))
+    sup, sup_at = _level_sup(per_level)
     return {"ratios": ratios, "sup": sup, "sup_at": sup_at}
 
 
@@ -118,18 +138,14 @@ def bump_condition(u: LeafWeight, v: LeafWeight, family: BumpFamily,
     if u.depth != v.depth:
         raise ValueError("u and v must share a depth")
     depth = u.depth if depth is None else min(depth, u.depth)
-    left = right = a2 = 0.0
-    for k in range(depth + 1):
-        rows_u = u.values.reshape(2 ** k, -1)
-        rows_v = v.values.reshape(2 ** k, -1)
-        norm_u = orlicz_norm_def_batch(rows_u, family)
-        norm_v = orlicz_norm_def_batch(rows_v, family)
-        avg_u = u.node_averages(k)
-        avg_v = v.node_averages(k)
-        left = max(left, float(np.max(norm_u * avg_v)))
-        right = max(right, float(np.max(avg_u * norm_v)))
-        a2 = max(a2, float(np.max(avg_u * avg_v)))
-    return {"B_uv_left": left, "B_uv_right": right, "A2": a2}
+    norms = [(orlicz_norm_def_batch(u.values.reshape(2 ** k, -1), family),
+              orlicz_norm_def_batch(v.values.reshape(2 ** k, -1), family))
+             for k in range(depth + 1)]
+    return {"B_uv_left": _level_sup(nu * v.node_averages(k) for k, (nu, _)
+                                    in enumerate(norms))[0],
+            "B_uv_right": _level_sup(u.node_averages(k) * nv for k, (_, nv)
+                                     in enumerate(norms))[0],
+            "A2": _joint_a2(u, v, depth)}
 
 
 def normalize_to_bump(u: LeafWeight, v: LeafWeight, family: BumpFamily,
@@ -153,15 +169,8 @@ def glav_levels(u: LeafWeight, v: LeafWeight,
     """G_I = (1/|I|) sum_{J subseteq I} a_J u_J L_J |J| for every node,
     by the midpoint recursion G_I = a_I u_I L_I + (G_+ + G_-)/2."""
     L = l_intensity_levels(u, v, T.coeffs)
-    out = [None] * (T.depth + 1)
-    k = T.depth
-    cur = T.coeffs.levels[k] * u.node_averages(k) * L[k]
-    out[k] = cur
-    for k in range(T.depth - 1, -1, -1):
-        cur = T.coeffs.levels[k] * u.node_averages(k) * L[k] \
-            + (cur[0::2] + cur[1::2]) / 2.0
-        out[k] = cur
-    return out
+    return upward_levels(a * u.node_averages(k) * L[k]
+                         for k, a in enumerate(T.coeffs.levels))
 
 
 def glav_brute(u: LeafWeight, v: LeafWeight, T: SparseOperator,
@@ -183,16 +192,10 @@ def glav_check(u: LeafWeight, v: LeafWeight, T: SparseOperator,
     """sup over dyadic I of G_I / u_I (zero-mass I skipped), with the bump
     constants recorded so callers can confirm the pre-normalization."""
     G = glav_levels(u, v, T)
-    sup, sup_at = 0.0, None
-    for k in range(T.depth + 1):
-        avg = u.node_averages(k)
-        pos_mask = avg > 0
-        if not pos_mask.any():
-            continue
-        ratios = np.where(pos_mask, G[k] / np.where(pos_mask, avg, 1.0), 0.0)
-        j = int(np.argmax(ratios))
-        if ratios[j] > sup:
-            sup, sup_at = float(ratios[j]), (k, j)
+    avgs = [u.node_averages(k) for k in range(T.depth + 1)]
+    sup, sup_at = _level_sup(
+        np.where(avg > 0, g / np.where(avg > 0, avg, 1.0), 0.0)
+        for g, avg in zip(G, avgs))
     bump = bump_condition(u, v, family)
     return {"sup_ratio": sup, "sup_at": sup_at, "glav_root": float(G[0][0]),
             "bump": bump, "budget": budget}
@@ -313,22 +316,17 @@ def vavo_L_bound(u: LeafWeight, v: LeafWeight, T: SparseOperator,
     """Check L_I <= P sqrt(u_I v_I) at every node.  The bound is a lemma
     under joint A2 <= 1 and Carleson bound <= 1; if either hypothesis fails
     the report is marked conditional rather than failed."""
-    a2 = 0.0
-    for k in range(T.depth + 1):
-        a2 = max(a2, float(np.max(u.node_averages(k) * v.node_averages(k))))
+    a2 = _joint_a2(u, v, T.depth)
     carleson = T.coeffs.max_intensity()
     hypotheses = a2 <= 1.0 + 1e-12 and carleson <= 1.0 + 1e-12
 
     L = l_intensity_levels(u, v, T.coeffs)
-    worst, worst_at = 0.0, None
-    for k in range(T.depth + 1):
-        denom = P * np.sqrt(u.node_averages(k) * v.node_averages(k))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(denom > 0, L[k] / np.where(denom > 0, denom, 1.0),
-                         np.where(L[k] > 0, np.inf, 0.0))
-        j = int(np.argmax(r))
-        if r[j] > worst:
-            worst, worst_at = float(r[j]), (k, j)
+    denoms = [P * np.sqrt(u.node_averages(k) * v.node_averages(k))
+              for k in range(T.depth + 1)]
+    worst, worst_at = _level_sup(
+        np.where(d > 0, Lk / np.where(d > 0, d, 1.0),
+                 np.where(Lk > 0, np.inf, 0.0))
+        for Lk, d in zip(L, denoms))
     return {"worst_ratio": worst, "worst_at": worst_at, "A2": a2,
             "carleson": carleson, "conditional": not hypotheses,
             "pass": bool(worst <= 1.0 or not hypotheses)}
@@ -342,10 +340,7 @@ def normalize_to_omega2(u: LeafWeight, v: LeafWeight,
                         delta: float) -> tuple[LeafWeight, LeafWeight, float]:
     """Shrink u and v by a common factor until max over dyadic I of
     u_I v_I <= delta (no-op when already inside)."""
-    worst = 0.0
-    for k in range(u.depth + 1):
-        worst = max(worst, float(np.max(u.node_averages(k)
-                                        * v.node_averages(k))))
+    worst = _joint_a2(u, v, u.depth)
     if worst <= delta:
         return u, v, 1.0
     s = math.sqrt(delta / worst)
@@ -361,6 +356,7 @@ def random_instance(depth: int, seed: int, *, family: BumpFamily | None = None,
     When bump_target is given the weights are rescaled so the one-sided
     bump constant equals it; omega2_delta additionally shrinks them until
     every node average product u_I v_I is <= that delta."""
+    check_depth(depth)
     rng = np.random.default_rng(seed)
     u = LeafWeight(depth, rng.uniform(0.2, 1.8, 2 ** depth))
     v = LeafWeight(depth, rng.uniform(0.2, 1.8, 2 ** depth))

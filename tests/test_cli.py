@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dyadicbump.cli import main
+from dyadicbump.dyadic import MAX_DEPTH
 from dyadicbump.reports import (canonical, config_hash, emit_plotdata,
                                 make_report, write_report)
 
@@ -160,6 +161,32 @@ class TestPlumbing:
         cfg.write_text(json.dumps({"instance": str(tmp_path / "absent")}))
         code, out = run(tmp_path, "testing", "--config", str(cfg))
         assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("testing", "--depth", "-1"), ("glav", "--depth", "-1"),
+        ("orlicz", "--depth", "-1"),
+        ("glav", "--depth", str(MAX_DEPTH + 1))])
+    def test_bad_depth_is_input_error_without_report(self, tmp_path, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("field", [{"depth": 2.5}, {"depth": True},
+                                       {"depth": "4"}, {"refine_depth": -3}])
+    def test_config_depth_must_be_nonnegative_integer(self, tmp_path, field):
+        cfg = TestCampaigns._cfg(tmp_path, field)
+        code, out = run(tmp_path, "glav", "--config", cfg)
+        assert code == 2 and not out.exists()
+
+    def test_obstruction_depth_runs_past_leaf_cap(self, tmp_path):
+        # band weights are never materialized beyond the depth-20 bundle
+        cfg = TestCampaigns._cfg(tmp_path, {"probe_points": 12})
+        code, out = run(tmp_path, "obstruction", "--depth",
+                        str(MAX_DEPTH + 1), "--config", cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"]["depth"] == MAX_DEPTH + 1
+        assert rep["results"]["instance_bundle"]["depth"] == 20
 
     def test_unknown_campaign_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

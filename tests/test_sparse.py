@@ -137,6 +137,69 @@ def test_testing_swap_symmetry():
     assert a["v_to_u"]["sup"] == b["u_to_v"]["sup"]
 
 
+def _dense_operator(T, depth):
+    """T as a 2**depth square matrix, built one dyadic interval at a time:
+    (T f)(x) = sum over I containing x of a_I times the mean of f on I."""
+    M = np.zeros((2 ** depth, 2 ** depth))
+    for k in range(T.depth + 1):
+        for pos in range(2 ** k):
+            lo, hi = DyadicIndex(k, pos).leaf_range(depth)
+            M[lo:hi, lo:hi] += T.coeffs.levels[k][pos] / (hi - lo)
+    return M
+
+
+def _dense_testing(T, u, v):
+    """||chi_J T(u chi_J)||^2_{L^2(v)} / u(J) for every J with u(J) > 0, in
+    level-then-position order, and the first strict maximum."""
+    M, n = _dense_operator(T, u.depth), u.values.size
+    ratios, sup, sup_at = [], 0.0, None
+    for k in range(T.depth + 1):
+        for pos in range(2 ** k):
+            lo, hi = DyadicIndex(k, pos).leaf_range(u.depth)
+            mass = u.values[lo:hi].sum() / n
+            if mass <= 0.0:
+                continue
+            g = M[lo:hi, lo:hi] @ u.values[lo:hi]
+            ratio = float(np.dot(g * g, v.values[lo:hi]) / n) / mass
+            ratios.append(((k, pos), ratio))
+            if ratio > sup:
+                sup, sup_at = ratio, (k, pos)
+    return {"ratios": ratios, "sup": sup, "sup_at": sup_at}
+
+
+@pytest.mark.parametrize("depth", range(6))
+@pytest.mark.parametrize("seed", range(3))
+def test_testing_matches_dense_operator(depth, seed):
+    inst = random_instance(depth, seed)
+    rng = np.random.default_rng(100 + seed)
+    u, v = inst["u"].values.copy(), inst["v"].values.copy()
+    u[rng.random(u.size) < 0.3] = 0.0  # scattered zero-mass leaves
+    u[:u.size // 4] = 0.0              # and a zero-mass subtree
+    v[rng.random(v.size) < 0.2] = 0.0
+    u, v = LeafWeight(depth, u), LeafWeight(depth, v)
+    operators = [inst["T"]] + ([truncated(inst["T"], depth - 2)]
+                               if depth >= 2 else [])
+    for T in operators:  # the second one is shallower than the weights
+        got = sparse_testing_condition(T, u, v)
+        for key, w, w2 in (("u_to_v", u, v), ("v_to_u", v, u)):
+            ref = _dense_testing(T, w, w2)
+            assert [j for j, _ in got[key]["ratios"]] == \
+                [j for j, _ in ref["ratios"]]
+            for (_, r), (_, r_ref) in zip(got[key]["ratios"], ref["ratios"]):
+                assert r == pytest.approx(r_ref, rel=1e-12, abs=0.0)
+            assert got[key]["sup"] == pytest.approx(ref["sup"], rel=1e-12,
+                                                    abs=0.0)
+            assert got[key]["sup_at"] == ref["sup_at"]
+        assert got["sup"] == max(got["u_to_v"]["sup"], got["v_to_u"]["sup"])
+
+
+def test_testing_rejects_shallow_weight():
+    T = random_instance(3, 0)["T"]
+    w = LeafWeight.constant(2, 1.0)
+    with pytest.raises(ValueError):
+        sparse_testing_condition(T, w, w)
+
+
 # ---------------------------------------------------------------------------
 # bump_condition and normalizations
 # ---------------------------------------------------------------------------
@@ -226,6 +289,27 @@ def test_glav_small_instance_exhaustive():
                 assert abs(G[k][pos] - b) <= 1e-12 * max(1.0, abs(b))
         count += 1
     assert count >= 100
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_upward_recursions_are_exact(seed):
+    # A, L and G share one recursion X_k = t_k + (X_+ + X_-) / 2; the
+    # operation order is pinned bit for bit, not to a tolerance
+    inst = random_instance(seed + 1, seed)
+    u, v = inst["u"], inst["v"]
+    for T in (inst["T"], truncated(inst["T"], seed // 2)):
+        a = T.coeffs.levels
+        L = l_intensity_levels(u, v, T.coeffs)
+        cases = ((T.coeffs.intensity_levels(), lambda k: a[k]),
+                 (L, lambda k: a[k] * u.node_averages(k) * v.node_averages(k)),
+                 (glav_levels(u, v, T),
+                  lambda k: a[k] * u.node_averages(k) * L[k]))
+        for X, term in cases:
+            assert len(X) == T.depth + 1
+            assert np.array_equal(X[T.depth], term(T.depth))
+            for k in range(T.depth):
+                mids = (X[k + 1][0::2] + X[k + 1][1::2]) / 2
+                assert np.array_equal(X[k], term(k) + mids)
 
 
 def test_glav_ratio_scale_invariance():

@@ -11,7 +11,7 @@ Run:  python demos/green_induction_demo.py
 
 from dyadicbump.bellman import default_budget
 from dyadicbump.bumps import log_bump
-from dyadicbump.sparse import glav_check, green_induction, random_instance
+from dyadicbump.sparse import glav_sup, green_induction, random_instance
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
           f"{len(rep['excluded_nodes'])}")
     print(f"chain (c1 + c2) u_root >= C * glav sum: {rep['chain_holds']}")
 
-    glav = glav_check(u, v, T, fam)
+    glav = glav_sup(u, v, T)
     print(f"\n(glav) sup over I of G_I / u_I: {glav['sup_ratio']:.3e}")
     print(f"attained at (level, pos) = {glav['sup_at']}")
     print("\nthe chain is the whole proof in one line: concavity gives the")

@@ -32,9 +32,10 @@ from .dyadic import (ROOT, CarlesonSequence, LeafWeight, TreeDepthError,
                      check_depth)
 from .obstruction import b0_probe, growth_table, obstruction_report
 from .reports import emit_plotdata, make_report, write_report
-from .sparse import (SparseOperator, glav_check, green_induction,
-                     load_instance, random_instance, save_instance,
-                     testing_condition, truncated, vavo_L_bound)
+from .sparse import (SparseOperator, bump_condition, glav_sup,
+                     green_induction, load_instance, random_instance,
+                     save_instance, testing_condition, truncated,
+                     vavo_L_bound)
 
 
 class InputError(Exception):
@@ -254,7 +255,7 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
                                omega2_delta=budget.delta)
         green = green_induction(inst["u"], inst["v"], inst["T"], family,
                                 budget)
-        glav = glav_check(inst["u"], inst["v"], inst["T"], family, budget)
+        glav = glav_sup(inst["u"], inst["v"], inst["T"])
         per.append({
             "seed": s,
             "telescoping_residual": green["telescoping_residual"],
@@ -269,10 +270,10 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
         inst = random_instance(fine, s, family=family,
                                bump_target=bump_target,
                                omega2_delta=budget.delta)
-        full = glav_check(inst["u"], inst["v"], inst["T"], family)["sup_ratio"]
-        part = glav_check(inst["u"].coarsened(coarse),
-                          inst["v"].coarsened(coarse),
-                          truncated(inst["T"], coarse), family)["sup_ratio"]
+        full = glav_sup(inst["u"], inst["v"], inst["T"])["sup_ratio"]
+        part = glav_sup(inst["u"].coarsened(coarse),
+                        inst["v"].coarsened(coarse),
+                        truncated(inst["T"], coarse))["sup_ratio"]
         stability.append({"seed": s, "fine": full, "coarse": part,
                           "rel_change": abs(full - part) / max(full, 1e-300)})
     stable = all(row["rel_change"] <= 0.10 for row in stability)
@@ -292,10 +293,17 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
 
 def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
     if "instance" in cfg:
-        p = Path(cfg["instance"])
-        if not (p / "u.json").is_file():
-            raise InputError(f"instance bundle not found at {p}")
-        inst = load_instance(p)
+        where = cfg["instance"]
+        try:
+            inst = load_instance(Path(where))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"instance bundle at {where} is unreadable: "
+                             f"{exc}") from exc
+        if inst["v"].depth != inst["u"].depth \
+                or inst["u"].depth < inst["T"].depth:
+            raise InputError(f"instance bundle at {where} has weights of "
+                             f"depths {inst['u'].depth} and {inst['v'].depth} "
+                             f"for an operator of depth {inst['T'].depth}")
     else:
         inst = random_instance(int(cfg.get("depth", 6)), seed, family=family,
                                bump_target=float(cfg.get("bump_target", 0.01)))
@@ -306,7 +314,7 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
                     "v_to_u_sup": tc["v_to_u"]["sup"],
                     "sup": tc["sup"]},
         "vavo": vavo_L_bound(u, v, T),
-        "bump": glav_check(u, v, T, family)["bump"],
+        "bump": bump_condition(u, v, family),
     }
     return results, results["vavo"]["pass"]
 

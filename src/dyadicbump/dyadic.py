@@ -138,11 +138,29 @@ class LeafWeight:
         return LeafWeight(level, self.node_averages(level))
 
     def to_json(self) -> dict:
-        return {"depth": self.depth, "values": self.values.tolist()}
+        """One value per run of equal adjacent leaves and each run's length
+        ("repeats"), which is left out when every run is a single leaf."""
+        vals = self.values
+        starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+        if starts.size == vals.size:
+            return {"depth": self.depth, "values": vals.tolist()}
+        return {"depth": self.depth, "values": vals[starts].tolist(),
+                "repeats": np.diff(np.r_[starts, vals.size]).tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LeafWeight":
-        return cls(int(obj["depth"]), obj["values"])
+        depth = int(obj["depth"])
+        check_depth(depth)
+        values = np.asarray(obj["values"], dtype=float)
+        if "repeats" in obj:
+            repeats = np.asarray(obj["repeats"])
+            if (repeats.dtype.kind not in "iu" or repeats.ndim != 1
+                    or repeats.shape != values.shape or np.any(repeats < 0)
+                    or repeats.sum() != 2 ** depth):
+                raise ValueError(f"repeats must be {values.size} counts >= 0 "
+                                 f"summing to {2 ** depth}")
+            values = np.repeat(values, repeats)
+        return cls(depth, values)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

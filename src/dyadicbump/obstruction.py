@@ -74,12 +74,11 @@ class BandWeight:
     def to_leaf_weight(self) -> LeafWeight:
         if self.depth > MAX_DEPTH:
             raise ValueError("band weight too deep for a leaf array")
-        vals = np.empty(2 ** self.depth)
-        vals[0] = self.last_value
-        for k in range(self.depth):
-            lo = 2 ** (self.depth - k - 1)
-            vals[lo:2 * lo] = self.band_values[k]
-        return LeafWeight(self.depth, vals)
+        # left to right: one leaf for [0, 2^-depth), then bands depth-1, ...,
+        # 0 of 1, 2, ..., 2^(depth-1) leaves
+        runs = np.r_[1, 2 ** np.arange(self.depth)]
+        return LeafWeight(self.depth, np.repeat(
+            np.r_[self.last_value, self.band_values[::-1]], runs))
 
 
 def maximal_band_values(u: BandWeight) -> tuple[np.ndarray, float]:

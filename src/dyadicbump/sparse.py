@@ -187,18 +187,23 @@ def glav_brute(u: LeafWeight, v: LeafWeight, T: SparseOperator,
     return total / index.length
 
 
-def glav_check(u: LeafWeight, v: LeafWeight, T: SparseOperator,
-               family: BumpFamily, budget: ConstantBudget | None = None) -> dict:
-    """sup over dyadic I of G_I / u_I (zero-mass I skipped), with the bump
-    constants recorded so callers can confirm the pre-normalization."""
+def glav_sup(u: LeafWeight, v: LeafWeight, T: SparseOperator) -> dict:
+    """sup over dyadic I of G_I / u_I (zero-mass I skipped), where it is
+    attained, and G at the root."""
     G = glav_levels(u, v, T)
     avgs = [u.node_averages(k) for k in range(T.depth + 1)]
     sup, sup_at = _level_sup(
         np.where(avg > 0, g / np.where(avg > 0, avg, 1.0), 0.0)
         for g, avg in zip(G, avgs))
-    bump = bump_condition(u, v, family)
-    return {"sup_ratio": sup, "sup_at": sup_at, "glav_root": float(G[0][0]),
-            "bump": bump, "budget": budget}
+    return {"sup_ratio": sup, "sup_at": sup_at, "glav_root": float(G[0][0])}
+
+
+def glav_check(u: LeafWeight, v: LeafWeight, T: SparseOperator,
+               family: BumpFamily, budget: ConstantBudget | None = None) -> dict:
+    """glav_sup with the bump constants recorded so callers can confirm the
+    pre-normalization."""
+    return {**glav_sup(u, v, T), "bump": bump_condition(u, v, family),
+            "budget": budget}
 
 
 # ---------------------------------------------------------------------------

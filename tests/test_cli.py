@@ -3,11 +3,15 @@ determinism, config handling, and plot-data emission."""
 
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dyadicbump.cli import main
 from dyadicbump.dyadic import MAX_DEPTH
+from dyadicbump.obstruction import build_u
+from dyadicbump.sparse import load_instance, random_instance, save_instance
 from dyadicbump.reports import (canonical, config_hash, emit_plotdata,
                                 make_report, write_report)
 
@@ -126,6 +130,13 @@ class TestCampaigns:
         assert ratios == sorted(ratios)
         for name in ("u.json", "v.json", "carleson.json"):
             assert (out / "instance" / name).exists()
+        # band-constant weights are written one value per run of leaves
+        for name in ("u.json", "v.json"):
+            assert (out / "instance" / name).stat().st_size < 2048
+        bundle = load_instance(out / "instance")
+        assert bundle["u"].depth == bundle["v"].depth == 20
+        assert np.array_equal(bundle["u"].values,
+                              build_u(20).to_leaf_weight().values)
 
     @staticmethod
     def _cfg(tmp_path, obj):
@@ -162,6 +173,48 @@ class TestPlumbing:
         code, out = run(tmp_path, "testing", "--config", str(cfg))
         assert code == 2 and not out.exists()
 
+    @staticmethod
+    def _bundle(tmp_path):
+        inst = random_instance(3, 5)
+        path = tmp_path / "bundle"
+        save_instance(path, inst["u"], inst["v"], inst["T"])
+        return path
+
+    def _run_bundle(self, tmp_path, path):
+        cfg = TestCampaigns._cfg(tmp_path, {"instance": str(path)})
+        return run(tmp_path, "testing", "--config", cfg)
+
+    def test_intact_bundle_runs(self, tmp_path):
+        code, out = self._run_bundle(tmp_path, self._bundle(tmp_path))
+        assert code == 0 and (out / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["u.json", "v.json", "carleson.json"])
+    def test_bundle_missing_file_is_input_error(self, tmp_path, name):
+        path = self._bundle(tmp_path)
+        (path / name).unlink()
+        code, out = self._run_bundle(tmp_path, path)
+        assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("name", ["u.json", "v.json", "carleson.json"])
+    def test_bundle_truncated_json_is_input_error(self, tmp_path, name):
+        path = self._bundle(tmp_path)
+        text = (path / name).read_text()
+        (path / name).write_text(text[:len(text) // 2])
+        code, out = self._run_bundle(tmp_path, path)
+        assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("blob", [
+        {"depth": 3, "values": [1.0, 2.0], "repeats": [4, 3]},
+        {"depth": 3, "values": [1.0] * 7},
+        {"depth": 3, "values": [1.0] * 7 + [-1.0]},
+        {"depth": 2, "values": [1.0] * 4},
+    ], ids=["repeats-sum", "leaf-count", "negative", "depth-mismatch"])
+    def test_bundle_bad_weight_is_input_error(self, tmp_path, blob):
+        path = self._bundle(tmp_path)
+        (path / "v.json").write_text(json.dumps(blob))
+        code, out = self._run_bundle(tmp_path, path)
+        assert code == 2 and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("testing", "--depth", "-1"), ("glav", "--depth", "-1"),
         ("orlicz", "--depth", "-1"),
@@ -193,20 +246,26 @@ class TestPlumbing:
             main(["frobnicate", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("campaign", ["glav", "bump-check"])
+    @pytest.mark.parametrize("campaign", ["glav", "bump-check", "obstruction"])
     def test_reports_deterministic(self, tmp_path, campaign):
         cfg = TestCampaigns._cfg(tmp_path, {"n_instances": 2, "depth": 4,
-                                            "refine_depth": 6})
+                                            "refine_depth": 6,
+                                            "probe_points": 12})
         code1, out1 = run(tmp_path / "a", campaign, "--seed", "3",
                           "--config", cfg)
         code2, out2 = run(tmp_path / "b", campaign, "--seed", "3",
                           "--config", cfg)
         assert code1 == code2 == 0
         report = (out1 / "report.json").read_bytes()
-        assert report == (out2 / "report.json").read_bytes()
-        assert (out1 / "summary.csv").read_bytes() == \
-            (out2 / "summary.csv").read_bytes()
         assert b"object at 0x" not in report
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*")
+                       if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*")
+                               if p.is_file())
+        assert Path("report.json") in files and Path("summary.csv") in files
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
+                name
 
     def test_seed_recorded(self, tmp_path):
         code, out = run(tmp_path, "testing", "--seed", "42", "--depth", "4")

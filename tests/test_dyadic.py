@@ -11,6 +11,7 @@ from dyadicbump.dyadic import (MAX_DEPTH, ROOT, CarlesonSequence, DyadicIndex,
                                LeafWeight, StepDistribution, TreeDepthError,
                                L_intensity, dyadic_maximal,
                                l_intensity_levels, stopping_family)
+from dyadicbump.obstruction import build_u
 
 
 def leaf_weights(depth=3, max_value=8.0):
@@ -118,6 +119,70 @@ def test_weight_json_roundtrip(tmp_path):
     assert again == w
     blob = json.loads(path.read_text())
     assert set(blob) == {"depth", "values"}
+
+
+def _json_roundtrip(w: LeafWeight) -> LeafWeight:
+    return LeafWeight.from_json(json.loads(json.dumps(w.to_json())))
+
+
+def test_weight_json_runs_of_a_band_weight():
+    w = build_u(12).to_leaf_weight()
+    blob = w.to_json()
+    # one run for the leftover leaf and one per band
+    assert blob["repeats"] == [1] + [2 ** j for j in range(12)]
+    assert blob["values"] == [w.values[0]] + [w.values[2 ** j]
+                                              for j in range(12)]
+    again = _json_roundtrip(w)
+    assert again.depth == 12 and np.array_equal(again.values, w.values)
+
+
+@pytest.mark.parametrize("w", [
+    LeafWeight.constant(5, 2.5),
+    LeafWeight(0, [3.0]),
+    LeafWeight(4, [0.0] * 3 + [1.0] * 2 + [0.0] * 6 + [2.0] + [0.0] * 4),
+    LeafWeight(3, np.zeros(8)),
+], ids=["constant", "depth0", "zero-runs", "all-zero"])
+def test_weight_json_runs_roundtrip(w):
+    again = _json_roundtrip(w)
+    assert again.depth == w.depth and np.array_equal(again.values, w.values)
+    runs = w.to_json().get("repeats", [1])
+    assert sum(runs) == 2 ** w.depth
+
+
+def test_weight_json_constant_is_one_run():
+    assert LeafWeight.constant(5, 2.5).to_json() == {
+        "depth": 5, "values": [2.5], "repeats": [32]}
+    # a single leaf is a single run of length one: no repeats
+    assert LeafWeight(0, [3.0]).to_json() == {"depth": 0, "values": [3.0]}
+
+
+def test_weight_json_zero_length_runs_load():
+    w = LeafWeight.from_json({"depth": 2, "values": [1.0, 9.0, 2.0, 3.0],
+                              "repeats": [1, 0, 2, 1]})
+    assert np.array_equal(w.values, [1.0, 2.0, 2.0, 3.0])
+
+
+def test_weight_json_plain_band_values_still_load():
+    w = build_u(10).to_leaf_weight()
+    plain = {"depth": 10, "values": w.values.tolist()}
+    assert np.array_equal(LeafWeight.from_json(plain).values, w.values)
+
+
+@pytest.mark.parametrize("repeats", [
+    [4, 3],          # sums to 7, not 8
+    [4, 5],          # sums to 9
+    [9, -1],         # negative run
+    [8],             # one count for two values
+    [4.0, 4.0],      # not integers
+    [True, True],
+    [[4, 4]],
+    8,
+], ids=["short", "long", "negative", "length", "float", "bool", "nested",
+        "scalar"])
+def test_weight_json_bad_repeats_raise(repeats):
+    with pytest.raises(ValueError):
+        LeafWeight.from_json({"depth": 3, "values": [1.0, 2.0],
+                              "repeats": repeats})
 
 
 # ---------------------------------------------------------------------------

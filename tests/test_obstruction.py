@@ -45,6 +45,18 @@ class TestBandWeight:
             assert u.band_average(k) == pytest.approx(
                 w.average(DyadicIndex(k + 1, 1)), rel=1e-14)
 
+    @pytest.mark.parametrize("depth", [0, 1, 20])
+    def test_leaves_match_band_slices(self, depth):
+        # band k is the leaf slice [2^(depth-k-1), 2^(depth-k)), leaf 0 the
+        # leftover interval
+        u = BandWeight(depth, np.arange(1.0, depth + 1.0) ** 1.5, 0.75)
+        expected = np.empty(2 ** depth)
+        expected[0] = u.last_value
+        for k in range(depth):
+            lo = 2 ** (depth - k - 1)
+            expected[lo:2 * lo] = u.band_values[k]
+        assert np.array_equal(u.to_leaf_weight().values, expected)
+
     def test_prefix_level_out_of_range(self):
         u = build_u(4)
         with pytest.raises(ValueError):

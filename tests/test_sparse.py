@@ -13,7 +13,7 @@ from dyadicbump.dyadic import (CarlesonSequence, DyadicIndex, LeafWeight,
                                ROOT, l_intensity_levels)
 from dyadicbump.sparse import (
     SparseOperator, apply_sparse, bump_condition, glav_brute, glav_check,
-    glav_levels, green_induction, load_instance, normalize_to_bump,
+    glav_levels, glav_sup, green_induction, load_instance, normalize_to_bump,
     normalize_to_omega2, random_instance, save_instance, truncated,
     vavo_L_bound,
 )
@@ -323,6 +323,17 @@ def test_glav_ratio_scale_invariance():
     # by t multiplies it by t (L is bilinear), scaling v by t likewise
     r2 = glav_check(u.scaled(2.0), v, T, FAM)["sup_ratio"]
     assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
+
+
+def test_glav_check_is_sup_plus_bump_constants():
+    inst = random_instance(6, 2, family=FAM, bump_target=0.01)
+    u, v, T = inst["u"], inst["v"], inst["T"]
+    budget = default_budget(FAM)
+    sup = glav_sup(u, v, T)
+    assert sup["sup_ratio"] > 0 and sup["sup_at"] is not None
+    assert sup["glav_root"] == float(glav_levels(u, v, T)[0][0])
+    assert glav_check(u, v, T, FAM, budget) == {
+        **sup, "bump": bump_condition(u, v, FAM), "budget": budget}
 
 
 def test_glav_truncation_stability():

@@ -202,7 +202,8 @@ class B2:
         z = L / (A + 1.0)
         W = float(self.model.tail_mass(z))
         fz = float(self.model.inverse(z))
-        fp = float(self.model.f_prime(z)) if z > 0 else 0.0
+        # f'(z) = 1 / phi'(f(z)), from the f(z) above: no second bisection
+        fp = 1.0 / float(self.model.phi_prime(fz)) if z > 0 else 0.0
         h_vv = -2.0 * L * L * W / v ** 3
         h_vL = (2.0 * L * W + (A + 1.0) * fz) / v ** 2
         h_vA = -L * fz / v ** 2

@@ -136,14 +136,16 @@ class EpsilonModel:
     def inverse(self, y):
         """f(y) = phi^{-1}(y); closed form for power eps, bisection otherwise."""
         y = np.asarray(y, dtype=float)
-        if np.any(y < 0):
+        # array methods, not np.any/np.all: scipy's quad calls this once per
+        # node, and the module functions' dispatch costs more than the test
+        if (y < 0).any():
             raise ValueError("phi inverse defined for y >= 0 only")
         if self.kind == "power":
             return (self.coeff * y) ** (1.0 / (1.0 - self.beta))
         if self.kind == "const":
             return self.coeff * y
         y_top = float(self.phi(self.x_max))
-        if np.any(y > y_top * (1 + 1e-12)):
+        if (y > y_top * (1 + 1e-12)).any():
             raise ValueError(f"y outside range of phi (max {y_top:.3e})")
         scalar = y.ndim == 0
         ys = np.atleast_1d(y)
@@ -155,7 +157,7 @@ class EpsilonModel:
             below = self.phi(np.exp(lmid)) < ys
             llo = np.where(below, lmid, llo)
             lhi = np.where(below, lhi, lmid)
-            if np.all(lhi - llo <= BISECT_TOL):
+            if (lhi - llo <= BISECT_TOL).all():
                 break
         out = np.where(ys == 0.0, 0.0, np.exp(0.5 * (llo + lhi)))
         return float(out[0]) if scalar else out
@@ -199,9 +201,16 @@ class EpsilonModel:
         if self.kind == "logpow" and self.kappa <= 1:
             raise DivergentIntegralError(
                 "tail mass diverges: logpow eps needs kappa > 1")
-        # the bisection inverse and the quadrature take one point at a time
-        at = self._logpow_tail_mass if self.kind == "logpow" else self.tail_mass_quad
-        return np.vectorize(lambda s: at(s) if s > 0 else 0.0, otypes=[float])(z)
+        if self.kind == "custom":
+            # the quadrature takes one point at a time
+            return np.vectorize(lambda s: self.tail_mass_quad(s) if s > 0 else 0.0,
+                                otypes=[float])(z)
+        # one vector bisection for every positive point; every point's
+        # bisection stops at the same step, so each value is its scalar one
+        out = np.zeros_like(z)
+        pos = z > 0
+        out[pos] = self._logpow_tail_mass(z[pos])
+        return out
 
     def _logpow_tail_mass(self, z):
         # substitute w = f(y), r = log(1/w):

@@ -87,13 +87,18 @@ def _resolve(args) -> dict:
         cfg["out"] = args.out
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", f"reports/{args.campaign}")
-    for key in ("delta", "P", "c_drop", "derivative_floor", "delta1"):
+    for key in ("delta", "P", "c_drop", "derivative_floor", "delta1",
+                "bump_target"):
         if key in cfg and not (isinstance(cfg[key], (int, float))
                                and cfg[key] > 0):
             raise InputError(f"config field {key!r} must be a positive number")
-    for key in ("depth", "refine_depth"):
-        if key in cfg and (type(cfg[key]) is not int or cfg[key] < 0):
-            raise InputError(f"config field {key!r} must be an integer >= 0")
+    # depths and sample sizes: the least count each campaign can run on
+    least = {"depth": 0, "refine_depth": 0, "probe_points": 2,
+             **dict.fromkeys(("n_points", "n_points_T", "n_quad", "g_points",
+                              "n_weights", "n_instances", "n_n", "n_a"), 1)}
+    for key, low in least.items():
+        if key in cfg and (type(cfg[key]) is not int or cfg[key] < low):
+            raise InputError(f"config field {key!r} must be an integer >= {low}")
     return cfg
 
 

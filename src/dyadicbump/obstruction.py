@@ -429,7 +429,7 @@ def _b0_point(model: EpsilonModel, C: float, u: float, v: float, A: float,
     grid = np.geomspace(lo, hi, n_grid)
     z = grid / (A + 1.0)
     if y_floor is None:
-        w = np.array([float(model.tail_mass(s)) for s in z])
+        w = model.tail_mass(z)
     else:
         w = np.array([max(0.0, float(model.truncated_tail_mass(s, y_floor)))
                       for s in z])

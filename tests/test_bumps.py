@@ -360,6 +360,48 @@ def test_tail_mass_logpow_coefficient_scaling(model, z):
                                                rel=1e-12)
 
 
+LOGPOW_MODELS = [loglog_bump(2.0, 0.1).epsilon_model(),
+                 EpsilonModel("logpow", kappa=1.5, coeff=0.5),
+                 EpsilonModel("logpow", kappa=3.0)]
+
+
+def _logpow_grid(model):
+    z = np.geomspace(1e-250, min(model.z_cap, 0.35), 300)
+    return np.concatenate([z, [0.0, -1.0, model.z_cap]])
+
+
+@pytest.mark.parametrize("model", LOGPOW_MODELS)
+def test_logpow_vector_path_matches_points(model):
+    # one bisection for the whole array gives each point its own value
+    z = _logpow_grid(model)
+    w = model.tail_mass(z)
+    assert np.array_equal(w, [model.tail_mass(s) for s in z])
+    assert np.array_equal(w[z <= 0], [0.0, 0.0])
+    y = z[z >= 0]
+    assert np.array_equal(model.inverse(y), [model.inverse(s) for s in y])
+
+
+@pytest.mark.parametrize("model", LOGPOW_MODELS)
+def test_logpow_vector_path_keeps_shape(model):
+    z = _logpow_grid(model)[:300]
+    for arg in (z[7], z, z.reshape(20, 15)):
+        assert model.tail_mass(arg).shape == np.shape(arg)
+        assert np.shape(model.inverse(arg)) == np.shape(arg)
+    assert model.tail_mass(np.float64(0.0)).shape == ()
+    assert np.array_equal(model.tail_mass(z.reshape(20, 15)).ravel(),
+                          model.tail_mass(z))
+
+
+@pytest.mark.parametrize("model", LOGPOW_MODELS)
+def test_logpow_vector_path_range_error(model):
+    above = 1.01 * float(model.phi(model.x_max))
+    for arg in (above, np.array([1e-3, above])):
+        with pytest.raises(ValueError):
+            model.tail_mass(arg)
+        with pytest.raises(ValueError):
+            model.inverse(arg)
+
+
 def test_tail_mass_divergent_cases():
     with pytest.raises(DivergentIntegralError):
         EpsilonModel("const").tail_mass(1.0)

@@ -231,6 +231,30 @@ class TestPlumbing:
         code, out = run(tmp_path, "glav", "--config", cfg)
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("campaign, field", [
+        ("obstruction", {"probe_points": 0}),
+        ("obstruction", {"probe_points": 1}),
+        ("bellman-b2", {"n_points": 0}),
+        ("bellman-b2", {"n_points": "abc"}),
+        ("bellman-b2", {"n_points_T": 0}),
+        ("bellman-b2", {"n_quad": -1}),
+        ("bump-check", {"g_points": 0}),
+        ("orlicz", {"n_weights": 0}),
+        ("glav", {"n_instances": 0}),
+        ("glav", {"bump_target": -1}),
+        ("bellman-b1", {"n_n": 0}),
+        ("bellman-b1", {"n_a": 0}),
+    ])
+    def test_bad_sample_size_is_input_error(self, tmp_path, campaign, field):
+        cfg = TestCampaigns._cfg(tmp_path, field)
+        code, out = run(tmp_path, campaign, "--config", cfg)
+        assert code == 2 and not out.exists()
+
+    def test_obstruction_runs_at_least_probe_points(self, tmp_path):
+        cfg = TestCampaigns._cfg(tmp_path, {"probe_points": 2})
+        code, out = run(tmp_path, "obstruction", "--config", cfg)
+        assert code == 0 and (out / "report.json").exists()
+
     def test_obstruction_depth_runs_past_leaf_cap(self, tmp_path):
         # band weights are never materialized beyond the depth-20 bundle
         cfg = TestCampaigns._cfg(tmp_path, {"probe_points": 12})

@@ -219,9 +219,10 @@ class EpsilonModel:
         k = self.kappa
         return self.coeff * (r0 ** (1.0 - k) / (k - 1.0) - r0 ** (-k))
 
-    def tail_mass_quad(self, z, floor=1e-280):
+    def tail_mass_quad(self, z):
         """Quadrature evaluation of W(z), used as an independent cross-check."""
         z = float(z)
+        floor = 1e-280  # the integrand is dropped below this y
         if self.kind == "const":
             raise DivergentIntegralError("tail mass diverges for constant eps")
         if z == 0.0:
@@ -269,8 +270,9 @@ class EpsilonModel:
 
     # -- integrability of eps(t)/t -------------------------------------------
 
-    def integral_over_t(self, t0: float = 2.0) -> dict:
-        """Verdict and value for integral_{t0}^infinity eps(t)/t dt."""
+    def integral_over_t(self) -> dict:
+        """Verdict and value for integral_{t0}^infinity eps(t)/t dt, t0 = 2."""
+        t0 = 2.0
         if self.kind == "power":
             return {"verdict": "finite",
                     "value": self.coeff * t0 ** (-self.beta) / self.beta}
@@ -576,9 +578,10 @@ def psi_parametric(family: BumpFamily, s: float) -> float:
     return float(family.phi_prime(math.sqrt(lo * hi)))
 
 
-def integrability_phi(family: BumpFamily, t_cut: float = 1e6) -> dict:
+def integrability_phi(family: BumpFamily) -> dict:
     """Verdict for integral_1^infinity dt / Phi(t), with a certified analytic
-    tail for catalog tags and quadrature on the body."""
+    tail for catalog tags beyond t_cut = 1e6 and quadrature on the body."""
+    t_cut = 1e6
     body, _ = quad(lambda t: 1.0 / float(family.phi(t)), 1.0, t_cut, limit=400)
     if family.tag == "power":
         if family.p > 1.0:
@@ -596,12 +599,12 @@ def integrability_phi(family: BumpFamily, t_cut: float = 1e6) -> dict:
     return {"verdict": "inconclusive", "value": body, "tail": None}
 
 
-def epsilon_integrability(family_or_model, t0: float = 2.0) -> dict:
-    """Verdict for integral^infinity eps(t)/t dt."""
+def epsilon_integrability(family_or_model) -> dict:
+    """Verdict for integral_2^infinity eps(t)/t dt."""
     model = family_or_model.epsilon_model()
     if model is None:
         return {"verdict": "inconclusive", "value": None}
-    return model.integral_over_t(t0)
+    return model.integral_over_t()
 
 
 def curv_translate(family_or_model) -> dict:
@@ -696,18 +699,15 @@ def orlicz_norm_dist(w: LeafWeight, index: DyadicIndex,
 
 def self_improvement_check(w: LeafWeight, index: DyadicIndex,
                            family: BumpFamily,
-                           family0: BumpFamily | None = None,
                            bound: float | None = None) -> dict | None:
     """Measure the constant in ||u||_{Phi_0} <= C ||u||_Phi eps(||u||_Phi / <u>),
     with both norms in distribution form.  Returns None on zero average."""
     avg = w.average(index)
     if avg == 0.0:
         return None
-    if family0 is None:
-        family0 = family.companion()
     model = family.epsilon_model()
     base = orlicz_norm_dist(w, index, family)
-    lhs = orlicz_norm_dist(w, index, family0)
+    lhs = orlicz_norm_dist(w, index, family.companion())
     gap = float(model.eps(max(base / avg, 1.0 + 1e-12)))
     rhs_unit = base * gap
     ratio = lhs / rhs_unit
@@ -716,13 +716,13 @@ def self_improvement_check(w: LeafWeight, index: DyadicIndex,
             "norm_quotient": base / avg}
 
 
-def psi_gap_check(family: BumpFamily, bound: float,
-                  s_lo: float = 1e-12, n: int = 400) -> dict:
-    """Sample Psi_0(s) <= bound * Psi(s) * eps(Psi(s)) on a log-spaced grid."""
+def psi_gap_check(family: BumpFamily, bound: float) -> dict:
+    """Sample Psi_0(s) <= bound * Psi(s) * eps(Psi(s)) on 400 log-spaced
+    points of [1e-12, 1]."""
     model = family.epsilon_model()
     if model is None:
         raise ValueError(f"{family!r} has no companion/epsilon pair")
-    s = np.geomspace(s_lo, 1.0, n)
+    s = np.geomspace(1e-12, 1.0, 400)
     psi = family.psi(s)
     rhs = bound * psi * model.eps(np.maximum(psi, 2.0))
     lhs = family.psi0(s)
@@ -732,16 +732,16 @@ def psi_gap_check(family: BumpFamily, bound: float,
 
 
 def weak_concavity_probe(f, domain: tuple[float, float], trials: int,
-                         rng: np.random.Generator, n_max: int = 64) -> dict:
+                         rng: np.random.Generator) -> dict:
     """Estimate the weak-concavity constant inf f(sum l_j x_j)/sum l_j f(x_j)
-    over random convex combinations of up to n_max points of the domain."""
+    over random convex combinations of 2 to 64 points of the domain."""
     lo, hi = domain
     if not 0 < lo < hi:
         raise ValueError("domain must satisfy 0 < lo < hi")
     worst = math.inf
     worst_at = None
     for _ in range(trials):
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(2, 65))
         x = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
         lam = rng.dirichlet(np.ones(n))
         fx = np.asarray(f(x), dtype=float)

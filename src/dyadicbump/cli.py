@@ -22,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import (B1, B2, aux_T_check, b1_property_check,
+from .bellman import (B1, B2, ConstantBudget, aux_T_check, b1_property_check,
                       b2_property_check, default_budget, g_positivity)
-from .bumps import (BumpFamily, EpsilonModel, curv_translate,
-                    epsilon_integrability, integrability_phi, log_bump,
-                    orlicz_norm_def, orlicz_norm_dist, psi_gap_check,
-                    self_improvement_check)
+from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
+                    curv_translate, epsilon_integrability, integrability_phi,
+                    log_bump, orlicz_norm_def, orlicz_norm_dist,
+                    psi_gap_check, self_improvement_check)
 from .dyadic import (ROOT, CarlesonSequence, LeafWeight, TreeDepthError,
                      check_depth)
 from .obstruction import b0_probe, growth_table, obstruction_report
@@ -113,6 +113,11 @@ def _budget(family: BumpFamily, cfg: dict):
     return budget
 
 
+def _need_companion(family: BumpFamily) -> None:
+    if family.companion() is None:
+        raise InputError(f"family {family!r} has no companion bump")
+
+
 def _corpus(depth: int, n: int, seed: int) -> list[LeafWeight]:
     check_depth(depth)
     rng = np.random.default_rng(seed)
@@ -125,6 +130,7 @@ def _corpus(depth: int, n: int, seed: int) -> list[LeafWeight]:
 # ---------------------------------------------------------------------------
 
 def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
+    _need_companion(family)
     results = {
         "family": family.to_json(),
         "phi_integrability": integrability_phi(family),
@@ -134,7 +140,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
     }
     model = family.epsilon_model()
     passed = results["psi_gap"]["pass"]
-    if model is not None and model.kind != "const":
+    if results["eps_integrability"]["verdict"] == "finite":
         gp = g_positivity(model, (1e-6, min(0.1, 0.9 * model.z_cap)),
                           n=int(cfg.get("g_points", 200)))
         results["g_positivity"] = {k: gp[k] for k in
@@ -149,6 +155,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
 
 
 def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
+    _need_companion(family)
     depth = int(cfg.get("depth", 6))
     n = int(cfg.get("n_weights", 200))
     ratios, si_ratios = [], []
@@ -318,7 +325,8 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
         "testing": {"u_to_v_sup": tc["u_to_v"]["sup"],
                     "v_to_u_sup": tc["v_to_u"]["sup"],
                     "sup": tc["sup"]},
-        "vavo": vavo_L_bound(u, v, T),
+        "vavo": vavo_L_bound(u, v, T,
+                             P=float(cfg.get("P", ConstantBudget.P))),
         "bump": bump_condition(u, v, family),
     }
     return results, results["vavo"]["pass"]
@@ -331,14 +339,12 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     table = growth_table(depths=depths)
     ratios = [r["ratio"] for r in table]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
-    model = family.epsilon_model()
-    probe_model = model if model is not None and model.kind != "const" \
-        else EpsilonModel("power", beta=0.25)
-    probe = b0_probe(probe_model, n_points=int(cfg.get("probe_points", 120)),
-                     seed=seed)
-    probe_const = b0_probe(EpsilonModel("const"),
-                           n_points=int(cfg.get("probe_points", 120)),
-                           seed=seed)
+    probe_model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
+    probe_kw = {"delta": float(cfg.get("delta", ConstantBudget.delta)),
+                "P": float(cfg.get("P", ConstantBudget.P)),
+                "n_points": int(cfg.get("probe_points", 120)), "seed": seed}
+    probe = b0_probe(probe_model, **probe_kw)
+    probe_const = b0_probe(EpsilonModel("const"), **probe_kw)
     results = {
         "depth": depth,
         "construction": {k: rep[k] for k in
@@ -358,8 +364,7 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     }
     bundle_depth = min(depth, 20)
     brep = rep if bundle_depth == depth else obstruction_report(bundle_depth)
-    entries = [(mem.dyadic_index(), 1.0 / 3.0)
-               for _, mem in brep["hierarchy"].all_members()]
+    entries = [(mem, 1.0 / 3.0) for _, mem in brep["hierarchy"].all_members()]
     seq = CarlesonSequence.from_entries(bundle_depth, entries)
     save_instance(out / "instance", brep["u"].to_leaf_weight(),
                   brep["v"].to_leaf_weight(), SparseOperator(seq))
@@ -417,7 +422,7 @@ def main(argv=None) -> int:
         seed = int(cfg["seed"])
         out = Path(cfg["out"])
         results, passed = CAMPAIGNS[args.campaign](family, cfg, seed, out)
-    except (InputError, TreeDepthError) as exc:
+    except (InputError, TreeDepthError, DivergentIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

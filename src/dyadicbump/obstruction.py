@@ -15,12 +15,16 @@ depths far beyond the leaf-array cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import EpsilonModel
 from .dyadic import DyadicIndex, LeafWeight, MAX_DEPTH
+
+
+#: Ratio of consecutive stopping thresholds: generation n stops at 3^n.
+BASE = 3.0
 
 
 class ConstructionIntegrityError(ValueError):
@@ -62,14 +66,28 @@ class BandWeight:
             out[m] = out[m + 1] + pieces[m]
         return out
 
+    def prefix_averages(self) -> np.ndarray:
+        """Averages over the prefixes [0, 2^{-m}) for m = 0..depth."""
+        return self.suffix_integrals() * 2.0 ** np.arange(self.depth + 1)
+
     def prefix_average(self, m: int) -> float:
         """Average over the prefix interval [0, 2^{-m})."""
         if not 0 <= m <= self.depth:
             raise ValueError(f"prefix level {m} outside [0, {self.depth}]")
-        return float(self.suffix_integrals()[m] * 2.0 ** m)
+        return float(self.prefix_averages()[m])
 
     def band_average(self, k: int) -> float:
         return float(self.band_values[k])
+
+    def average(self, index: DyadicIndex) -> float:
+        """Average over any dyadic interval down to the weight's depth: it
+        is a prefix (pos 0) or lies inside band level - bit_length(pos)."""
+        if index.level > self.depth:
+            raise ValueError(f"level {index.level} deeper than weight depth "
+                             f"{self.depth}")
+        if index.pos == 0:
+            return self.prefix_average(index.level)
+        return self.band_average(index.level - index.pos.bit_length())
 
     def to_leaf_weight(self) -> LeafWeight:
         if self.depth > MAX_DEPTH:
@@ -85,8 +103,7 @@ def maximal_band_values(u: BandWeight) -> tuple[np.ndarray, float]:
     """The dyadic maximal function of a band weight is band-constant:
     on band k it equals max(value_k, max of prefix averages over levels
     <= k); on the leftover interval, the max over all prefix averages."""
-    prefix = u.suffix_integrals() * 2.0 ** np.arange(u.depth + 1)
-    running = np.maximum.accumulate(prefix[:u.depth + 1])
+    running = np.maximum.accumulate(u.prefix_averages())
     bands = np.maximum(u.band_values, running[:u.depth])
     last = max(float(running[u.depth]), u.last_value)
     return bands, last
@@ -117,37 +134,14 @@ def build_u(depth: int, profile=None) -> BandWeight:
     return BandWeight(depth, vals, 0.0)
 
 
-@dataclass(frozen=True)
-class Member:
-    """One stopping interval: a prefix [0, 2^{-index}) or the dyadic
-    interval [2^{-index-1}, 2^{-index}) carrying band number index."""
-    kind: str  # "prefix" | "band"
-    index: int
-
-    def measure(self) -> float:
-        if self.kind == "prefix":
-            return 2.0 ** (-self.index)
-        return 2.0 ** (-self.index - 1)
-
-    def average(self, w: BandWeight) -> float:
-        if self.kind == "prefix":
-            return w.prefix_average(self.index)
-        return w.band_average(self.index)
-
-    def dyadic_index(self) -> DyadicIndex:
-        if self.kind == "prefix":
-            return DyadicIndex(self.index, 0)
-        return DyadicIndex(self.index + 1, 1)
-
-
 @dataclass
 class StoppingHierarchy:
-    generations: list[list[Member]]
-    base: float = 3.0
+    """Generations of stopping intervals: each member is a prefix
+    DyadicIndex(m, 0) = [0, 2^{-m}) or the band DyadicIndex(k + 1, 1) =
+    [2^{-k-1}, 2^{-k})."""
+    generations: list[list[DyadicIndex]]
     sv_ok: bool = True
     sn_ok: bool = True
-    sv_records: list = field(default_factory=list)
-    sn_records: list = field(default_factory=list)
 
     def all_members(self):
         for n, gen in enumerate(self.generations, start=1):
@@ -155,61 +149,48 @@ class StoppingHierarchy:
                 yield n, mem
 
 
-def _generation(u: BandWeight, threshold: float) -> list[Member]:
+def _generation(u: BandWeight, threshold: float) -> list[DyadicIndex]:
     """Maximal dyadic intervals with average >= threshold.  For a band
     weight these are a shortest qualifying prefix plus the qualifying band
     intervals not inside it."""
-    prefix_avg = u.suffix_integrals() * 2.0 ** np.arange(u.depth + 1)
-    qual_prefix = np.nonzero(prefix_avg >= threshold)[0]
+    qual_prefix = np.nonzero(u.prefix_averages() >= threshold)[0]
     m_star = int(qual_prefix[0]) if qual_prefix.size else None
     limit = u.depth if m_star is None else m_star
-    members = [Member("band", int(k))
+    members = [DyadicIndex(int(k) + 1, 1)
                for k in np.nonzero(u.band_values[:limit] >= threshold)[0]]
     if m_star is not None:
-        members.append(Member("prefix", m_star))
+        members.append(DyadicIndex(m_star, 0))
     return members
 
 
-def build_hierarchy(u: BandWeight, base: float = 3.0,
-                    max_generations: int = 64) -> StoppingHierarchy:
-    """Stopping families at thresholds base^n with the structural
-    invariants measured: 3^n <= <u>_I <= 2*3^n on members, and each member
-    of the previous generation keeps at least 1/3 of its measure
-    uncovered."""
+def build_hierarchy(u: BandWeight) -> StoppingHierarchy:
+    """Stopping families at thresholds 3^n with the structural invariants
+    measured: 3^n <= <u>_I <= 2*3^n on members, and each member of the
+    previous generation keeps at least 1/3 of its measure uncovered."""
     gens = []
-    for n in range(1, max_generations + 1):
-        gen = _generation(u, base ** n)
+    for n in range(1, 65):  # at most 64 generations
+        gen = _generation(u, BASE ** n)
         if not gen:
             break
         gens.append(gen)
-    h = StoppingHierarchy(gens, base=base)
+    h = StoppingHierarchy(gens)
     # nesting: each member must sit inside a member one generation up
-    for n in range(1, len(gens)):
-        for mem in gens[n]:
-            if not any(p.dyadic_index().contains(mem.dyadic_index())
-                       for p in gens[n - 1]):
+    for n, (prev, gen) in enumerate(zip(gens, gens[1:]), start=1):
+        for mem in gen:
+            if not any(p.contains(mem) for p in prev):
                 raise ConstructionIntegrityError(
-                    f"generation {n + 1} member {mem} escapes "
-                    f"generation {n}")
+                    f"generation {n + 1} member {mem} escapes generation {n}")
     # (sv): threshold <= average <= 2 * threshold
     for n, mem in h.all_members():
-        avg = mem.average(u)
-        ok = base ** n <= avg * (1 + 1e-12) and avg <= 2 * base ** n * (1 + 1e-12)
-        h.sv_records.append({"generation": n, "member": mem, "average": avg,
-                             "ok": ok})
-        h.sv_ok = h.sv_ok and ok
+        avg = u.average(mem)
+        h.sv_ok = h.sv_ok and BASE ** n <= avg * (1 + 1e-12) \
+            and avg <= 2 * BASE ** n * (1 + 1e-12)
     # (sn): uncovered fraction within each parent member
-    for n in range(len(gens)):
-        nxt = gens[n + 1] if n + 1 < len(gens) else []
-        for mem in gens[n]:
-            inside = [c for c in nxt if mem.dyadic_index().contains(
-                c.dyadic_index())]
-            covered = sum(c.measure() for c in inside)
-            frac = 1.0 - covered / mem.measure()
-            ok = frac >= 1.0 / 3.0 - 1e-12
-            h.sn_records.append({"generation": n + 1, "member": mem,
-                                 "uncovered_fraction": frac, "ok": ok})
-            h.sn_ok = h.sn_ok and ok
+    for gen, nxt in zip(gens, gens[1:] + [[]]):
+        for mem in gen:
+            covered = sum(c.length for c in nxt if mem.contains(c))
+            h.sn_ok = h.sn_ok \
+                and 1.0 - covered / mem.length >= 1.0 / 3.0 - 1e-12
     return h
 
 
@@ -225,7 +206,6 @@ def build_v(u: BandWeight, hierarchy: StoppingHierarchy) -> dict:
     Returns the pre-scaling weight plus the scaled one (times 1/9), which
     satisfies <u>_L <v>_L <= 1 for every dyadic L.
     """
-    base = hierarchy.base
     band_widths = 0.5 ** (np.arange(u.depth) + 1)
     v_bands = np.full(u.depth, -1.0)   # -1 marks "not assigned yet"
     v_last = -1.0
@@ -233,14 +213,14 @@ def build_v(u: BandWeight, hierarchy: StoppingHierarchy) -> dict:
     constants = []
     for n in range(len(gens), 0, -1):
         for mem in gens[n - 1]:
-            target_avg = 1.0 / mem.average(u)
-            if mem.kind == "band":
-                v_bands[mem.index] = target_avg
+            target_avg = 1.0 / u.average(mem)
+            if mem.pos:
+                v_bands[mem.level - 1] = target_avg
                 continue
             # prefix member [0, 2^{-m}): descendants already carry their v
             # (assigned on earlier, deeper iterations); everything still
             # unassigned inside gets the one solved constant
-            m = mem.index
+            m = mem.level
             assigned = v_bands[m:] >= 0
             covered_integral = float(np.dot(
                 np.where(assigned, v_bands[m:], 0.0), band_widths[m:]))
@@ -253,7 +233,7 @@ def build_v(u: BandWeight, hierarchy: StoppingHierarchy) -> dict:
                 raise ConstructionIntegrityError(
                     f"no uncovered mass below prefix {m}")
             c_val = (2.0 ** (-m) * target_avg - covered_integral) / uncovered
-            rel = c_val * base ** (n + 1)
+            rel = c_val * BASE ** (n + 1)
             constants.append({"generation": n, "member": mem,
                               "value": c_val, "relative": rel})
             if not 1.0 < rel < 9.0:
@@ -276,11 +256,10 @@ def a2_supremum(u: BandWeight, v: BandWeight) -> float:
     """sup over dyadic L of <u>_L <v>_L.  Any dyadic interval is either a
     prefix or sits inside one band where both weights are constant, so the
     sup is over prefixes and bands."""
-    worst = u.last_value * v.last_value
-    for m in range(u.depth + 1):
-        worst = max(worst, u.prefix_average(m) * v.prefix_average(m))
-    worst = max(worst, float(np.max(u.band_values * v.band_values))
-                if u.depth else worst)
+    worst = max(u.last_value * v.last_value,
+                float(np.max(u.prefix_averages() * v.prefix_averages())))
+    if u.depth:
+        worst = max(worst, float(np.max(u.band_values * v.band_values)))
     return float(worst)
 
 
@@ -294,16 +273,16 @@ def build_alpha(hierarchy: StoppingHierarchy, depth: int) -> dict:
     sup = 0.0
     for m in range(depth + 1):
         holder = DyadicIndex(m, 0)
-        total = sum(mem.measure() / 3.0 for _, mem in members
-                    if holder.contains(mem.dyadic_index()))
+        total = sum(mem.length / 3.0 for _, mem in members
+                    if holder.contains(mem))
         sup = max(sup, total * 2.0 ** m)
     # intensity at each member (bands contain only themselves; prefixes
     # are covered above)
     for _, mem in members:
-        if mem.kind == "band":
-            inner = sum(other.measure() / 3.0 for _, other in members
-                        if mem.dyadic_index().contains(other.dyadic_index()))
-            sup = max(sup, inner / mem.measure())
+        if mem.pos:
+            inner = sum(other.length / 3.0 for _, other in members
+                        if mem.contains(other))
+            sup = max(sup, inner / mem.length)
     return {"members": members, "value": 1.0 / 3.0,
             "carleson_sup": float(sup), "pass": bool(sup <= 1.0 + 1e-12)}
 
@@ -319,15 +298,11 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
     s_partial = []
     running = 0.0
     lhs_pre = 0.0
-    for n, gen in enumerate(gens, start=1):
+    for gen in gens:
         for mem in gen:
-            au = mem.average(u)
-            if mem.kind == "band":
-                av = v_pre.band_average(mem.index)
-            else:
-                av = v_pre.prefix_average(mem.index)
-            running += au * mem.measure()
-            lhs_pre += au * au * av * (1.0 / 3.0) * mem.measure()
+            au = u.average(mem)
+            running += au * mem.length
+            lhs_pre += au * au * v_pre.average(mem) * (1.0 / 3.0) * mem.length
         s_partial.append(running)
     s_total = running
     identity_residual = (abs(lhs_pre - s_total / 3.0)
@@ -340,11 +315,12 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
         m_bands, m_last = maximal_band_values(u)
         widths = 0.5 ** (np.arange(u.depth) + 1)
         for mem in gens[0]:
-            if mem.kind == "band":
-                trunc_maximal += m_bands[mem.index] * widths[mem.index]
+            if mem.pos:
+                k = mem.level - 1
+                trunc_maximal += m_bands[k] * widths[k]
             else:
                 trunc_maximal += float(
-                    np.dot(m_bands[mem.index:], widths[mem.index:])) \
+                    np.dot(m_bands[mem.level:], widths[mem.level:])) \
                     + m_last * 0.5 ** u.depth
     return {
         "S": s_partial,
@@ -361,19 +337,18 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
     }
 
 
-def obstruction_report(depth: int, base: float = 3.0) -> dict:
+def obstruction_report(depth: int) -> dict:
     """End-to-end run of the construction at one depth."""
     u = build_u(depth)
-    h = build_hierarchy(u, base=base)
+    h = build_hierarchy(u)
     built = build_v(u, h)
     alpha = build_alpha(h, depth)
     div = divergence_sum(u, built["v_pre"], h)
     # <u><v> = 1 at stopping intervals, pre-scaling
     worst_prod = 0.0
     for _, mem in h.all_members():
-        av = built["v_pre"].band_average(mem.index) if mem.kind == "band" \
-            else built["v_pre"].prefix_average(mem.index)
-        worst_prod = max(worst_prod, abs(mem.average(u) * av - 1.0))
+        worst_prod = max(worst_prod, abs(
+            u.average(mem) * built["v_pre"].average(mem) - 1.0))
     a2_pre = a2_supremum(u, built["v_pre"])
     a2_post = a2_supremum(u, built["v"])
     return {
@@ -395,12 +370,12 @@ def obstruction_report(depth: int, base: float = 3.0) -> dict:
     }
 
 
-def growth_table(depths=(10, 20, 40), base: float = 3.0) -> list[dict]:
+def growth_table(depths=(10, 20, 40)) -> list[dict]:
     """S(n)/integral(u) across a depth sweep plus the truncated maximal
     integral — the log-divergence signature."""
     rows = []
     for d in depths:
-        rep = obstruction_report(d, base=base)
+        rep = obstruction_report(d)
         rows.append({
             "depth": d,
             "generations": rep["generations"],
@@ -417,16 +392,16 @@ def growth_table(depths=(10, 20, 40), base: float = 3.0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _b0_point(model: EpsilonModel, C: float, u: float, v: float, A: float,
-              P: float, y_floor: float | None, n_grid: int = 24) -> dict:
+              P: float, y_floor: float | None) -> dict:
     """Evaluate B0(u, v, A) = C u - sup_L (L^2/v) W(L/(A+1)) over the
     admissible slab uv <= L <= P sqrt(uv), together with the envelope
     derivative in A at the maximizing L.
 
     The inner term is increasing in L, so the sup sits at the right
-    endpoint; the grid is kept as an independent check of that fact.
+    endpoint; a 24-point grid is kept as an independent check of that fact.
     """
     lo, hi = u * v, P * math.sqrt(u * v)
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, 24)
     z = grid / (A + 1.0)
     if y_floor is None:
         w = model.tail_mass(z)
@@ -443,14 +418,13 @@ def _b0_point(model: EpsilonModel, C: float, u: float, v: float, A: float,
         "value": C * u - float(terms[i_star]),
         "term": float(terms[i_star]),
         "L_star": l_star,
-        "argmax_at_top": i_star == n_grid - 1,
+        "argmax_at_top": i_star == grid.size - 1,
         "da": da,
     }
 
 
 def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
-             n_points: int = 120, seed: int = 0,
-             y_floors=(1e-6, 1e-12, 1e-24)) -> dict:
+             n_points: int = 120, seed: int = 0) -> dict:
     """Joint-scaling probe for a Bellman candidate on the reduced domain
     {(u, v, A): uv <= delta, 0 <= A <= 1} without the flow variable.
 
@@ -476,7 +450,7 @@ def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
         raise ValueError("probe needs a named epsilon kind")
     delta_used = min(delta, 0.5 * (model.z_cap / P) ** 2)
 
-    floors = [None] if model.kind != "const" else list(y_floors)
+    floors = [None] if model.kind != "const" else [1e-6, 1e-12, 1e-24]
     per_floor = []
     env_ok = True
     bounds_ok = True

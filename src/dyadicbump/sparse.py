@@ -130,22 +130,20 @@ def testing_condition(T: SparseOperator, u: LeafWeight, v: LeafWeight) -> dict:
             "sup": max(fwd["sup"], bwd["sup"])}
 
 
-def bump_condition(u: LeafWeight, v: LeafWeight, family: BumpFamily,
-                   depth: int | None = None) -> dict:
+def bump_condition(u: LeafWeight, v: LeafWeight, family: BumpFamily) -> dict:
     """Suprema over dyadic I of the one-sided bump products and the joint
     A2 product: B_uv_left = sup ||u||_{Phi,I} <v>_I, B_uv_right the mirror,
     A2 = sup <u>_I <v>_I."""
     if u.depth != v.depth:
         raise ValueError("u and v must share a depth")
-    depth = u.depth if depth is None else min(depth, u.depth)
     norms = [(orlicz_norm_def_batch(u.values.reshape(2 ** k, -1), family),
               orlicz_norm_def_batch(v.values.reshape(2 ** k, -1), family))
-             for k in range(depth + 1)]
+             for k in range(u.depth + 1)]
     return {"B_uv_left": _level_sup(nu * v.node_averages(k) for k, (nu, _)
                                     in enumerate(norms))[0],
             "B_uv_right": _level_sup(u.node_averages(k) * nv for k, (_, nv)
                                      in enumerate(norms))[0],
-            "A2": _joint_a2(u, v, depth)}
+            "A2": _joint_a2(u, v, u.depth)}
 
 
 def normalize_to_bump(u: LeafWeight, v: LeafWeight, family: BumpFamily,
@@ -354,15 +352,15 @@ def normalize_to_omega2(u: LeafWeight, v: LeafWeight,
 
 def random_instance(depth: int, seed: int, *, family: BumpFamily | None = None,
                     bump_target: float | None = None,
-                    omega2_delta: float | None = None,
-                    a_decay: float = 0.45) -> dict:
+                    omega2_delta: float | None = None) -> dict:
     """Seeded random (u, v, T): positive step weights and a Carleson family
-    with per-level magnitude a_decay^k, which keeps every intensity < 1.
+    with per-level magnitude 0.45^k, which keeps every intensity < 1.
     When bump_target is given the weights are rescaled so the one-sided
     bump constant equals it; omega2_delta additionally shrinks them until
     every node average product u_I v_I is <= that delta."""
     check_depth(depth)
     rng = np.random.default_rng(seed)
+    a_decay = 0.45
     u = LeafWeight(depth, rng.uniform(0.2, 1.8, 2 ** depth))
     v = LeafWeight(depth, rng.uniform(0.2, 1.8, 2 ** depth))
     levels = [rng.uniform(0.0, 1.0, 2 ** k) * a_decay ** k * (1 - a_decay)

@@ -265,6 +265,66 @@ class TestPlumbing:
         assert rep["results"]["depth"] == MAX_DEPTH + 1
         assert rep["results"]["instance_bundle"]["depth"] == 20
 
+    FAMILIES = {
+        # kappa = 0.9 <= 1, so the tail mass W diverges
+        "divergent-W": {"tag": "loglog", "sigma": 1.0, "delta": 0.1},
+        # Psi is constant near 0, so J diverges
+        "divergent-J": {"tag": "power", "p": 1},
+        # a power bump has no companion and no epsilon model
+        "no-companion": {"tag": "power", "p": 2},
+    }
+
+    def _family(self, tmp_path, name):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(self.FAMILIES[name]))
+        return str(p)
+
+    @pytest.mark.parametrize("family, campaign", [
+        ("divergent-W", "bellman-b1"), ("divergent-W", "bellman-b2"),
+        ("divergent-W", "glav"), ("divergent-W", "obstruction"),
+        ("divergent-W", "full"),
+        ("divergent-J", "bellman-b1"), ("divergent-J", "bellman-b2"),
+        ("divergent-J", "glav"),
+        ("no-companion", "bump-check"), ("no-companion", "orlicz"),
+    ])
+    def test_family_the_campaign_cannot_handle_is_input_error(
+            self, tmp_path, family, campaign):
+        cfg = TestCampaigns._cfg(tmp_path, {
+            "n_weights": 5, "n_n": 8, "n_a": 8, "n_points": 50, "n_quad": 2,
+            "n_points_T": 50, "n_instances": 1, "depth": 4,
+            "refine_depth": 5, "probe_points": 2})
+        code, out = run(tmp_path, campaign, "--config", cfg,
+                        "--family", self._family(tmp_path, family))
+        assert code == 2 and not out.exists()
+
+    def test_divergent_gap_bump_check_skips_g_positivity(self, tmp_path):
+        code, out = run(tmp_path, "bump-check", "--family",
+                        self._family(tmp_path, "divergent-W"))
+        assert code == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["eps_integrability"]["verdict"] == "infinite"
+        assert "g_positivity" not in res
+
+    def test_config_P_reaches_vavo(self, tmp_path):
+        reports = []
+        for cfg in ({}, {"P": 50}):
+            code, out = run(tmp_path / str(len(reports)), "testing",
+                            "--depth", "5", "--config",
+                            TestCampaigns._cfg(tmp_path, cfg))
+            assert code == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        default, halved = (r["results"]["vavo"]["worst_ratio"]
+                           for r in reports)
+        assert halved == 2.0 * default
+
+    def test_config_delta_reaches_b0_probe(self, tmp_path):
+        cfg = TestCampaigns._cfg(tmp_path, {"delta": 1e-4,
+                                            "probe_points": 12})
+        code, out = run(tmp_path, "obstruction", "--config", cfg)
+        assert code == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["b0_probe"]["delta_used"] == 1e-4
+
     def test_unknown_campaign_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--out", str(tmp_path / "x")])

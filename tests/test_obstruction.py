@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from dyadicbump.bumps import EpsilonModel
-from dyadicbump.dyadic import dyadic_maximal
+from dyadicbump.dyadic import DyadicIndex, dyadic_maximal
 from dyadicbump.obstruction import (
-    BandWeight, ConstructionIntegrityError, Member, a2_supremum, b0_probe,
+    BandWeight, ConstructionIntegrityError, a2_supremum, b0_probe,
     build_alpha, build_hierarchy, build_u, build_v, divergence_sum,
     growth_table, maximal_band_values, maximal_integral, obstruction_report,
 )
@@ -37,13 +37,25 @@ class TestBandWeight:
     def test_prefix_and_band_averages_match_leaf(self):
         u = BandWeight(5, np.array([2.0, 0.5, 7.0, 1.0, 3.0]), 0.25)
         w = u.to_leaf_weight()
-        from dyadicbump.dyadic import DyadicIndex
         for m in range(6):
             assert u.prefix_average(m) == pytest.approx(
                 w.average(DyadicIndex(m, 0)), rel=1e-14)
         for k in range(5):
             assert u.band_average(k) == pytest.approx(
                 w.average(DyadicIndex(k + 1, 1)), rel=1e-14)
+
+    def test_average_matches_leaf_on_every_interval(self):
+        # every dyadic interval down to the depth is a prefix or lies
+        # inside one band; the last value must be reached too
+        u = BandWeight(5, np.array([2.0, 0.5, 7.0, 1.0, 3.0]), 0.25)
+        w = u.to_leaf_weight()
+        intervals = [DyadicIndex(k, p) for k in range(6) for p in range(2 ** k)]
+        assert len(intervals) == 63
+        for index in intervals:
+            assert u.average(index) == pytest.approx(w.average(index),
+                                                     rel=1e-14)
+        with pytest.raises(ValueError):
+            u.average(DyadicIndex(6, 3))
 
     @pytest.mark.parametrize("depth", [0, 1, 20])
     def test_leaves_match_band_slices(self, depth):
@@ -125,15 +137,7 @@ class TestHierarchy:
         # bands; no prefix qualifies
         u = build_u(10)
         h = build_hierarchy(u)
-        assert h.generations[0] == [Member("band", 8), Member("band", 9)]
-
-    def test_member_geometry(self):
-        m = Member("prefix", 3)
-        assert m.measure() == 0.125
-        assert m.dyadic_index().level == 3 and m.dyadic_index().pos == 0
-        b = Member("band", 3)
-        assert b.measure() == 0.0625
-        assert b.dyadic_index().level == 4 and b.dyadic_index().pos == 1
+        assert h.generations[0] == [DyadicIndex(9, 1), DyadicIndex(10, 1)]
 
     def test_structural_invariants_depth_forty(self):
         u = build_u(40)
@@ -142,7 +146,7 @@ class TestHierarchy:
         assert h.sv_ok and h.sn_ok
         # (sv): member averages within [3^n, 2*3^n]
         for n, mem in h.all_members():
-            a = mem.average(u)
+            a = u.average(mem)
             assert 3.0 ** n <= a <= 2.0 * 3.0 ** n + 1e-12
 
     def test_generations_nest(self):
@@ -150,8 +154,7 @@ class TestHierarchy:
         h = build_hierarchy(u)
         for n in range(1, len(h.generations)):
             for mem in h.generations[n]:
-                assert any(p.dyadic_index().contains(mem.dyadic_index())
-                           for p in h.generations[n - 1])
+                assert any(p.contains(mem) for p in h.generations[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +168,8 @@ class TestCompanionWeight:
         built = build_v(u, h)
         v_pre = built["v_pre"]
         for _, mem in h.all_members():
-            if mem.kind == "band":
-                av = v_pre.band_average(mem.index)
-            else:
-                av = v_pre.prefix_average(mem.index)
-            assert mem.average(u) * av == pytest.approx(1.0, rel=1e-12)
+            assert u.average(mem) * v_pre.average(mem) == pytest.approx(
+                1.0, rel=1e-12)
 
     def test_solved_constants_in_range(self):
         u = build_u(25)

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .bumps import BumpFamily, EpsilonModel
+from .bumps import BumpFamily, EpsilonModel, quad
 from .dyadic import StepDistribution
 
 
@@ -58,14 +57,18 @@ class ConstantBudget:
 
 def default_budget(family: BumpFamily, delta: float = 1e-3,
                    P: float = 100.0, c_drop: float = 0.05,
-                   derivative_floor: float = 1.0) -> ConstantBudget:
-    """C1 = 1 + J(1) (so B1 >= 0 on {N <= A}); C2 = 1 + sup of the B2 tail
-    term over Omega2, attained at uv = delta, L = P sqrt(uv), A = 0."""
+                   derivative_floor: float = 1.0,
+                   c2: float | None = None) -> ConstantBudget:
+    """C1 = 1 + J(1) (so B1 >= 0 on {N <= A}); C2, unless given, = 1 + sup
+    of the B2 tail term over Omega2, attained at uv = delta, L = P sqrt(uv),
+    A = 0.  A caller that never builds B2 passes c2 = inf: the sup needs the
+    tail mass W, which diverges for some families that B1 handles."""
     b1 = B1(family, C=1.0)
     c1 = 1.0 + b1.j(1.0)
-    model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
-    z_sup = P * math.sqrt(delta)
-    c2 = 1.0 + P * P * model.tail_mass(min(z_sup, model.z_cap))
+    if c2 is None:
+        model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
+        z_sup = P * math.sqrt(delta)
+        c2 = 1.0 + P * P * model.tail_mass(min(z_sup, model.z_cap))
     return ConstantBudget(c1=float(c1), c2=float(c2), c_drop=c_drop,
                           delta1=c_drop / 10.0, derivative_floor=derivative_floor,
                           delta=delta, P=P)
@@ -92,14 +95,14 @@ class B1:
         self.j(1.0)  # raises DivergentIntegralError where J diverges
 
     def j_increment_quad(self, x0, x1):
-        """Quadrature oracle for J(x1) - J(x0), independent of the closed
-        form.  Restricted to a finite window because the integrand's tail
-        (for the log and loglog kinds) converges too slowly for adaptive
+        """Quadrature oracle for J(x1) - J(x0) in r = log(1/s), independent
+        of the closed form.  Restricted to a finite window because the
+        integrand's tail (for the log and loglog kinds) decays too slowly for
         quadrature to resolve an absolute value of J reliably."""
         if not 0 < x0 <= x1 <= 1:
             raise ValueError("quadrature oracle covers 0 < x0 <= x1 <= 1")
-        body, _ = quad(lambda r: 1.0 / float(self.psi0(math.exp(-r))),
-                       math.log(1.0 / x1), math.log(1.0 / x0), limit=400)
+        body, _ = quad(lambda r: 1.0 / self.psi0(np.exp(-r)),
+                       math.log(1.0 / x1), math.log(1.0 / x0))
         return body
 
     def value(self, N, A):

@@ -22,16 +22,63 @@ import json
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dyadic import DyadicIndex, LeafWeight, StepDistribution
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
+QUAD_NODES = 20
+# a quadrature oracle whose error bound exceeds this share of its value is
+# flagged uncertified
+QUAD_RTOL = 1e-10
 
 
 class DivergentIntegralError(ValueError):
     """A required improper integral diverges for this family."""
+
+
+# ---------------------------------------------------------------------------
+# Quadrature
+# ---------------------------------------------------------------------------
+
+# Gauss-Legendre nodes on [-1, 1]: the value's rule, then the embedded one
+_GL_NODES = np.concatenate([np.polynomial.legendre.leggauss(n)[0]
+                            for n in (QUAD_NODES, QUAD_NODES // 2)])
+_GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES)[1]
+_GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(QUAD_NODES // 2)[1]
+
+
+def quad(f, a: float, b: float) -> tuple[float, float]:
+    """Composite Gauss-Legendre integral of a vectorised f over [a, b].
+
+    [a, b] is cut into equal panels about one unit wide: every caller
+    integrates in a log variable.  The QUAD_NODES-node rule gives the
+    value; the rule with half the nodes on the same panels gives the error
+    estimate, the sum over panels of the two rules' difference, which
+    bounds the lower rule's error and so, once the rules converge, the
+    value's.  f is called once, on every node of both rules.  Returns
+    (value, error).
+    """
+    panels = max(1, math.ceil(abs(b - a)))
+    half = 0.5 * (b - a) / panels
+    mids = a + half * (2.0 * np.arange(panels) + 1.0)
+    vals = np.asarray(f((mids[:, None] + half * _GL_NODES).ravel()),
+                      dtype=float).reshape(panels, -1)
+    hi = half * (vals[:, :QUAD_NODES] @ _GL_WEIGHTS)
+    lo = half * (vals[:, QUAD_NODES:] @ _GL_WEIGHTS_LO)
+    return float(hi.sum()), float(np.abs(hi - lo).sum())
+
+
+class QuadValue(float):
+    """A quadrature value with its error bound (embedded estimate plus the
+    bound on what the window leaves out) and whether that bound stays
+    within QUAD_RTOL of the value."""
+
+    def __new__(cls, value: float, error: float):
+        out = super().__new__(cls, value)
+        out.error = float(error)
+        out.uncertified = not error <= QUAD_RTOL * abs(value)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +183,8 @@ class EpsilonModel:
     def inverse(self, y):
         """f(y) = phi^{-1}(y); closed form for power eps, bisection otherwise."""
         y = np.asarray(y, dtype=float)
-        # array methods, not np.any/np.all: scipy's quad calls this once per
-        # node, and the module functions' dispatch costs more than the test
+        # array methods, not np.any/np.all: on the scalar calls the module
+        # functions' dispatch costs more than the test
         if (y < 0).any():
             raise ValueError("phi inverse defined for y >= 0 only")
         if self.kind == "power":
@@ -186,6 +233,48 @@ class EpsilonModel:
         return (self.inverse(y * (1 + h)) - 2 * self.inverse(y)
                 + self.inverse(y * (1 - h))) / (h * y) ** 2
 
+    def _log_domain(self, log_y):
+        """(l, log eps(e^l)) for l = log(1/f(y)), from log y without forming
+        y; since phi(x) = x / eps(1/x), f(y) / y = eps(e^l).  Closed form for
+        power eps, Newton for logpow, and for the other kinds the bisection
+        of `inverse`, whose y must not underflow."""
+        log_y = np.asarray(log_y, dtype=float)
+        if self.kind == "power":
+            ell = -(math.log(self.coeff) + log_y) / (1.0 - self.beta)
+            return ell, math.log(self.coeff) - self.beta * ell
+        if self.kind == "logpow":
+            ell = self._logpow_ell(log_y)
+            return ell, math.log(self.coeff) - self.kappa * np.log(ell)
+        x = self.inverse(np.exp(log_y))
+        with np.errstate(divide="ignore"):
+            return -np.log(x), np.log(self.eps(1.0 / x))
+
+    def _logpow_ell(self, log_y):
+        # phi(e^-l) = y  <=>  h(l) = l - kappa log l - T = 0, T = -log(coeff y);
+        # h increases and is convex on l > kappa, so Newton from the right of
+        # the root descends to it; a step that leaves the bracket bisects
+        k = self.kappa
+        target = -math.log(self.coeff) - log_y
+        lo = np.full_like(target, k + 1.0)
+        hi = np.maximum(target, k + 1.0)
+        for _ in range(BISECT_MAXITER):
+            short = hi - k * np.log(hi) < target
+            if not short.any():
+                break
+            hi = np.where(short, 2.0 * hi, hi)
+        ell = hi
+        for _ in range(BISECT_MAXITER):
+            h = ell - k * np.log(ell) - target
+            lo = np.where(h < 0, ell, lo)
+            hi = np.where(h < 0, hi, ell)
+            new = ell - h / (1.0 - k / ell)
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done = (np.abs(new - ell) <= 1e-15 * ell).all()
+            ell = new
+            if done:
+                break
+        return ell
+
     # -- tail mass ------------------------------------------------------------
 
     def tail_mass(self, z):
@@ -220,52 +309,60 @@ class EpsilonModel:
         return self.coeff * (r0 ** (1.0 - k) / (k - 1.0) - r0 ** (-k))
 
     def tail_mass_quad(self, z):
-        """Quadrature evaluation of W(z), used as an independent cross-check."""
+        """Quadrature evaluation of W(z): an independent cross-check of the
+        closed forms, and the value itself for custom eps.
+
+        With y = z e^{-r} and r = e^s, W(z) = int_0^inf f(y)/y dr
+        = int eps(e^l) r ds, where l = log(1/f(y)) comes from log y =
+        log z - r, so y never underflows.  s runs over a finite window in
+        unit panels.  The result is a QuadValue whose error adds the
+        embedded estimate and bounds on the two pieces the window omits:
+        below it at most (f(z)/z) e^{s_lo}, as f(y)/y decreases in r; above
+        it at most int_{l_hi}^inf eps(e^l) dl, as r = log z + l +
+        log eps(e^l) gives dr/dl <= 1.  Custom eps is evaluated at e^l only
+        up to l = 700, so its window stops there and only a vanishing edge
+        value bounds the rest (eps decreases).
+        """
         z = float(z)
-        floor = 1e-280  # the integrand is dropped below this y
         if self.kind == "const":
             raise DivergentIntegralError("tail mass diverges for constant eps")
+        if self.kind == "logpow" and self.kappa <= 1:
+            raise DivergentIntegralError(
+                "tail mass diverges: logpow eps needs kappa > 1")
+        if z < 0.0 or (self.kind != "power"
+                       and z > float(self.phi(self.x_max)) * (1 + 1e-12)):
+            raise ValueError(f"tail mass argument {z:.3e} outside phi's range")
         if z == 0.0:
-            return 0.0
-        # substitute y = z e^{-r}: W(z) = int_0^inf f(z e^{-r}) e^r / z dr;
-        # the integrand decays slowly (like r^{-kappa} for logpow), so
-        # integrate piecewise over geometric r-windows and bound the rest
-        # by monotonicity of f(y)/y.
-        def body(r):
-            y = z * math.exp(-r)
-            return float(self.inverse(y)) / y if y > floor else 0.0
-        total = 0.0
-        r_hi = math.log(z / floor)
-        edges = [0.0]
-        step = 1.0
-        while edges[-1] < r_hi:
-            edges.append(min(edges[-1] + step, r_hi))
-            step *= 2.0
-        converged = False
-        for a, b in zip(edges[:-1], edges[1:]):
-            seg, _ = quad(body, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)
-            total += seg
-            if seg < 1e-15 * max(total, 1e-300):
-                converged = True
-                break
-        if not converged:
-            # power-law tail extrapolation beyond the underflow horizon
-            r1, r2 = 0.7 * r_hi, 0.98 * r_hi
-            g1, g2 = body(r1), body(r2)
-            if g1 > 0 and g2 > 0 and g2 < g1:
-                k_eff = -math.log(g2 / g1) / math.log(r2 / r1)
-                if k_eff > 1.001:
-                    total += body(r_hi) * r_hi / (k_eff - 1.0)
-        return total
+            return QuadValue(0.0, 0.0)
+        log_z, s_lo = math.log(z), -40.0
+        if self.kind == "power":
+            # eps(e^l) underflows for beta l > 745
+            r_hi = 750.0 * (1.0 - self.beta) / self.beta
+        elif self.kind == "logpow":
+            # the omitted piece is about r_hi^(1 - kappa)
+            r_hi = math.exp(min(690.0, max(50.0, 40.0 / (self.kappa - 1.0))))
+        else:
+            r_hi = log_z - math.log(float(self.phi(math.exp(-700.0))))
+        value, err = quad(
+            lambda s: np.exp(self._log_domain(log_z - np.exp(s))[1] + s),
+            s_lo, math.log(r_hi))
+        ell_hi, log_eps_hi = self._log_domain(log_z - r_hi)
+        if self.kind == "power":
+            above = math.exp(log_eps_hi) / self.beta
+        elif self.kind == "logpow":
+            above = math.exp(log_eps_hi) * ell_hi / (self.kappa - 1.0)
+        else:
+            above = 0.0 if log_eps_hi == -math.inf else math.inf
+        below = math.exp(self._log_domain(log_z)[1] + s_lo)
+        return QuadValue(value, err + above + below)
 
     def truncated_tail_mass(self, z, y_floor):
-        """integral_{y_floor}^z f(y)/y^2 dy, defined even when W diverges."""
+        """integral_{y_floor}^z f(y)/y^2 dy, defined even when W diverges;
+        in t = log y the integrand is f(y)/y = eps(e^l)."""
         if self.kind == "const":
             return self.coeff * math.log(float(z) / y_floor)
-        def body(y):
-            return float(self.inverse(y)) / y ** 2
-        val, _ = quad(body, y_floor, float(z), epsabs=1e-12, epsrel=1e-10,
-                      limit=400)
+        val, _ = quad(lambda t: np.exp(self._log_domain(t)[1]),
+                      math.log(y_floor), math.log(float(z)))
         return val
 
     # -- integrability of eps(t)/t -------------------------------------------
@@ -283,7 +380,9 @@ class EpsilonModel:
             return {"verdict": "infinite", "value": None}
         if self.kind == "const":
             return {"verdict": "infinite", "value": None}
-        body, _ = quad(lambda t: float(self.eps(t)) / t, t0, 1e8, limit=400)
+        # in u = log t the integrand is eps(e^u)
+        body, _ = quad(lambda u: self.eps(np.exp(u)), math.log(t0),
+                       math.log(1e8))
         return {"verdict": "inconclusive", "value": body}
 
     def curv_counterpart(self) -> "EpsilonModel":
@@ -446,8 +545,8 @@ class BumpFamily:
         # custom families only: J with the lower limit floored at s = 1e-12,
         # the omitted piece being below quadrature accuracy whenever the
         # table's Psi grows fast enough for J to be useful at all
-        body, _ = quad(lambda r: 1.0 / float(self.psi(math.exp(-r))),
-                       math.log(1.0 / x), math.log(1e12), limit=400)
+        body, _ = quad(lambda r: 1.0 / self.psi(np.exp(-r)),
+                       math.log(1.0 / x), math.log(1e12))
         return body
 
     def psi_logderiv(self, x):
@@ -582,7 +681,9 @@ def integrability_phi(family: BumpFamily) -> dict:
     """Verdict for integral_1^infinity dt / Phi(t), with a certified analytic
     tail for catalog tags beyond t_cut = 1e6 and quadrature on the body."""
     t_cut = 1e6
-    body, _ = quad(lambda t: 1.0 / float(family.phi(t)), 1.0, t_cut, limit=400)
+    # in u = log t the body is int e^u / Phi(e^u) du
+    body, _ = quad(lambda u: np.exp(u) / family.phi(np.exp(u)), 0.0,
+                   math.log(t_cut))
     if family.tag == "power":
         if family.p > 1.0:
             tail = t_cut ** (1.0 - family.p) / (family.p - 1.0)

@@ -13,7 +13,7 @@ from dyadicbump.bumps import (BumpFamily, DivergentIntegralError,
                               log_bump, loglog_bump, orlicz_norm_def,
                               orlicz_norm_def_batch, orlicz_norm_dist,
                               power_bump, psi_from_phi,
-                              psi_gap_check, psi_parametric,
+                              psi_gap_check, psi_parametric, quad,
                               self_improvement_check, weak_concavity_probe)
 from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
 
@@ -106,6 +106,53 @@ def test_integrability_phi_custom_inconclusive():
     t = np.geomspace(1.0, 1e8, 200)
     fam = BumpFamily("custom", phi_table=np.column_stack([t, t ** 2]))
     assert integrability_phi(fam)["verdict"] == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# The composite Gauss-Legendre integrator
+# ---------------------------------------------------------------------------
+
+def test_quad_exact_for_polynomials_on_one_panel():
+    # an interval of unit width is one panel of the 20-node rule
+    rng = np.random.default_rng(0)
+    a, b = -0.3, 0.7
+    for degree in range(40):
+        # coefficients in the panel's own variable, mapped onto [-1, 1]
+        c = rng.normal(size=degree + 1)
+        poly = np.polynomial.Polynomial(c, domain=[a, b])
+        exact = poly.integ()(b) - poly.integ()(a)
+        assert quad(poly, a, b)[0] == pytest.approx(exact, rel=1e-13,
+                                                    abs=1e-13)
+
+
+def test_quad_exponential_over_half_line():
+    # x = e^s: int_0^inf e^-x dx = int e^(s - e^s) ds, negligible outside
+    value, error = quad(lambda s: np.exp(s - np.exp(s)), -40.0, 5.0)
+    assert value == pytest.approx(1.0, rel=1e-13)
+    assert error <= 1e-13
+
+
+@pytest.mark.parametrize("z", [1e-10, 1e-3, 0.5, 8.0])
+def test_quad_integrable_singularity(z):
+    # y = z e^-r, r = e^s: int_0^z y^(-2/3) dy = int (z e^-r)^(1/3) r ds
+    def body(s):
+        r = np.exp(s)
+        return (z * np.exp(-r)) ** (1.0 / 3.0) * r
+    value, _ = quad(body, -40.0, 8.0)
+    assert value == pytest.approx(3.0 * z ** (1.0 / 3.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("f, a, b, exact", [
+    (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+    (np.sqrt, 0.0, 3.0, 2.0 * 3.0 ** 1.5 / 3.0),
+    (lambda x: np.cos(30.0 * x), 0.0, 1.0, math.sin(30.0) / 30.0),
+    (lambda x: np.cos(30.0 * x), 0.0, 2.5, math.sin(75.0) / 30.0),
+    (lambda x: 1.0 / (1.0 + x * x), -5.0, 5.0, 2.0 * math.atan(5.0)),
+    (lambda x: np.abs(x - 0.3), 0.0, 1.0, 0.29),
+])
+def test_quad_error_bounds_true_error(f, a, b, exact):
+    value, error = quad(f, a, b)
+    assert abs(value - exact) <= error
 
 
 def test_epsilon_integrability_power():
@@ -339,8 +386,50 @@ def test_tail_mass_power_explicit():
 
 def test_tail_mass_logpow_closed_vs_quad():
     model = loglog_bump(2.0, 0.1).epsilon_model()
-    for z in (1e-2, 1e-4):
+    for z in np.geomspace(1e-10, 0.35, 12):
         assert model.tail_mass(z) == pytest.approx(model.tail_mass_quad(z), rel=5e-3)
+
+
+@pytest.mark.parametrize("model", [
+    loglog_bump(2.0, 0.1).epsilon_model(),
+    EpsilonModel("logpow", kappa=1.8, coeff=0.5),
+    EpsilonModel("logpow", kappa=1.8, coeff=2.0),
+    EpsilonModel("logpow", kappa=1.5),
+    EpsilonModel("logpow", kappa=3.0),
+])
+def test_tail_mass_logpow_quad_tight_and_certified(model):
+    # the grid stops at phi's range where that ends below 0.35
+    for z in np.geomspace(1e-10, min(0.35, model.z_cap), 12):
+        quad = model.tail_mass_quad(z)
+        assert not quad.uncertified
+        assert quad.error <= 1e-10 * quad
+        assert model.tail_mass(z) == pytest.approx(quad, rel=1e-10)
+
+
+def test_tail_mass_quad_flags_a_window_it_cannot_close():
+    # kappa = 1.02: the mass beyond any finite s-window decays like
+    # r^(-0.02), so the omitted piece is bounded but not below tolerance
+    model = EpsilonModel("logpow", kappa=1.02)
+    quad = model.tail_mass_quad(1e-3)
+    assert quad.uncertified
+    assert 0.0 < model.tail_mass(1e-3) - quad <= quad.error
+
+
+def test_tail_mass_quad_custom_eps_flagged():
+    # eps(t) = t^(-1/4) as a callable, W(z) = 3 z^(1/3): the window stops at
+    # l = 700, where eps is still positive, so nothing bounds the rest
+    quad = EpsilonModel("custom", func=lambda t: t ** -0.25).tail_mass_quad(1e-3)
+    assert quad == pytest.approx(0.3, rel=1e-12)
+    assert quad.uncertified
+
+
+def test_tail_mass_quad_range():
+    model = loglog_bump(2.0, 0.1).epsilon_model()
+    assert model.tail_mass_quad(0.0) == 0.0
+    with pytest.raises(ValueError):
+        model.tail_mass_quad(1.01 * float(model.phi(model.x_max)))
+    with pytest.raises(DivergentIntegralError):
+        EpsilonModel("logpow", kappa=0.9).tail_mass_quad(1e-3)
 
 
 @pytest.mark.parametrize("model", [

@@ -3,6 +3,9 @@ determinism, config handling, and plot-data emission."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +283,7 @@ class TestPlumbing:
         return str(p)
 
     @pytest.mark.parametrize("family, campaign", [
-        ("divergent-W", "bellman-b1"), ("divergent-W", "bellman-b2"),
+        ("divergent-W", "bellman-b2"),
         ("divergent-W", "glav"), ("divergent-W", "obstruction"),
         ("divergent-W", "full"),
         ("divergent-J", "bellman-b1"), ("divergent-J", "bellman-b2"),
@@ -296,6 +299,15 @@ class TestPlumbing:
         code, out = run(tmp_path, campaign, "--config", cfg,
                         "--family", self._family(tmp_path, family))
         assert code == 2 and not out.exists()
+
+    def test_divergent_w_family_runs_bellman_b1(self, tmp_path):
+        # B1 needs only J; the tail mass W (and so B2's c2) diverges here
+        code, out = run(tmp_path, "bellman-b1", "--config",
+                        TestCampaigns._cfg(tmp_path, {"n_n": 16, "n_a": 16}),
+                        "--family", self._family(tmp_path, "divergent-W"))
+        assert code in (0, 1)
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"]["points"] > 0
 
     def test_divergent_gap_bump_check_skips_g_positivity(self, tmp_path):
         code, out = run(tmp_path, "bump-check", "--family",
@@ -358,3 +370,15 @@ class TestPlumbing:
         assert rep["seed"] == 42
         assert rep["tool_version"]
         assert rep["schema_version"] == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only numerical dependency; scipy's import alone once
+    # cost every campaign about 0.75 s and 52 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, dyadicbump.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"

@@ -66,7 +66,7 @@ def default_budget(family: BumpFamily, delta: float = 1e-3,
     b1 = B1(family, C=1.0)
     c1 = 1.0 + b1.j(1.0)
     if c2 is None:
-        model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
+        model = family.b2_model()
         z_sup = P * math.sqrt(delta)
         c2 = 1.0 + P * P * model.tail_mass(min(z_sup, model.z_cap))
     return ConstantBudget(c1=float(c1), c2=float(c2), c_drop=c_drop,
@@ -205,7 +205,7 @@ class B2:
         z = L / (A + 1.0)
         W = float(self.model.tail_mass(z))
         fz = float(self.model.inverse(z))
-        # f'(z) = 1 / phi'(f(z)), from the f(z) above: no second bisection
+        # f'(z) = 1 / phi'(f(z)), from the f(z) above: no second solve
         fp = 1.0 / float(self.model.phi_prime(fz)) if z > 0 else 0.0
         h_vv = -2.0 * L * L * W / v ** 3
         h_vL = (2.0 * L * W + (A + 1.0) * fz) / v ** 2

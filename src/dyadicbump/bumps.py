@@ -93,27 +93,26 @@ class EpsilonModel:
     kind "power":  eps(t) = coeff * t**(-beta), 0 < beta < 1
     kind "logpow": eps(t) = coeff * (log t)**(-kappa)
     kind "const":  eps(t) = coeff  (the no-gap case; W diverges)
-    kind "custom": eps given as a callable, numerics only
+
+    phi^{-1} is closed form for power and const eps; for logpow it is the
+    Newton solve `_logpow_ell` in l = log(1/x).
     """
 
     # the parameters each kind uses, in serialization order
     PARAMS = {"power": ("beta", "coeff"), "logpow": ("kappa", "coeff"),
-              "const": ("coeff",), "custom": ()}
+              "const": ("coeff",)}
 
-    def __init__(self, kind, *, beta=None, kappa=None, coeff=1.0, func=None):
+    def __init__(self, kind, *, beta=None, kappa=None, coeff=1.0):
         if kind not in self.PARAMS:
             raise ValueError(f"unknown epsilon kind {kind!r}")
         if kind == "power" and not 0 < beta < 1:
             raise ValueError("power epsilon needs 0 < beta < 1")
         if kind == "logpow" and (kappa is None or kappa <= 0):
             raise ValueError("logpow epsilon needs kappa > 0")
-        if kind == "custom" and func is None:
-            raise ValueError("custom epsilon needs a callable")
         self.kind = kind
         self.beta = beta
         self.kappa = kappa
         self.coeff = float(coeff)
-        self.func = func
 
     def to_json(self) -> dict:
         """The kind and the parameters that kind uses."""
@@ -131,9 +130,7 @@ class EpsilonModel:
             return self.coeff * t ** (-self.beta)
         if self.kind == "logpow":
             return self.coeff * np.log(t) ** (-self.kappa)
-        if self.kind == "const":
-            return np.full_like(t, self.coeff)
-        return np.asarray(self.func(t), dtype=float)
+        return np.full_like(t, self.coeff)
 
     # -- phi and its inverse ------------------------------------------------
 
@@ -143,8 +140,6 @@ class EpsilonModel:
         if self.kind == "logpow":
             # phi(x) = (x/coeff) log(1/x)^kappa increases for log(1/x) > kappa
             return math.exp(-self.kappa - 1.0)
-        if self.kind == "custom":
-            return math.exp(-2.0)
         return 1.0
 
     @property
@@ -164,9 +159,7 @@ class EpsilonModel:
             return np.where(x > 0,
                             xs * np.log(1.0 / xs) ** self.kappa / self.coeff,
                             0.0)
-        if self.kind == "const":
-            return x / self.coeff
-        return x / self.eps(1.0 / x)
+        return x / self.coeff
 
     def phi_prime(self, x):
         x = np.asarray(x, dtype=float)
@@ -175,13 +168,11 @@ class EpsilonModel:
         if self.kind == "logpow":
             ell = np.log(1.0 / x)
             return ell ** (self.kappa - 1.0) * (ell - self.kappa) / self.coeff
-        if self.kind == "const":
-            return np.ones_like(x) / self.coeff
-        h = 1e-6
-        return (self.phi(x * (1 + h)) - self.phi(x * (1 - h))) / (2 * h * x)
+        return np.ones_like(x) / self.coeff
 
     def inverse(self, y):
-        """f(y) = phi^{-1}(y); closed form for power eps, bisection otherwise."""
+        """f(y) = phi^{-1}(y): closed form for power and const eps, e^{-l}
+        with l from `_logpow_ell` for logpow; f(0) = 0."""
         y = np.asarray(y, dtype=float)
         # array methods, not np.any/np.all: on the scalar calls the module
         # functions' dispatch costs more than the test
@@ -194,20 +185,10 @@ class EpsilonModel:
         y_top = float(self.phi(self.x_max))
         if (y > y_top * (1 + 1e-12)).any():
             raise ValueError(f"y outside range of phi (max {y_top:.3e})")
-        scalar = y.ndim == 0
-        ys = np.atleast_1d(y)
-        # bisect in log x to stay stable down to the underflow horizon
-        llo = np.full_like(ys, -700.0)
-        lhi = np.full_like(ys, math.log(self.x_max))
-        for _ in range(BISECT_MAXITER):
-            lmid = 0.5 * (llo + lhi)
-            below = self.phi(np.exp(lmid)) < ys
-            llo = np.where(below, lmid, llo)
-            lhi = np.where(below, lhi, lmid)
-            if (lhi - llo <= BISECT_TOL).all():
-                break
-        out = np.where(ys == 0.0, 0.0, np.exp(0.5 * (llo + lhi)))
-        return float(out[0]) if scalar else out
+        pos = y > 0
+        ell = self._logpow_ell(np.log(np.where(pos, y, 1.0)))
+        out = np.where(pos, np.exp(-ell), 0.0)
+        return float(out) if y.ndim == 0 else out
 
     def f_prime(self, y):
         """Derivative of f = phi^{-1}: 1 / phi'(f(y))."""
@@ -226,33 +207,26 @@ class EpsilonModel:
             phi2 = -(self.kappa * ell ** (self.kappa - 2.0) / (self.coeff * x)) \
                 * (ell - (self.kappa - 1.0))
             return -phi2 * fp ** 3
-        if self.kind == "const":
-            return np.zeros_like(np.asarray(y, dtype=float))
-        h = 1e-4
-        y = np.asarray(y, dtype=float)
-        return (self.inverse(y * (1 + h)) - 2 * self.inverse(y)
-                + self.inverse(y * (1 - h))) / (h * y) ** 2
+        return np.zeros_like(np.asarray(y, dtype=float))
 
     def _log_domain(self, log_y):
         """(l, log eps(e^l)) for l = log(1/f(y)), from log y without forming
         y; since phi(x) = x / eps(1/x), f(y) / y = eps(e^l).  Closed form for
-        power eps, Newton for logpow, and for the other kinds the bisection
-        of `inverse`, whose y must not underflow."""
+        power eps, the Newton solve `_logpow_ell` for logpow; const eps,
+        whose W diverges, never comes here."""
         log_y = np.asarray(log_y, dtype=float)
         if self.kind == "power":
             ell = -(math.log(self.coeff) + log_y) / (1.0 - self.beta)
             return ell, math.log(self.coeff) - self.beta * ell
-        if self.kind == "logpow":
-            ell = self._logpow_ell(log_y)
-            return ell, math.log(self.coeff) - self.kappa * np.log(ell)
-        x = self.inverse(np.exp(log_y))
-        with np.errstate(divide="ignore"):
-            return -np.log(x), np.log(self.eps(1.0 / x))
+        ell = self._logpow_ell(log_y)
+        return ell, math.log(self.coeff) - self.kappa * np.log(ell)
 
     def _logpow_ell(self, log_y):
         # phi(e^-l) = y  <=>  h(l) = l - kappa log l - T = 0, T = -log(coeff y);
         # h increases and is convex on l > kappa, so Newton from the right of
-        # the root descends to it; a step that leaves the bracket bisects
+        # the root descends to it; a step that leaves the bracket bisects.
+        # Each point stops at its own step, so its l does not depend on the
+        # other points of the batch
         k = self.kappa
         target = -math.log(self.coeff) - log_y
         lo = np.full_like(target, k + 1.0)
@@ -263,15 +237,17 @@ class EpsilonModel:
                 break
             hi = np.where(short, 2.0 * hi, hi)
         ell = hi
+        live = np.ones(ell.shape, dtype=bool)
         for _ in range(BISECT_MAXITER):
             h = ell - k * np.log(ell) - target
             lo = np.where(h < 0, ell, lo)
             hi = np.where(h < 0, hi, ell)
             new = ell - h / (1.0 - k / ell)
             new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            done = (np.abs(new - ell) <= 1e-15 * ell).all()
-            ell = new
-            if done:
+            moved = np.abs(new - ell) > 1e-15 * ell
+            ell = np.where(live, new, ell)
+            live &= moved
+            if not live.any():
                 break
         return ell
 
@@ -290,12 +266,8 @@ class EpsilonModel:
         if self.kind == "logpow" and self.kappa <= 1:
             raise DivergentIntegralError(
                 "tail mass diverges: logpow eps needs kappa > 1")
-        if self.kind == "custom":
-            # the quadrature takes one point at a time
-            return np.vectorize(lambda s: self.tail_mass_quad(s) if s > 0 else 0.0,
-                                otypes=[float])(z)
-        # one vector bisection for every positive point; every point's
-        # bisection stops at the same step, so each value is its scalar one
+        # one vector solve for every positive point; each point's Newton
+        # stops at its own step, so each value is its scalar one
         out = np.zeros_like(z)
         pos = z > 0
         out[pos] = self._logpow_tail_mass(z[pos])
@@ -310,7 +282,7 @@ class EpsilonModel:
 
     def tail_mass_quad(self, z):
         """Quadrature evaluation of W(z): an independent cross-check of the
-        closed forms, and the value itself for custom eps.
+        closed forms, which it never uses.
 
         With y = z e^{-r} and r = e^s, W(z) = int_0^inf f(y)/y dr
         = int eps(e^l) r ds, where l = log(1/f(y)) comes from log y =
@@ -319,9 +291,7 @@ class EpsilonModel:
         embedded estimate and bounds on the two pieces the window omits:
         below it at most (f(z)/z) e^{s_lo}, as f(y)/y decreases in r; above
         it at most int_{l_hi}^inf eps(e^l) dl, as r = log z + l +
-        log eps(e^l) gives dr/dl <= 1.  Custom eps is evaluated at e^l only
-        up to l = 700, so its window stops there and only a vanishing edge
-        value bounds the rest (eps decreases).
+        log eps(e^l) gives dr/dl <= 1.
         """
         z = float(z)
         if self.kind == "const":
@@ -338,21 +308,17 @@ class EpsilonModel:
         if self.kind == "power":
             # eps(e^l) underflows for beta l > 745
             r_hi = 750.0 * (1.0 - self.beta) / self.beta
-        elif self.kind == "logpow":
+        else:
             # the omitted piece is about r_hi^(1 - kappa)
             r_hi = math.exp(min(690.0, max(50.0, 40.0 / (self.kappa - 1.0))))
-        else:
-            r_hi = log_z - math.log(float(self.phi(math.exp(-700.0))))
         value, err = quad(
             lambda s: np.exp(self._log_domain(log_z - np.exp(s))[1] + s),
             s_lo, math.log(r_hi))
         ell_hi, log_eps_hi = self._log_domain(log_z - r_hi)
         if self.kind == "power":
             above = math.exp(log_eps_hi) / self.beta
-        elif self.kind == "logpow":
-            above = math.exp(log_eps_hi) * ell_hi / (self.kappa - 1.0)
         else:
-            above = 0.0 if log_eps_hi == -math.inf else math.inf
+            above = math.exp(log_eps_hi) * ell_hi / (self.kappa - 1.0)
         below = math.exp(self._log_domain(log_z)[1] + s_lo)
         return QuadValue(value, err + above + below)
 
@@ -377,13 +343,7 @@ class EpsilonModel:
             if self.kappa > 1:
                 val = self.coeff * math.log(t0) ** (1.0 - self.kappa) / (self.kappa - 1.0)
                 return {"verdict": "finite", "value": val}
-            return {"verdict": "infinite", "value": None}
-        if self.kind == "const":
-            return {"verdict": "infinite", "value": None}
-        # in u = log t the integrand is eps(e^u)
-        body, _ = quad(lambda u: self.eps(np.exp(u)), math.log(t0),
-                       math.log(1e8))
-        return {"verdict": "inconclusive", "value": body}
+        return {"verdict": "infinite", "value": None}
 
     def curv_counterpart(self) -> "EpsilonModel":
         """eps_{A0,A}(t) = sqrt(eps(t^2)), the two-exponent normalization."""
@@ -393,23 +353,17 @@ class EpsilonModel:
         if self.kind == "logpow":
             return EpsilonModel("logpow", kappa=self.kappa / 2.0,
                                 coeff=math.sqrt(self.coeff) * 2.0 ** (-self.kappa / 2.0))
-        if self.kind == "const":
-            return EpsilonModel("const", coeff=math.sqrt(self.coeff))
-        return EpsilonModel("custom",
-                            func=lambda t: np.sqrt(self.eps(np.asarray(t) ** 2)))
+        return EpsilonModel("const", coeff=math.sqrt(self.coeff))
 
     def squared(self) -> "EpsilonModel":
+        """eps(t)^2; a power model needs 2 beta < 1 (ValueError otherwise)."""
         if self.kind == "power":
-            b2 = 2 * self.beta
-            if b2 >= 1:
-                return EpsilonModel("custom", func=lambda t: self.eps(t) ** 2)
-            return EpsilonModel("power", beta=b2, coeff=self.coeff ** 2)
+            return EpsilonModel("power", beta=2 * self.beta,
+                                coeff=self.coeff ** 2)
         if self.kind == "logpow":
             return EpsilonModel("logpow", kappa=2 * self.kappa,
                                 coeff=self.coeff ** 2)
-        if self.kind == "const":
-            return EpsilonModel("const", coeff=self.coeff ** 2)
-        return EpsilonModel("custom", func=lambda t: self.eps(t) ** 2)
+        return EpsilonModel("const", coeff=self.coeff ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +547,10 @@ class BumpFamily:
             return EpsilonModel("logpow", kappa=(1.0 - self.delta) * self.sigma)
         return None
 
-    def epsilon(self, t):
-        model = self.epsilon_model()
-        if model is None:
-            raise ValueError(f"{self!r} carries no epsilon")
-        return model.eps(t)
+    def b2_model(self) -> EpsilonModel:
+        """The gap function B2 is built on: the family's own, or the power
+        model beta = 1/4 for a family that carries none."""
+        return self.epsilon_model() or EpsilonModel("power", beta=0.25)
 
     # -- serialization ----------------------------------------------------------
 

@@ -340,7 +340,7 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     table = growth_table(depths=depths)
     ratios = [r["ratio"] for r in table]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
-    probe_model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
+    probe_model = family.b2_model()
     probe_kw = {"delta": float(cfg.get("delta", ConstantBudget.delta)),
                 "P": float(cfg.get("P", ConstantBudget.P)),
                 "n_points": int(cfg.get("probe_points", 120)), "seed": seed}

@@ -353,13 +353,12 @@ def dyadic_maximal(w: LeafWeight) -> LeafWeight:
     return LeafWeight(w.depth, running)
 
 
-def stopping_family(w: LeafWeight, threshold: float,
-                    root: DyadicIndex = ROOT) -> list[DyadicIndex]:
-    """Maximal dyadic subintervals I of root with <w>_I >= threshold."""
+def stopping_family(w: LeafWeight, threshold: float) -> list[DyadicIndex]:
+    """Maximal dyadic intervals I with <w>_I >= threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     out: list[DyadicIndex] = []
-    stack = [root]
+    stack = [ROOT]
     while stack:
         node = stack.pop()
         if w.average(node) >= threshold:

@@ -446,8 +446,6 @@ def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
     truncation is removed.  There is no uniform derivative floor in the
     no-gap case.
     """
-    if model.kind == "custom":
-        raise ValueError("probe needs a named epsilon kind")
     delta_used = min(delta, 0.5 * (model.z_cap / P) ** 2)
 
     floors = [None] if model.kind != "const" else [1e-6, 1e-12, 1e-24]

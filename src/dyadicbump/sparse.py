@@ -12,7 +12,7 @@ import numpy as np
 
 from .bellman import (B1, B2, BellmanNode, ConstantBudget, default_budget,
                       master_bellman_eval)
-from .bumps import BumpFamily, EpsilonModel, orlicz_norm_def_batch
+from .bumps import BumpFamily, orlicz_norm_def_batch
 from .dyadic import (CarlesonSequence, DyadicIndex, LeafWeight, ROOT,
                      StepDistribution, check_depth, l_intensity_levels,
                      upward_levels)
@@ -42,9 +42,6 @@ class SparseOperator:
         self.coeffs = coeffs if factor == 1.0 else coeffs.scaled(factor)
         self.depth = coeffs.depth
         self.conversion_factor = factor
-
-    def a_levels(self) -> list[np.ndarray]:
-        return self.coeffs.levels
 
 
 def truncated(T: SparseOperator, depth: int) -> SparseOperator:
@@ -239,8 +236,7 @@ def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
     if budget is None:
         budget = default_budget(family)
     b1 = B1(family, budget.c1)
-    model = family.epsilon_model() or EpsilonModel("power", beta=0.25)
-    b2 = B2(model, budget.c2)
+    b2 = B2(family.b2_model(), budget.c2)
     nodes = _tree_nodes(u, v, T)
 
     values = [np.array([master_bellman_eval(n, b1, b2) for n in row])

@@ -349,7 +349,6 @@ def test_epsilon_model_json_holds_used_parameters():
         "kind": "logpow", "kappa": 1.8, "coeff": 0.5}
     assert EpsilonModel("const", coeff=2.0).to_json() == {"kind": "const",
                                                           "coeff": 2.0}
-    assert EpsilonModel("custom", func=np.sqrt).to_json() == {"kind": "custom"}
 
 
 def test_phi_inverse_convex_second_difference():
@@ -415,14 +414,6 @@ def test_tail_mass_quad_flags_a_window_it_cannot_close():
     assert 0.0 < model.tail_mass(1e-3) - quad <= quad.error
 
 
-def test_tail_mass_quad_custom_eps_flagged():
-    # eps(t) = t^(-1/4) as a callable, W(z) = 3 z^(1/3): the window stops at
-    # l = 700, where eps is still positive, so nothing bounds the rest
-    quad = EpsilonModel("custom", func=lambda t: t ** -0.25).tail_mass_quad(1e-3)
-    assert quad == pytest.approx(0.3, rel=1e-12)
-    assert quad.uncertified
-
-
 def test_tail_mass_quad_range():
     model = loglog_bump(2.0, 0.1).epsilon_model()
     assert model.tail_mass_quad(0.0) == 0.0
@@ -460,8 +451,17 @@ def _logpow_grid(model):
 
 
 @pytest.mark.parametrize("model", LOGPOW_MODELS)
+def test_logpow_closed_form_matches_quad_to_rounding(model):
+    # the closed form takes f from the Newton solve of `inverse`, so it
+    # agrees with the independent quadrature to a few ulps
+    for z in np.geomspace(1e-10, min(0.35, model.z_cap), 12):
+        assert model.tail_mass(z) == pytest.approx(model.tail_mass_quad(z),
+                                                   rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("model", LOGPOW_MODELS)
 def test_logpow_vector_path_matches_points(model):
-    # one bisection for the whole array gives each point its own value
+    # one Newton solve for the whole array gives each point its own value
     z = _logpow_grid(model)
     w = model.tail_mass(z)
     assert np.array_equal(w, [model.tail_mass(s) for s in z])
@@ -520,6 +520,12 @@ def test_curv_translate_logpow_algebra():
     assert res["integral_ours"]["verdict"] == "finite"
     assert res["integral_curv"]["verdict"] == "infinite"
     assert res["regime"] == "ours-only"
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.75])
+def test_squared_power_needs_beta_below_half(beta):
+    with pytest.raises(ValueError):
+        EpsilonModel("power", beta=beta).squared()
 
 
 def test_curv_translate_from_family():

@@ -268,8 +268,9 @@ class TestB0Probe:
         assert r["bounds_pass"] and r["envelope_pass"] and r["fd_pass"]
 
     def test_custom_kind_rejected(self):
+        # only the named kinds exist: power, logpow and const
         with pytest.raises(ValueError):
-            b0_probe(EpsilonModel("custom", func=lambda t: 1.0 / t))
+            EpsilonModel("custom")
 
     def test_deterministic(self):
         m = EpsilonModel("power", beta=0.25)

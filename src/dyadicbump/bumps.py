@@ -477,6 +477,8 @@ class BumpFamily:
         if np.any(x < 0):
             raise ValueError("J is defined for x >= 0")
         xc = np.minimum(np.maximum(x, 1e-300), 1.0)
+        # Psi(1) first: a tabulated Phi can fail there, before any quadrature
+        beyond = np.log(np.maximum(x, 1.0)) / float(self.psi(1.0))
         if self.tag == "power":
             if self.p <= 1.0:
                 raise DivergentIntegralError(
@@ -491,8 +493,7 @@ class BumpFamily:
             inner = np.log(math.e ** (1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
         else:
             inner = np.vectorize(self._j_quad)(xc)
-        out = np.where(x > 1.0, inner + np.log(np.maximum(x, 1.0))
-                       / float(self.psi(1.0)), inner)
+        out = np.where(x > 1.0, inner + beyond, inner)
         return out if out.ndim else float(out)
 
     def _j_quad(self, x):
@@ -688,56 +689,79 @@ def curv_translate(family_or_model) -> dict:
 # Orlicz norms, two ways
 # ---------------------------------------------------------------------------
 
-def orlicz_norm_def(w: LeafWeight, index: DyadicIndex, family: BumpFamily,
-                    tol: float = BISECT_TOL) -> float:
+def orlicz_norm_def(w: LeafWeight, index: DyadicIndex,
+                    family: BumpFamily) -> float:
     """Luxemburg norm inf{lambda : <Phi(w/lambda)>_I <= 1} by bisection."""
     lo_idx, hi_idx = index.leaf_range(w.depth)
-    vals = w.values[lo_idx:hi_idx]
-    return float(_luxemburg_rows(vals[None, :], family, tol)[0])
+    return float(_luxemburg(w.values[None, None, lo_idx:hi_idx], family)[0, 0])
 
 
-def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily,
-                          tol: float = BISECT_TOL) -> np.ndarray:
-    """Luxemburg norms of many step weights at once (rows of a matrix)."""
-    return _luxemburg_rows(np.asarray(rows, dtype=float), family, tol)
+def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
+    """Luxemburg norms of many step weights at once, one per row (last axis).
+
+    A (rows, n) matrix is one block; a (blocks, rows, n) stack is one block
+    per leading index.  A block bisects until all of its rows meet
+    BISECT_TOL and then stops, so each block's norms are those of a
+    separate call on that block alone."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 2:
+        return _luxemburg(rows[None], family)[0]
+    if rows.ndim != 3:
+        raise ValueError("rows must be (rows, n) or (blocks, rows, n)")
+    return _luxemburg(rows, family)
 
 
-def _luxemburg_rows(rows, family, tol):
-    n_rows = rows.shape[0]
-    means = rows.mean(axis=1)
-    out = np.zeros(n_rows)
+def _luxemburg(blocks, family):
+    n = blocks.shape[-1]
+    means = blocks.sum(axis=-1) / n  # bit for bit what mean() gives
+    out = np.zeros(means.shape)
     live = means > 0
     if not np.any(live):
         return out
-    sub = rows[live]
+    sub, mean = blocks[live], means[live]
+    block = np.nonzero(live)[0]  # each live row's block
 
-    def constraint(lam):
-        return family.phi(sub / lam[:, None]).mean(axis=1)
+    def constraint(lam, rows):
+        return family.phi(rows / lam[:, None]).sum(axis=1) / n
 
-    hi = np.maximum(sub.max(axis=1), means[live])
+    # the brackets move each row on its own, so blocks need no bookkeeping
+    hi = np.maximum(sub.max(axis=1), mean)
     for _ in range(200):
-        bad = constraint(hi) > 1.0
+        bad = constraint(hi, sub) > 1.0
         if not np.any(bad):
             break
         hi = np.where(bad, hi * 2.0, hi)
     else:
         raise RuntimeError(f"Luxemburg bracket failure (upper); hi={hi}")
-    lo = means[live] * 1e-6
+    lo = mean * 1e-6
     for _ in range(200):
-        bad = constraint(lo) <= 1.0
+        bad = constraint(lo, sub) <= 1.0
         if not np.any(bad):
             break
         lo = np.where(bad, lo / 4.0, lo)
     else:
         raise RuntimeError(f"Luxemburg bracket failure (lower); lo={lo}")
+    # bisect the rows of the blocks that have not stopped, kept compact; a
+    # block stops, and its norms are set, once all of its rows meet the
+    # tolerance (a block's live rows are consecutive in sub)
+    run, rows, norms = np.arange(mean.size), sub, np.empty(mean.size)
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
     for _ in range(BISECT_MAXITER):
         mid = np.sqrt(lo * hi)
-        feasible = constraint(mid) <= 1.0
+        feasible = constraint(mid, rows) <= 1.0
         hi = np.where(feasible, mid, hi)
         lo = np.where(feasible, lo, mid)
-        if np.all(hi - lo <= tol * hi):
+        wide = np.logical_or.reduceat(~(hi - lo <= BISECT_TOL * hi), starts)
+        if wide.all():
+            continue
+        keep = np.repeat(wide, np.diff(starts, append=run.size))
+        norms[run[~keep]] = 0.5 * (lo[~keep] + hi[~keep])
+        run, rows, lo, hi = run[keep], rows[keep], lo[keep], hi[keep]
+        if run.size == 0:
             break
-    out[live] = 0.5 * (lo + hi)
+        starts = np.flatnonzero(np.diff(block[run], prepend=-1))
+    norms[run] = 0.5 * (lo + hi)
+    out[live] = norms
     return out
 
 

@@ -26,7 +26,7 @@ from .bellman import (B1, B2, ConstantBudget, aux_T_check, b1_property_check,
                       b2_property_check, default_budget, g_positivity)
 from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     curv_translate, epsilon_integrability, integrability_phi,
-                    log_bump, orlicz_norm_def, orlicz_norm_dist,
+                    log_bump, orlicz_norm_def_batch, orlicz_norm_dist,
                     psi_gap_check, self_improvement_check)
 from .dyadic import (ROOT, CarlesonSequence, LeafWeight, TreeDepthError,
                      check_depth)
@@ -107,9 +107,12 @@ def _budget(family: BumpFamily, cfg: dict, **fixed):
     for key in ("delta", "P", "c_drop", "derivative_floor"):
         if key in cfg:
             kw[key] = float(cfg[key])
-    budget = default_budget(family, **kw, **fixed)
-    if "delta1" in cfg:
-        budget = dataclasses.replace(budget, delta1=float(cfg["delta1"]))
+    try:
+        budget = default_budget(family, **kw, **fixed)
+        if "delta1" in cfg:
+            budget = dataclasses.replace(budget, delta1=float(cfg["delta1"]))
+    except ValueError as exc:
+        raise InputError(f"no constant budget for {family!r}: {exc}") from exc
     return budget
 
 
@@ -158,9 +161,12 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
     _need_companion(family)
     depth = int(cfg.get("depth", 6))
     n = int(cfg.get("n_weights", 200))
+    corpus = _corpus(depth, n, seed)
+    # one block per weight, so each norm is its own orlicz_norm_def
+    bases = orlicz_norm_def_batch(
+        np.stack([w.values for w in corpus])[:, None, :], family)[:, 0]
     ratios, si_ratios = [], []
-    for w in _corpus(depth, n, seed):
-        base = orlicz_norm_def(w, ROOT, family)
+    for w, base in zip(corpus, bases):
         dist = orlicz_norm_dist(w, ROOT, family)
         ratios.append(dist / base)
         si = self_improvement_check(w, ROOT, family)

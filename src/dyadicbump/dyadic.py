@@ -72,13 +72,17 @@ class DyadicIndex:
 ROOT = DyadicIndex(0, 0)
 
 
-def _sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
-    """pyramid[k] = node sums at level k; built by pairwise adds so that the
-    midpoint identity sum(I) = sum(I+) + sum(I-) is bit-exact."""
+def _average_pyramid(values: np.ndarray) -> list[np.ndarray]:
+    """pyramid[k] = node averages at level k, each the half-sum of its two
+    children, so the midpoint identity <w>_I = (<w>_I- + <w>_I+)/2 is
+    bit-exact, subnormal averages included.  Halving is exact above the
+    subnormal range, so there each average is its node's pairwise sum
+    divided by the node's leaf count, bit for bit."""
     levels = [values]
     cur = values
     while len(cur) > 1:
-        cur = cur[0::2] + cur[1::2]
+        cur = (cur[0::2] + cur[1::2]) / 2.0
+        cur.setflags(write=False)  # handed out by node_averages
         levels.append(cur)
     levels.reverse()
     return levels
@@ -104,26 +108,20 @@ class LeafWeight:
     def constant(cls, depth: int, value: float) -> "LeafWeight":
         return cls(depth, np.full(2 ** depth, float(value)))
 
-    @property
-    def sums(self) -> list[np.ndarray]:
-        if self._pyramid is None:
-            self._pyramid = _sum_pyramid(self.values)
-        return self._pyramid
-
     def average(self, index: DyadicIndex = ROOT) -> float:
-        if index.level > self.depth:
-            raise ValueError(f"level {index.level} deeper than weight depth {self.depth}")
-        return float(self.sums[index.level][index.pos]) / (1 << (self.depth - index.level))
+        return float(self.node_averages(index.level)[index.pos])
 
     def node_averages(self, level: int) -> np.ndarray:
         """Vector of averages over all 2**level intervals of the given level."""
         if level > self.depth:
             raise ValueError(f"level {level} deeper than weight depth {self.depth}")
-        return self.sums[level] / (1 << (self.depth - level))
+        if self._pyramid is None:
+            self._pyramid = _average_pyramid(self.values)
+        return self._pyramid[level]
 
     def integral(self) -> float:
         """The total mass: integral of the weight over [0, 1)."""
-        return float(self.sums[0][0]) * 2.0 ** -self.depth
+        return self.average()
 
     def scaled(self, factor: float) -> "LeafWeight":
         return LeafWeight(self.depth, self.values * factor)

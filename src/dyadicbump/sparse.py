@@ -106,7 +106,8 @@ def _one_sided_testing(T: SparseOperator, u: LeafWeight,
         c = mass * above[k]
         num = ((S * Sv).reshape(2 ** k, -1).sum(axis=1)
                + 2.0 * c * Sv.reshape(2 ** k, -1).sum(axis=1)
-               + c * c * v.sums[k]) / 2 ** u.depth
+               + c * c * (v.node_averages(k) * 2.0 ** (v.depth - k))
+               ) / 2 ** u.depth
         live = mass > 0
         per_level[k] = np.divide(num, mass, out=np.zeros_like(num), where=live)
         kept[k] = np.flatnonzero(live)
@@ -133,8 +134,10 @@ def bump_condition(u: LeafWeight, v: LeafWeight, family: BumpFamily) -> dict:
     A2 = sup <u>_I <v>_I."""
     if u.depth != v.depth:
         raise ValueError("u and v must share a depth")
-    norms = [(orlicz_norm_def_batch(u.values.reshape(2 ** k, -1), family),
-              orlicz_norm_def_batch(v.values.reshape(2 ** k, -1), family))
+    # u's and v's nodes of a level are two blocks: each stops on its own
+    norms = [orlicz_norm_def_batch(np.stack((u.values.reshape(2 ** k, -1),
+                                             v.values.reshape(2 ** k, -1))),
+                                   family)
              for k in range(u.depth + 1)]
     return {"B_uv_left": _level_sup(nu * v.node_averages(k) for k, (nu, _)
                                     in enumerate(norms))[0],

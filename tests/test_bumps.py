@@ -208,6 +208,78 @@ def test_norm_def_batch_matches_scalar():
             orlicz_norm_def(LeafWeight(3, row), ROOT, fam), rel=1e-10, abs=1e-15)
 
 
+BITWISE_FAMILIES = [power_bump(2), log_bump(1.0), loglog_bump(2.0, 0.1)]
+
+
+def _weights(rng, count, n):
+    """Lognormal step weights with a zero row, zero leaves and tied leaves."""
+    w = rng.lognormal(0.0, 1.5, (count, n))
+    w[1] = 0.0
+    w[2, ::3] = 0.0
+    w[3] = np.round(w[3])
+    w[4, n // 2:] = w[4, 0]
+    return w
+
+
+@pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
+def test_norm_def_corpus_form_equals_per_row(fam):
+    # one block per weight: each stops where a single-row call would
+    rng = np.random.default_rng(5)
+    for depth in (0, 3, 6):
+        w = _weights(rng, 12, 2 ** depth)
+        corpus = orlicz_norm_def_batch(w[:, None, :], fam)
+        assert corpus.shape == (12, 1)
+        per_row = [orlicz_norm_def(LeafWeight(depth, row), ROOT, fam)
+                   for row in w]
+        assert np.array_equal(corpus[:, 0], per_row)
+
+
+def _blocks(rng, n):
+    """Blocks of 8 rows: constant rows, single-spike rows, half of each,
+    lognormal rows and zero rows.  For power and log bumps at n = 64 a
+    constant row meets BISECT_TOL one step before a spike row does."""
+    const = np.repeat(rng.lognormal(0.0, 1.0, (8, 1)), n, axis=1)
+    spike = np.zeros((8, n))
+    spike[np.arange(8), rng.integers(0, n, 8)] = rng.lognormal(0.0, 1.0, 8)
+    mixed = np.concatenate((const[:4], spike[4:]))
+    return np.stack((const, spike, mixed, _weights(rng, 8, n),
+                     np.zeros((8, n))))
+
+
+@pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
+def test_norm_def_blocks_equal_separate_calls(fam):
+    rng = np.random.default_rng(6)
+    for n in (1, 4, 64):
+        blocks = _blocks(rng, n)
+        norms = orlicz_norm_def_batch(blocks, fam)
+        assert norms.shape == (5, 8)
+        for block, got in zip(blocks, norms):
+            assert np.array_equal(got, orlicz_norm_def_batch(block, fam))
+
+
+@pytest.mark.parametrize("fam", BITWISE_FAMILIES[:2], ids=lambda f: f.tag)
+def test_norm_def_blocks_stop_at_their_own_step(fam):
+    # the data can tell the block rule from a joint or a per-row stop
+    const, spike, mixed = _blocks(np.random.default_rng(6), 64)[:3]
+    norms = orlicz_norm_def_batch(np.stack((const, spike)), fam)
+    joint = orlicz_norm_def_batch(np.concatenate((const, spike)), fam)
+    assert not np.array_equal(joint, norms.ravel())
+    per_row = orlicz_norm_def_batch(mixed[:, None, :], fam)[:, 0]
+    assert not np.array_equal(orlicz_norm_def_batch(mixed, fam), per_row)
+
+
+@pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
+def test_norm_def_zero_row_and_block_give_zero(fam):
+    rows = _weights(np.random.default_rng(7), 6, 8)
+    assert orlicz_norm_def_batch(rows, fam)[1] == 0.0
+    blocks = np.stack((rows, np.zeros_like(rows)))
+    norms = orlicz_norm_def_batch(blocks, fam)
+    assert norms[0, 1] == 0.0 and np.all(norms[0, np.arange(6) != 1] > 0)
+    assert np.array_equal(norms[1], np.zeros(6))
+    assert np.array_equal(orlicz_norm_def_batch(np.zeros((2, 3, 4)), fam),
+                          np.zeros((2, 3)))
+
+
 @given(st.floats(0.01, 100.0))
 @settings(max_examples=30, deadline=None)
 def test_norm_def_homogeneous(c):
@@ -402,7 +474,7 @@ def test_tail_mass_logpow_quad_tight_and_certified(model):
         quad = model.tail_mass_quad(z)
         assert not quad.uncertified
         assert quad.error <= 1e-10 * quad
-        assert model.tail_mass(z) == pytest.approx(quad, rel=1e-10)
+        assert model.tail_mass(z) == pytest.approx(quad, rel=1e-10, abs=0)
 
 
 def test_tail_mass_quad_flags_a_window_it_cannot_close():

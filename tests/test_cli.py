@@ -247,6 +247,8 @@ class TestPlumbing:
         ("glav", {"bump_target": -1}),
         ("bellman-b1", {"n_n": 0}),
         ("bellman-b1", {"n_a": 0}),
+        # delta1 must stay below c_drop (0.05 by default)
+        ("bellman-b1", {"delta1": 0.1}),
     ])
     def test_bad_sample_size_is_input_error(self, tmp_path, campaign, field):
         cfg = TestCampaigns._cfg(tmp_path, field)
@@ -275,6 +277,11 @@ class TestPlumbing:
         "divergent-J": {"tag": "power", "p": 1},
         # a power bump has no companion and no epsilon model
         "no-companion": {"tag": "power", "p": 2},
+        # Phi = t^2 tabulated from t = 1: Psi(1) falls outside the parametric
+        # range, because Phi'(1) reads the table's clamped edge
+        "custom-table": {"tag": "custom", "phi_table": np.column_stack(
+            [np.geomspace(1.0, 1e12, 600),
+             np.geomspace(1.0, 1e12, 600) ** 2]).tolist()},
     }
 
     def _family(self, tmp_path, name):
@@ -289,6 +296,8 @@ class TestPlumbing:
         ("divergent-J", "bellman-b1"), ("divergent-J", "bellman-b2"),
         ("divergent-J", "glav"),
         ("no-companion", "bump-check"), ("no-companion", "orlicz"),
+        ("custom-table", "bellman-b1"), ("custom-table", "glav"),
+        ("custom-table", "bellman-b2"),
     ])
     def test_family_the_campaign_cannot_handle_is_input_error(
             self, tmp_path, family, campaign):

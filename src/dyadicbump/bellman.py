@@ -108,11 +108,9 @@ class B1:
     def value(self, N, A):
         N = np.asarray(N, dtype=float)
         A = np.asarray(A, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(A > 0, N / np.maximum(A, 1e-300), np.inf)
-            val = self.C * N - N * self.j(np.where(np.isfinite(x), x, 1.0))
-            val = np.where((N > 0) & ~np.isfinite(x), -np.inf, val)
-        out = np.where(N == 0.0, 0.0, val)
+        val = self.C * N - N * self.j(N / np.maximum(A, 1e-300))
+        # B1 = 0 on N = 0, and B1 -> -inf as A -> 0 with N > 0 held
+        out = np.where((N == 0.0) | (A > 0), val, -np.inf)
         return out if out.ndim else float(out)
 
     def grad(self, N, A):
@@ -146,13 +144,7 @@ class B1:
         widths, fracs = dist.steps()
         if widths.size == 0:
             return 0.0
-        return float(np.dot(widths, self.value(fracs, np.full_like(fracs, A))))
-
-    def grad_a_integral_over(self, dist: StepDistribution, A: float) -> float:
-        widths, fracs = dist.steps()
-        if widths.size == 0:
-            return 0.0
-        return float(np.dot(widths, self.grad(fracs, np.full_like(fracs, A))[1]))
+        return float(np.dot(widths, self.value(fracs, A)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +159,10 @@ class B2:
         self.C = float(C)
 
     def value(self, u, v, L, A):
-        u, v, L, A = map(lambda t: np.asarray(t, dtype=float), (u, v, L, A))
-        z = L / (A + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(L > 0, L * L / np.maximum(v, 1e-300)
-                            * self.model.tail_mass(z), 0.0)
-        out = self.C * u - term
+        u, v, L, A = [np.asarray(t, dtype=float) for t in (u, v, L, A)]
+        # W(0) = 0, so the term vanishes with L
+        out = self.C * u - L * L / np.maximum(v, 1e-300) \
+            * self.model.tail_mass(L / (A + 1.0))
         return out if out.ndim else float(out)
 
     def value_quad(self, u, v, L, A):

@@ -383,6 +383,7 @@ class BumpFamily:
 
     def __init__(self, tag, *, p=None, sigma=None, delta=None, phi_table=None):
         self.tag = tag
+        self._psi_one = None  # Psi(1), set by the first call to j
         if tag == "power":
             if p is None or p < 1:
                 raise ValueError("power bump needs p >= 1")
@@ -474,11 +475,15 @@ class BumpFamily:
         (quadrature for custom Phi).  Psi is constant beyond s = 1, so J
         grows logarithmically there."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
+        if (x < 0).any():
             raise ValueError("J is defined for x >= 0")
+        if self._psi_one is None:
+            # Psi(1) first: a tabulated Phi can fail there, before any
+            # quadrature
+            self._psi_one = float(self.psi(1.0))
         xc = np.minimum(np.maximum(x, 1e-300), 1.0)
-        # Psi(1) first: a tabulated Phi can fail there, before any quadrature
-        beyond = np.log(np.maximum(x, 1.0)) / float(self.psi(1.0))
+        # zero for x <= 1, so adding it changes nothing there
+        beyond = np.log(np.maximum(x, 1.0)) / self._psi_one
         if self.tag == "power":
             if self.p <= 1.0:
                 raise DivergentIntegralError(
@@ -493,7 +498,7 @@ class BumpFamily:
             inner = np.log(math.e ** (1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
         else:
             inner = np.vectorize(self._j_quad)(xc)
-        out = np.where(x > 1.0, inner + beyond, inner)
+        out = inner + beyond
         return out if out.ndim else float(out)
 
     def _j_quad(self, x):

@@ -126,11 +126,6 @@ class LeafWeight:
     def scaled(self, factor: float) -> "LeafWeight":
         return LeafWeight(self.depth, self.values * factor)
 
-    def refined(self, extra_levels: int) -> "LeafWeight":
-        """The same step function expressed on a finer dyadic grid."""
-        return LeafWeight(self.depth + extra_levels,
-                          np.repeat(self.values, 1 << extra_levels))
-
     def coarsened(self, level: int) -> "LeafWeight":
         """L^2-orthogonal projection onto step functions of the given depth."""
         return LeafWeight(level, self.node_averages(level))
@@ -186,9 +181,9 @@ class StepDistribution:
         n = np.asarray(fractions, dtype=float)
         if t.shape != n.shape:
             raise ValueError("thresholds and fractions must have equal length")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0):
+        if t.size and (t[0] <= 0 or (t[1:] <= t[:-1]).any()):
             raise ValueError("thresholds must be positive and strictly increasing")
-        if np.any(np.diff(n) > 0) or (n.size and (n[0] > 1 or n[-1] < 0)):
+        if (n[1:] > n[:-1]).any() or (n.size and (n[0] > 1 or n[-1] < 0)):
             raise ValueError("fractions must be nonincreasing within [0, 1]")
         self.thresholds = t
         self.fractions = n
@@ -197,19 +192,24 @@ class StepDistribution:
     def of(cls, w: LeafWeight, index: DyadicIndex = ROOT) -> "StepDistribution":
         lo, hi = index.leaf_range(w.depth)
         vals = w.values[lo:hi]
-        pos = np.sort(vals[vals > 0])
+        pos = vals[vals > 0]  # a copy, sorted in place
+        pos.sort()
         if pos.size == 0:
             return cls([], [])
-        uniq, first = np.unique(pos, return_index=True)
-        # N on (t_{i-1}, t_i] counts leaves >= t_i
-        frac = (pos.size - first) / vals.size
-        return cls(uniq, frac)
+        # a run of equal values starts where the sorted slice steps up, and
+        # N on (t_{i-1}, t_i] counts the leaves from that run's start on
+        keep = np.empty(pos.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(pos[1:], pos[:-1], out=keep[1:])
+        first = keep.nonzero()[0]
+        return cls(pos[first], (pos.size - first) / vals.size)
 
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
         """(widths, values): N equals values[i] on an interval of length widths[i]."""
         if self.thresholds.size == 0:
             return np.empty(0), np.empty(0)
-        widths = np.diff(np.concatenate(([0.0], self.thresholds)))
+        widths = self.thresholds.copy()
+        widths[1:] -= self.thresholds[:-1]
         return widths, self.fractions
 
     def eval(self, t: float) -> float:

@@ -208,22 +208,6 @@ def glav_check(u: LeafWeight, v: LeafWeight, T: SparseOperator,
 # Green's-formula induction
 # ---------------------------------------------------------------------------
 
-def _tree_nodes(u: LeafWeight, v: LeafWeight, T: SparseOperator):
-    """BellmanNode per dyadic index down to the operator depth."""
-    A = T.coeffs.intensity_levels()
-    L = l_intensity_levels(u, v, T.coeffs)
-    nodes = []
-    for k in range(T.depth + 1):
-        row = []
-        for pos in range(2 ** k):
-            idx = DyadicIndex(k, pos)
-            row.append(BellmanNode(u.average(idx), v.average(idx),
-                                   float(L[k][pos]), float(A[k][pos]),
-                                   StepDistribution.of(u, idx)))
-        nodes.append(row)
-    return nodes
-
-
 def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
                     family: BumpFamily,
                     budget: ConstantBudget | None = None) -> dict:
@@ -240,11 +224,22 @@ def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
         budget = default_budget(family)
     b1 = B1(family, budget.c1)
     b2 = B2(family.b2_model(), budget.c2)
-    nodes = _tree_nodes(u, v, T)
+    us = [u.node_averages(k) for k in range(T.depth + 1)]
+    vs = [v.node_averages(k) for k in range(T.depth + 1)]
+    L = l_intensity_levels(u, v, T.coeffs)
+    A = T.coeffs.intensity_levels()
 
-    values = [np.array([master_bellman_eval(n, b1, b2) for n in row])
-              for row in nodes]
+    # one distribution function and one master evaluation per node; all the
+    # other bookkeeping works on whole levels
+    values = [np.array([
+        master_bellman_eval(BellmanNode(
+            uu, vv, ll, aa, StepDistribution.of(u, DyadicIndex(k, pos))),
+            b1, b2)
+        for pos, (uu, vv, ll, aa) in enumerate(zip(
+            us[k].tolist(), vs[k].tolist(), L[k].tolist(), A[k].tolist()))])
+        for k in range(T.depth + 1)]
     lengths = [2.0 ** (-k) for k in range(T.depth + 1)]
+    u_root = float(us[0][0])
 
     # B1(N, A) -> -inf as A -> 0 with mass present, so nodes carrying mass
     # but no coefficients below them make the evaluation diverge; report
@@ -257,56 +252,57 @@ def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
                 "min_drop_constant": None, "min_drop_at": None,
                 "drop_nodes": 0, "excluded_nodes": [],
                 "divergent_nodes": divergent, "glav_sum": None,
-                "u_root": nodes[0][0].u, "chain_holds": False, "pass": False}
+                "u_root": u_root, "chain_holds": False, "pass": False}
 
     # Delta(J) = |J| B(J) - |J+| B(J+) - |J-| B(J-) for internal J
     deltas = []
-    drop_stats = []
     excluded = []
+    drop_nodes = 0
+    min_c, min_at = math.inf, None
     for k in range(T.depth):
         d = lengths[k] * values[k] \
             - lengths[k + 1] * (values[k + 1][0::2] + values[k + 1][1::2])
         deltas.append(d)
-        for pos in range(2 ** k):
-            n = nodes[k][pos]
-            uv = n.u * n.v
-            if uv > budget.delta * (1 + 1e-12) \
-                    or n.L > budget.P * math.sqrt(uv) * (1 + 1e-12):
-                excluded.append({"level": k, "pos": pos, "uv": uv, "L": n.L})
-                continue
-            required = lengths[k] * T.coeffs.levels[k][pos] * n.u * n.L
-            if required > 0:
-                drop_stats.append(((k, pos), float(d[pos]) / required))
+        uv = us[k] * vs[k]
+        outside = (uv > budget.delta * (1 + 1e-12)) \
+            | (L[k] > budget.P * np.sqrt(uv) * (1 + 1e-12))
+        excluded += [{"level": k, "pos": pos, "uv": uv_p, "L": L_p}
+                     for pos, uv_p, L_p in zip(
+                         np.flatnonzero(outside).tolist(),
+                         uv[outside].tolist(), L[k][outside].tolist())]
+        required = lengths[k] * T.coeffs.levels[k] * us[k] * L[k]
+        live = np.flatnonzero(~outside & (required > 0))
+        if live.size:
+            drop_nodes += live.size
+            ratios = d[live] / required[live]
+            # the first node in level-then-position order wins a tie
+            j = int(np.argmin(ratios))
+            if ratios[j] < min_c:
+                min_c, min_at = float(ratios[j]), (k, int(live[j]))
 
     lhs = values[0][0]  # |I0| = 1
     bottom = lengths[T.depth] * float(values[T.depth].sum())
     rhs = bottom + float(sum(d.sum() for d in deltas))
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
-    min_c, min_at = math.inf, None
-    for at, c in drop_stats:
-        if c < min_c:
-            min_c, min_at = c, at
-
     # chain: (C1 + C2) u_I >= |I| B(I) >= sum Delta >= min_c sum |J| a_J u_J L_J
     glav_sum = float(glav_levels(u, v, T)[0][0])  # sum |J| a_J u_J L_J, |I0|=1
-    u_root = nodes[0][0].u
-    chain_holds = (not drop_stats or min_c <= 0 or glav_sum <= 0
+    chain_holds = (not drop_nodes or min_c <= 0 or glav_sum <= 0
                    or (budget.c1 + budget.c2) * u_root
                    >= min_c * glav_sum * (1 - 1e-12))
     report = {
         "telescoping_residual": residual,
         "telescoping_pass": bool(residual <= 1e-10),
-        "min_drop_constant": None if not drop_stats else min_c,
+        "min_drop_constant": None if not drop_nodes else min_c,
         "min_drop_at": min_at,
-        "drop_nodes": len(drop_stats),
+        "drop_nodes": drop_nodes,
         "excluded_nodes": excluded,
         "divergent_nodes": [],
         "glav_sum": glav_sum,
         "u_root": u_root,
         "chain_holds": bool(chain_holds),
         "pass": bool(residual <= 1e-10
-                     and (not drop_stats or min_c > 0)
+                     and (not drop_nodes or min_c > 0)
                      and chain_holds
                      and not excluded),
     }

@@ -119,9 +119,9 @@ class TestAcceptance:
         c_small = rep_small["combined_drop"]["c"]
         elapsed = time.time() - t0
         ok = (worst <= 1e-9 and rep["hessian_nsd"]["max_scaled_det"] <= 1e-6
-              and c == pytest.approx(edge_inf(budget.delta), rel=1e-6)
+              and c == pytest.approx(edge_inf(budget.delta), rel=1e-6, abs=0)
               and c_small > 0
-              and c_small == pytest.approx(edge_inf(small), rel=1e-6)
+              and c_small == pytest.approx(edge_inf(small), rel=1e-6, abs=0)
               and elapsed <= 120.0)
         line(4, ok, f"closed-vs-quad rel {worst:.2e}, det "
                     f"{rep['hessian_nsd']['max_scaled_det']:.2e}, combined "
@@ -133,7 +133,7 @@ class TestAcceptance:
         assert elapsed <= 120.0
         # the drop constant is genuinely negative at delta = 1e-3: the sweep
         # must find the closed-form infimum, not a sampled overestimate
-        assert c == pytest.approx(edge_inf(budget.delta), rel=1e-6), (
+        assert c == pytest.approx(edge_inf(budget.delta), rel=1e-6, abs=0), (
             f"combined drop constant {c:.6f} at delta=1e-3 differs from the "
             f"slab-edge infimum 2^(-4/3) - 7*2^(-1/3)*delta^(1/4) = "
             f"{edge_inf(budget.delta):.6f}")
@@ -141,7 +141,7 @@ class TestAcceptance:
         assert c_small > 0, (
             f"combined drop constant {c_small:.4f} <= 0 at delta=1e-5, below "
             "the positivity threshold 14^-4 ~ 2.60e-5")
-        assert c_small == pytest.approx(edge_inf(small), rel=1e-6)
+        assert c_small == pytest.approx(edge_inf(small), rel=1e-6, abs=0)
 
     def test_criterion_05_g_positivity(self):
         s = np.geomspace(1e-6, 1e-1, 400)

@@ -35,10 +35,11 @@ def test_default_budget_constants():
     fam = log_bump(1.0)
     budget = default_budget(fam)
     b1 = B1(fam)
-    assert budget.c1 == pytest.approx(1.0 + b1.j(1.0), rel=1e-12)
+    assert budget.c1 == pytest.approx(1.0 + b1.j(1.0), rel=1e-12, abs=0)
     # C2 = 1 + P^2 W(P sqrt(delta)) with the beta = 1/4 model: W(z) = 3 z^{1/3}
     z = 100.0 * math.sqrt(1e-3)
-    assert budget.c2 == pytest.approx(1.0 + 1e4 * 3.0 * z ** (1 / 3), rel=1e-12)
+    assert budget.c2 == pytest.approx(
+        1.0 + 1e4 * 3.0 * z ** (1 / 3), rel=1e-12, abs=0)
     assert budget.delta1 == pytest.approx(budget.c_drop / 10.0)
 
 
@@ -64,7 +65,7 @@ def test_j_closed_form_matches_quadrature(family, x0, x1):
     # limit J(x) -> 0 as x -> 0 (next test) this determines J
     b1 = B1(family)
     assert b1.j(x1) - b1.j(x0) == pytest.approx(
-        b1.j_increment_quad(x0, x1), rel=1e-9)
+        b1.j_increment_quad(x0, x1), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("family", [log_bump(1.0), log_bump(2.0),
@@ -81,13 +82,15 @@ def test_j_power_closed_form():
     # p = 2: alpha = 1/3, J(x) = 3 * 2^{-2/3} x^{1/3}
     b1 = B1(power_bump(2.0))
     x = 0.3
-    assert b1.j(x) == pytest.approx(3.0 * 2 ** (-2 / 3) * x ** (1 / 3), rel=1e-12)
+    assert b1.j(x) == pytest.approx(
+        3.0 * 2 ** (-2 / 3) * x ** (1 / 3), rel=1e-12, abs=0)
 
 
 def test_j_beyond_one_grows_logarithmically():
     b1 = B1(log_bump(2.0))
     psi1 = b1.psi0(1.0)
-    assert b1.j(math.e) == pytest.approx(b1.j(1.0) + 1.0 / psi1, rel=1e-12)
+    assert b1.j(math.e) == pytest.approx(
+        b1.j(1.0) + 1.0 / psi1, rel=1e-12, abs=0)
 
 
 def test_j_rejects_negative_and_linear_bump():
@@ -108,6 +111,27 @@ def test_b1_edge_values():
     assert b1.value(0.0, 0.5) == 0.0
     assert b1.value(0.5, 0.0) == -math.inf
     assert b1.value(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("family", [log_bump(1.0), loglog_bump(2.0, 0.1),
+                                    power_bump(2.0)], ids=repr)
+def test_b1_value_matches_masked_form(family):
+    # reference form that masks each edge on its own: x = inf where A <= 0,
+    # J taken at 1 there, then -inf where N > 0 and 0 where N = 0.  Subnormal
+    # A, A = 1e-300 and x > 1 are on the grid.
+    b1 = B1(family, C=2.0)
+    N, A = np.meshgrid([0.0, 5e-324, 1e-300, 0.3, 1.0],
+                       [0.0, 5e-324, 1e-300, 1e-3, 0.3, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(A > 0, N / np.maximum(A, 1e-300), np.inf)
+        val = b1.C * N - N * b1.j(np.where(np.isfinite(x), x, 1.0))
+        val = np.where((N > 0) & ~np.isfinite(x), -np.inf, val)
+    expected = np.where(N == 0.0, 0.0, val)
+    assert np.array_equal(b1.value(N, A), expected)
+    # scalar calls, and a scalar A broadcast over N, give the same bits
+    assert [b1.value(n, a) for n, a in zip(N.ravel(), A.ravel())] \
+        == expected.ravel().tolist()
+    assert np.array_equal(b1.value(N[-1], 0.3), expected[-2])
 
 
 def test_b1_gradient_matches_differences():
@@ -177,9 +201,12 @@ def test_b1_integral_over_distribution():
     dist = StepDistribution(np.array([2.0]), np.array([0.25]))
     b1 = B1(log_bump(2.0), C=2.0)
     assert b1.integral_over(dist, 0.8) == pytest.approx(
-        2.0 * b1.value(0.25, 0.8), rel=1e-12)
-    assert b1.grad_a_integral_over(dist, 0.8) == pytest.approx(
-        2.0 * b1.grad(0.25, 0.8)[1], rel=1e-12)
+        2.0 * b1.value(0.25, 0.8), rel=1e-12, abs=0)
+    # d/dA of the layer-cake integral, summed over the same steps
+    widths, fracs = dist.steps()
+    grad_a = float(np.dot(widths, b1.grad(fracs, np.full_like(fracs, 0.8))[1]))
+    assert grad_a == pytest.approx(
+        2.0 * b1.grad(0.25, 0.8)[1], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +222,18 @@ def test_b2_value_closed_form_quarter():
     u, v, L, A = 0.02, 0.03, 0.01, 0.5
     z = L / (A + 1.0)
     expected = 5.0 * u - L * L / v * 3.0 * z ** (1 / 3)
-    assert b2.value(u, v, L, A) == pytest.approx(expected, rel=1e-12)
+    assert b2.value(u, v, L, A) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("model", [QUARTER,
+                                   loglog_bump(2.0, 0.1).epsilon_model()])
+def test_b2_value_is_cu_where_l_vanishes(model):
+    # W(0) = 0, so the tail term vanishes with L, v = 0 included
+    b2 = B2(model, C=3.0)
+    for u, v, A in [(0.02, 0.03, 0.5), (0.02, 0.0, 0.0), (0.0, 0.0, 1.0)]:
+        assert b2.value(u, v, 0.0, A) == 3.0 * u
+    got = b2.value(np.array([0.02, 0.01]), np.array([0.0, 0.5]), 0.0, 0.5)
+    assert np.array_equal(got, 3.0 * np.array([0.02, 0.01]))
 
 
 @pytest.mark.parametrize("model", [QUARTER, EpsilonModel("power", beta=1 / 3)])
@@ -204,7 +242,7 @@ def test_b2_value_matches_quadrature(model):
     for u, v, L, A in [(0.02, 0.03, 0.01, 0.5), (0.001, 0.9, 0.02, 0.0),
                        (0.5, 0.001, 0.002, 1.0)]:
         assert b2.value(u, v, L, A) == pytest.approx(
-            b2.value_quad(u, v, L, A), rel=1e-9)
+            b2.value_quad(u, v, L, A), rel=1e-9, abs=0)
 
 
 def test_b2_value_matches_quadrature_logpow():
@@ -212,7 +250,7 @@ def test_b2_value_matches_quadrature_logpow():
     b2 = B2(model, C=3.0)
     got = b2.value(0.02, 0.03, 1e-4, 0.5)
     ref = b2.value_quad(0.02, 0.03, 1e-4, 0.5)
-    assert got == pytest.approx(ref, rel=5e-3)
+    assert got == pytest.approx(ref, rel=5e-3, abs=0)
 
 
 def test_b2_gradient_matches_differences():
@@ -246,7 +284,7 @@ def test_b2_hessian_minor_is_g():
         H = b2.hessian(u, v, L, A)
         minor = H[0, 0] * H[1, 1] - H[0, 1] ** 2
         expected = (A + 1.0) ** 2 * float(g_function(model, z)) / v ** 4
-        assert minor == pytest.approx(expected, rel=1e-9)
+        assert minor == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_b2_hessian_determinant_vanishes():
@@ -341,7 +379,8 @@ def test_b2_combined_drop_fails_at_default_delta():
     report = b2_property_check(fam, default_budget(fam), n_points=2000, seed=0)
     expected = 2 ** (-4 / 3) - 7.0 * 2 ** (-1 / 3) * 1e-3 ** 0.25
     assert not report["combined_drop"]["pass"]
-    assert report["combined_drop"]["c"] == pytest.approx(expected, rel=1e-6)
+    assert report["combined_drop"]["c"] == pytest.approx(
+        expected, rel=1e-6, abs=0)
     # the L-derivative floor fails on the same edge
     assert not report["l_derivative"]["pass"]
 
@@ -352,7 +391,8 @@ def test_b2_combined_drop_passes_at_small_delta():
     report = b2_property_check(fam, budget, n_points=2000, seed=0)
     expected = 2 ** (-4 / 3) - 7.0 * 2 ** (-1 / 3) * 1e-5 ** 0.25
     assert report["combined_drop"]["pass"]
-    assert report["combined_drop"]["c"] == pytest.approx(expected, rel=1e-6)
+    assert report["combined_drop"]["c"] == pytest.approx(
+        expected, rel=1e-6, abs=0)
 
 
 def test_b2_property_check_loglog_model():
@@ -376,12 +416,12 @@ def test_b2_property_check_loglog_model():
 def test_t_value_and_gradient():
     u, v, A = 0.25, 0.25, 0.5
     assert t_value(u, v, A) == pytest.approx(
-        100.0 * 0.25 - 0.0625 / 1.5, rel=1e-12)
+        100.0 * 0.25 - 0.0625 / 1.5, rel=1e-12, abs=0)
     gu, gv, gA = t_grad(u, v, A)
     h = 1e-7
     assert gu == pytest.approx((t_value(u + h, v, A) - t_value(u - h, v, A)) / (2 * h),
-                               rel=1e-6)
-    assert gA == pytest.approx(u * v / (A + 1) ** 2, rel=1e-12)
+                               rel=1e-6, abs=0)
+    assert gA == pytest.approx(u * v / (A + 1) ** 2, rel=1e-12, abs=0)
 
 
 def test_t_hessian_matches_fd():
@@ -399,7 +439,7 @@ def test_aux_T_check_passes():
 def test_aux_T_equality_edge():
     # at A = 1 the derivative floor is an equality: T'_A = uv/4
     gA = t_grad(1.0, 2.0, 1.0)[2]
-    assert gA == pytest.approx(2.0 / 4.0, rel=1e-14)
+    assert gA == pytest.approx(2.0 / 4.0, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------

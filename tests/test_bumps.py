@@ -25,16 +25,17 @@ from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
 def test_psi_linear_bump_is_one():
     fam = power_bump(1)
     for s in (0.01, 0.3, 1.0):
-        assert psi_from_phi(fam, s) == pytest.approx(1.0, rel=1e-12)
+        assert psi_from_phi(fam, s) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_psi_quadratic_bump_closed_form():
     fam = power_bump(2)
     for s in (0.005, 0.05, 0.4):
         expect = 2.0 * (2.0 * s) ** (-1 / 3)
-        assert psi_from_phi(fam, s) == pytest.approx(expect, rel=1e-12)
+        assert psi_from_phi(fam, s) == pytest.approx(expect, rel=1e-12, abs=0)
         # the parametric solve is an independent oracle for the closed form
-        assert psi_parametric(fam, s) == pytest.approx(expect, rel=1e-10)
+        assert psi_parametric(fam, s) == pytest.approx(
+            expect, rel=1e-10, abs=0)
 
 
 def test_psi_log_bump_asymptotics():
@@ -57,7 +58,8 @@ def test_psi_domain_error():
 def test_psi_custom_table_matches_quadratic():
     t = np.geomspace(1.0, 1e12, 600)
     fam = BumpFamily("custom", phi_table=np.column_stack([t, t ** 2]))
-    assert psi_from_phi(fam, 0.01) == pytest.approx(2.0 * 0.02 ** (-1 / 3), rel=1e-6)
+    assert psi_from_phi(fam, 0.01) == pytest.approx(
+        2.0 * 0.02 ** (-1 / 3), rel=1e-6, abs=0)
 
 
 def test_psi_monotone_and_s_psi_increasing():
@@ -92,8 +94,9 @@ def test_integrability_phi_log_bump():
     # antiderivative of 1/(t (c+log t)^2) is -1/(c+log t): value 1/c exactly
     res = integrability_phi(log_bump(1.0))
     assert res["verdict"] == "finite"
-    assert res["value"] == pytest.approx(0.5, rel=1e-8)
-    assert res["tail"] == pytest.approx(1.0 / (2.0 + math.log(1e6)), rel=1e-12)
+    assert res["value"] == pytest.approx(0.5, rel=1e-8, abs=0)
+    assert res["tail"] == pytest.approx(
+        1.0 / (2.0 + math.log(1e6)), rel=1e-12, abs=0)
 
 
 def test_integrability_phi_loglog_finite():
@@ -128,7 +131,7 @@ def test_quad_exact_for_polynomials_on_one_panel():
 def test_quad_exponential_over_half_line():
     # x = e^s: int_0^inf e^-x dx = int e^(s - e^s) ds, negligible outside
     value, error = quad(lambda s: np.exp(s - np.exp(s)), -40.0, 5.0)
-    assert value == pytest.approx(1.0, rel=1e-13)
+    assert value == pytest.approx(1.0, rel=1e-13, abs=0)
     assert error <= 1e-13
 
 
@@ -139,7 +142,7 @@ def test_quad_integrable_singularity(z):
         r = np.exp(s)
         return (z * np.exp(-r)) ** (1.0 / 3.0) * r
     value, _ = quad(body, -40.0, 8.0)
-    assert value == pytest.approx(3.0 * z ** (1.0 / 3.0), rel=1e-13)
+    assert value == pytest.approx(3.0 * z ** (1.0 / 3.0), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("f, a, b, exact", [
@@ -158,7 +161,7 @@ def test_quad_error_bounds_true_error(f, a, b, exact):
 def test_epsilon_integrability_power():
     res = epsilon_integrability(log_bump(1.0))  # eps(t) = t^{-1/4}
     assert res["verdict"] == "finite"
-    assert res["value"] == pytest.approx(4.0 * 2.0 ** -0.25, rel=1e-12)
+    assert res["value"] == pytest.approx(4.0 * 2.0 ** -0.25, rel=1e-12, abs=0)
 
 
 def test_epsilon_integrability_logpow_threshold():
@@ -180,17 +183,20 @@ def test_epsilon_integrability_constant_infinite():
 
 def test_norm_def_linear_is_average():
     w = LeafWeight(2, [4.0, 2.0, 1.0, 1.0])
-    assert orlicz_norm_def(w, ROOT, power_bump(1)) == pytest.approx(2.0, rel=1e-10)
+    assert orlicz_norm_def(w, ROOT, power_bump(1)) == pytest.approx(
+        2.0, rel=1e-10, abs=0)
 
 
 def test_norm_def_power_constant():
     w = LeafWeight.constant(3, 3.0)
-    assert orlicz_norm_def(w, ROOT, power_bump(3)) == pytest.approx(3.0, rel=1e-10)
+    assert orlicz_norm_def(w, ROOT, power_bump(3)) == pytest.approx(
+        3.0, rel=1e-10, abs=0)
 
 
 def test_norm_def_quadratic_two_leaf():
     w = LeafWeight(1, [2.0, 0.0])
-    assert orlicz_norm_def(w, ROOT, power_bump(2)) == pytest.approx(math.sqrt(2), rel=1e-10)
+    assert orlicz_norm_def(w, ROOT, power_bump(2)) == pytest.approx(
+        math.sqrt(2), rel=1e-10, abs=0)
 
 
 def test_norm_def_zero_weight():
@@ -286,7 +292,8 @@ def test_norm_def_homogeneous(c):
     w = LeafWeight(2, [4.0, 2.0, 1.0, 0.5])
     fam = log_bump(1.0)
     base = orlicz_norm_def(w, ROOT, fam)
-    assert orlicz_norm_def(w.scaled(c), ROOT, fam) == pytest.approx(c * base, rel=1e-10)
+    assert orlicz_norm_def(w.scaled(c), ROOT, fam) == pytest.approx(
+        c * base, rel=1e-10, abs=0)
 
 
 def test_norm_def_monotone():
@@ -331,7 +338,7 @@ def test_self_improvement_scale_invariant():
     w = LeafWeight(3, [8, 1, 1, 1, 0.5, 0.5, 0.5, 0.5])
     r1 = self_improvement_check(w, ROOT, fam)["ratio"]
     r2 = self_improvement_check(w.scaled(7.0), ROOT, fam)["ratio"]
-    assert r1 == pytest.approx(r2, rel=1e-9)
+    assert r1 == pytest.approx(r2, rel=1e-9, abs=0)
 
 
 def test_self_improvement_bounded_over_sweep():
@@ -394,8 +401,9 @@ def test_phi_identity_for_constant_eps():
 
 def test_phi_power_closed_form():
     model = log_bump(1.0).epsilon_model()  # beta = 1/4
-    assert model.phi(0.2) == pytest.approx(0.2 ** 0.75, rel=1e-14)
-    assert model.inverse(0.01) == pytest.approx(0.01 ** (4 / 3), rel=1e-14)
+    assert model.phi(0.2) == pytest.approx(0.2 ** 0.75, rel=1e-14, abs=0)
+    assert model.inverse(0.01) == pytest.approx(
+        0.01 ** (4 / 3), rel=1e-14, abs=0)
 
 
 def test_phi_loglog_roundtrip():
@@ -409,9 +417,10 @@ def test_inverse_range_cap():
     assert EpsilonModel("power", beta=0.25).z_cap == math.inf
     assert EpsilonModel("const").z_cap == math.inf
     model = loglog_bump(2.0, 0.1).epsilon_model()
-    assert model.z_cap == pytest.approx(0.95 * model.phi(model.x_max), rel=1e-15)
+    assert model.z_cap == pytest.approx(
+        0.95 * model.phi(model.x_max), rel=1e-15, abs=0)
     assert model.phi(model.inverse(model.z_cap)) == pytest.approx(model.z_cap,
-                                                                  rel=1e-12)
+                                                                  rel=1e-12, abs=0)
 
 
 def test_epsilon_model_json_holds_used_parameters():
@@ -446,19 +455,21 @@ def test_phi_inverse_domain_error():
 def test_tail_mass_power_closed_vs_quad():
     model = log_bump(1.0).epsilon_model()
     for z in (0.01, 0.3, 2.0):
-        assert model.tail_mass(z) == pytest.approx(model.tail_mass_quad(z), rel=1e-8)
+        assert model.tail_mass(z) == pytest.approx(
+            model.tail_mass_quad(z), rel=1e-8, abs=0)
 
 
 def test_tail_mass_power_explicit():
     # beta = 1/4: W(z) = 3 z^{1/3}
     model = EpsilonModel("power", beta=0.25)
-    assert model.tail_mass(0.008) == pytest.approx(3.0 * 0.2, rel=1e-14)
+    assert model.tail_mass(0.008) == pytest.approx(3.0 * 0.2, rel=1e-14, abs=0)
 
 
 def test_tail_mass_logpow_closed_vs_quad():
     model = loglog_bump(2.0, 0.1).epsilon_model()
     for z in np.geomspace(1e-10, 0.35, 12):
-        assert model.tail_mass(z) == pytest.approx(model.tail_mass_quad(z), rel=5e-3)
+        assert model.tail_mass(z) == pytest.approx(
+            model.tail_mass_quad(z), rel=5e-3, abs=0)
 
 
 @pytest.mark.parametrize("model", [
@@ -509,7 +520,7 @@ def test_tail_mass_logpow_coefficient_scaling(model, z):
     unit = EpsilonModel("logpow", kappa=model.kappa)
     c = model.coeff
     assert model.tail_mass(z) == pytest.approx(c * unit.tail_mass(c * z),
-                                               rel=1e-12)
+                                               rel=1e-12, abs=0)
 
 
 LOGPOW_MODELS = [loglog_bump(2.0, 0.1).epsilon_model(),
@@ -572,7 +583,7 @@ def test_tail_mass_divergent_cases():
         loglog_bump(2.0, 0.1).epsilon_model().curv_counterpart().tail_mass(0.1)
     # truncated version stays defined
     assert EpsilonModel("const").truncated_tail_mass(1.0, 1e-3) == pytest.approx(
-        math.log(1e3), rel=1e-12)
+        math.log(1e3), rel=1e-12, abs=0)
 
 
 def test_curv_translate_power_fixed_point():

@@ -107,7 +107,8 @@ def test_midpoint_recursion_exact(w):
 
 def test_refine_and_coarsen_roundtrip():
     w = LeafWeight(2, [4.0, 2.0, 1.0, 1.0])
-    fine = w.refined(3)
+    # the same step function on a grid three levels finer
+    fine = LeafWeight(5, np.repeat(w.values, 8))
     assert fine.depth == 5
     assert fine.average(DyadicIndex(1, 0)) == 3.0
     assert fine.coarsened(2) == w
@@ -234,6 +235,81 @@ def test_distribution_validation():
         StepDistribution([1.0, 0.5], [1.0, 0.5])
     with pytest.raises(ValueError):
         StepDistribution([0.5, 1.0], [0.5, 1.0])
+    # a repeated infinite threshold is not strictly increasing either
+    with pytest.raises(ValueError):
+        StepDistribution([1.0, np.inf, np.inf], [1.0, 0.5, 0.25])
+
+
+# leaves from a small pool, so zero leaves, ties, subnormals and all-zero
+# intervals are common
+LEAF_POOL = (0.0, 5e-324, 2.225073858507e-311, 1e-300, 0.25, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def weight_and_index(draw):
+    depth = draw(st.integers(0, 5))
+    values = draw(st.lists(st.sampled_from(LEAF_POOL) | st.floats(0.0, 8.0),
+                           min_size=2 ** depth, max_size=2 ** depth))
+    level = draw(st.integers(0, depth))
+    pos = draw(st.integers(0, 2 ** level - 1))
+    return LeafWeight(depth, values), DyadicIndex(level, pos)
+
+
+@given(weight_and_index())
+@settings(max_examples=200, deadline=None)
+@example((LeafWeight(2, [0.0, 0.0, 5e-324, 5e-324]), DyadicIndex(1, 0)))
+@example((LeafWeight(2, [0.0, 5e-324, 5e-324, 1.0]), ROOT))
+def test_distribution_of_matches_unique(case):
+    w, idx = case
+    lo, hi = idx.leaf_range(w.depth)
+    vals = w.values[lo:hi]
+    pos = np.sort(vals[vals > 0])
+    uniq, first = np.unique(pos, return_index=True)
+    dist = StepDistribution.of(w, idx)
+    assert np.array_equal(dist.thresholds, uniq)
+    assert np.array_equal(dist.fractions, (pos.size - first) / vals.size)
+
+
+def _rejected_by_diff_checks(t, n):
+    """StepDistribution's input checks written with np.diff and np.any."""
+    t = np.asarray(t, dtype=float)
+    n = np.asarray(n, dtype=float)
+    return bool(t.shape != n.shape
+                or (t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0))
+                or np.any(np.diff(n) > 0)
+                or (n.size and (n[0] > 1 or n[-1] < 0)))
+
+
+FINITE = st.sampled_from((0.0, -0.0, 5e-324, 0.5, 1.0)) | st.floats(
+    -2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def distribution_inputs(draw):
+    """(thresholds, fractions), sorted the valid way in most draws, so that
+    valid inputs, and inputs one tie, sign or length away from valid, are
+    all common."""
+    size = draw(st.integers(0, 4))
+    t = draw(st.lists(st.floats(0.0, 2.0) | FINITE, min_size=size,
+                      max_size=size))
+    n = draw(st.lists(st.floats(0.0, 1.0) | FINITE, min_size=size,
+                      max_size=size))
+    if draw(st.integers(0, 3)):
+        t, n = sorted(t), sorted(n, reverse=True)
+    if not draw(st.integers(0, 9)):
+        n = n + [0.0]
+    return t, n
+
+
+@given(distribution_inputs())
+@settings(max_examples=300, deadline=None)
+def test_distribution_rejects_what_diff_checks_rejected(inputs):
+    t, n = inputs
+    if _rejected_by_diff_checks(t, n):
+        with pytest.raises(ValueError):
+            StepDistribution(t, n)
+    else:
+        StepDistribution(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +333,8 @@ def test_intensity_root_only():
 def test_intensity_direct_sum():
     entries = [(ROOT, 1 / 3), (DyadicIndex(1, 0), 1 / 3), (DyadicIndex(1, 1), 1 / 3)]
     seq = CarlesonSequence.from_entries(1, entries)
-    assert seq.intensity_levels()[0][0] == pytest.approx(2 / 3, rel=1e-15)
+    assert seq.intensity_levels()[0][0] == pytest.approx(
+        2 / 3, rel=1e-15, abs=0)
 
 
 def test_intensity_matches_double_sum():
@@ -272,7 +349,7 @@ def test_intensity_matches_double_sum():
             for k in range(depth + 1) for j in range(2 ** k)
             if node.contains(DyadicIndex(k, j))) / node.length
         assert seq.intensity_levels()[level][pos] == pytest.approx(brute,
-                                                                  rel=1e-12)
+                                                                  rel=1e-12, abs=0)
 
 
 def test_l_intensity_trivial_cases():
@@ -297,7 +374,8 @@ def test_l_intensity_matches_double_sum():
             * 2.0 ** -k
             for k in range(depth + 1) for j in range(2 ** k)
             if node.contains(DyadicIndex(k, j))) / node.length
-        assert L_intensity(u, v, seq, node) == pytest.approx(brute, rel=1e-12)
+        assert L_intensity(u, v, seq, node) == pytest.approx(
+            brute, rel=1e-12, abs=0)
 
 
 @given(st.integers(0, 10 ** 6))

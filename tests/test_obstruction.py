@@ -39,10 +39,10 @@ class TestBandWeight:
         w = u.to_leaf_weight()
         for m in range(6):
             assert u.prefix_average(m) == pytest.approx(
-                w.average(DyadicIndex(m, 0)), rel=1e-14)
+                w.average(DyadicIndex(m, 0)), rel=1e-14, abs=0)
         for k in range(5):
             assert u.band_average(k) == pytest.approx(
-                w.average(DyadicIndex(k + 1, 1)), rel=1e-14)
+                w.average(DyadicIndex(k + 1, 1)), rel=1e-14, abs=0)
 
     def test_average_matches_leaf_on_every_interval(self):
         # every dyadic interval down to the depth is a prefix or lies
@@ -53,7 +53,7 @@ class TestBandWeight:
         assert len(intervals) == 63
         for index in intervals:
             assert u.average(index) == pytest.approx(w.average(index),
-                                                     rel=1e-14)
+                                                     rel=1e-14, abs=0)
         with pytest.raises(ValueError):
             u.average(DyadicIndex(6, 3))
 
@@ -82,7 +82,7 @@ class TestBandWeight:
         m_band = BandWeight(6, bands, last).to_leaf_weight()
         np.testing.assert_allclose(m_band.values, m_leaf.values, rtol=1e-14)
         assert maximal_integral(u) == pytest.approx(m_leaf.integral(),
-                                                    rel=1e-14)
+                                                    rel=1e-14, abs=0)
 
     def test_maximal_cutoff_is_a_suffix(self):
         u = build_u(8)
@@ -169,7 +169,7 @@ class TestCompanionWeight:
         v_pre = built["v_pre"]
         for _, mem in h.all_members():
             assert u.average(mem) * v_pre.average(mem) == pytest.approx(
-                1.0, rel=1e-12)
+                1.0, rel=1e-12, abs=0)
 
     def test_solved_constants_in_range(self):
         u = build_u(25)

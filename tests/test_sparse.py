@@ -2,15 +2,17 @@
 (glav) recursion, and the Green's-formula induction."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dyadicbump.bumps import log_bump, power_bump
-from dyadicbump.bellman import default_budget, DataIntegrityError
+from dyadicbump.bellman import (B1, B2, BellmanNode, DataIntegrityError,
+                                default_budget, master_bellman_eval)
 from dyadicbump.dyadic import (CarlesonSequence, DyadicIndex, LeafWeight,
-                               ROOT, l_intensity_levels)
+                               ROOT, StepDistribution, l_intensity_levels)
 from dyadicbump.sparse import (
     SparseOperator, apply_sparse, bump_condition, glav_brute, glav_check,
     glav_levels, glav_sup, green_induction, load_instance, normalize_to_bump,
@@ -208,9 +210,9 @@ def test_bump_constant_weights_power_family():
     one = LeafWeight.constant(2, 1.0)
     rep = bump_condition(one, one, power_bump(2.0))
     # ||1||_{Phi} = 1 for any normalized Phi with Phi(1) = 1
-    assert rep["B_uv_left"] == pytest.approx(1.0, rel=1e-10)
-    assert rep["B_uv_right"] == pytest.approx(1.0, rel=1e-10)
-    assert rep["A2"] == pytest.approx(1.0, rel=1e-12)
+    assert rep["B_uv_left"] == pytest.approx(1.0, rel=1e-10, abs=0)
+    assert rep["B_uv_right"] == pytest.approx(1.0, rel=1e-10, abs=0)
+    assert rep["A2"] == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_bump_disjoint_supports():
@@ -218,7 +220,7 @@ def test_bump_disjoint_supports():
     v = LeafWeight(1, [0.0, 2.0])
     rep = bump_condition(u, v, power_bump(2.0))
     # only the root sees both: <u> = <v> = 1 there, leaves give 0
-    assert rep["A2"] == pytest.approx(1.0, rel=1e-12)
+    assert rep["A2"] == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_bump_scaling_homogeneity():
@@ -227,8 +229,9 @@ def test_bump_scaling_homogeneity():
     v = LeafWeight(3, rng.uniform(0.1, 1, 8))
     base = bump_condition(u, v, FAM)
     scaled = bump_condition(u.scaled(3.0), v, FAM)
-    assert scaled["B_uv_left"] == pytest.approx(3.0 * base["B_uv_left"], rel=1e-9)
-    assert scaled["A2"] == pytest.approx(3.0 * base["A2"], rel=1e-12)
+    assert scaled["B_uv_left"] == pytest.approx(
+        3.0 * base["B_uv_left"], rel=1e-9, abs=0)
+    assert scaled["A2"] == pytest.approx(3.0 * base["A2"], rel=1e-12, abs=0)
 
 
 def test_normalize_to_bump_and_omega2():
@@ -237,7 +240,8 @@ def test_normalize_to_bump_and_omega2():
     v = LeafWeight(4, rng.uniform(0.1, 2, 16))
     u2, v2, s = normalize_to_bump(u, v, FAM, 0.01)
     rep = bump_condition(u2, v2, FAM)
-    assert max(rep["B_uv_left"], rep["B_uv_right"]) == pytest.approx(0.01, rel=1e-8)
+    assert max(rep["B_uv_left"], rep["B_uv_right"]) == pytest.approx(
+        0.01, rel=1e-8, abs=0)
     u3, v3, _ = normalize_to_omega2(u2, v2, 1e-3)
     worst = max(float(np.max(u3.node_averages(k) * v3.node_averages(k)))
                 for k in range(5))
@@ -322,7 +326,7 @@ def test_glav_ratio_scale_invariance():
     # the glav ratio G_I/u_I has degree (1, 1) in (u, v) jointly: scaling u
     # by t multiplies it by t (L is bilinear), scaling v by t likewise
     r2 = glav_check(u.scaled(2.0), v, T, FAM)["sup_ratio"]
-    assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
+    assert r2 == pytest.approx(2.0 * r1, rel=1e-12, abs=0)
 
 
 def test_glav_check_is_sup_plus_bump_constants():
@@ -418,6 +422,171 @@ def test_green_reports_omega2_exclusions():
     assert rep["divergent_nodes"] == []
 
 
+# A per-node induction: one BellmanNode per dyadic index and a Python
+# exclusion and drop loop over the nodes.  Its report is the oracle for
+# green_induction's per-level bookkeeping, byte for byte as JSON.
+
+def _tree_nodes_oracle(u, v, T):
+    A = T.coeffs.intensity_levels()
+    L = l_intensity_levels(u, v, T.coeffs)
+    nodes = []
+    for k in range(T.depth + 1):
+        row = []
+        for pos in range(2 ** k):
+            idx = DyadicIndex(k, pos)
+            row.append(BellmanNode(u.average(idx), v.average(idx),
+                                   float(L[k][pos]), float(A[k][pos]),
+                                   StepDistribution.of(u, idx)))
+        nodes.append(row)
+    return nodes
+
+
+def _green_oracle(u, v, T, family, budget):
+    b1 = B1(family, budget.c1)
+    b2 = B2(family.b2_model(), budget.c2)
+    nodes = _tree_nodes_oracle(u, v, T)
+    values = [np.array([master_bellman_eval(n, b1, b2) for n in row])
+              for row in nodes]
+    lengths = [2.0 ** (-k) for k in range(T.depth + 1)]
+    divergent = [{"level": k, "pos": int(p)}
+                 for k, row in enumerate(values)
+                 for p in np.nonzero(~np.isfinite(row))[0]]
+    if divergent:
+        return {"telescoping_residual": math.inf, "telescoping_pass": False,
+                "min_drop_constant": None, "min_drop_at": None,
+                "drop_nodes": 0, "excluded_nodes": [],
+                "divergent_nodes": divergent, "glav_sum": None,
+                "u_root": nodes[0][0].u, "chain_holds": False, "pass": False}
+    deltas = []
+    drop_stats = []
+    excluded = []
+    for k in range(T.depth):
+        d = lengths[k] * values[k] \
+            - lengths[k + 1] * (values[k + 1][0::2] + values[k + 1][1::2])
+        deltas.append(d)
+        for pos in range(2 ** k):
+            n = nodes[k][pos]
+            uv = n.u * n.v
+            if uv > budget.delta * (1 + 1e-12) \
+                    or n.L > budget.P * math.sqrt(uv) * (1 + 1e-12):
+                excluded.append({"level": k, "pos": pos, "uv": uv, "L": n.L})
+                continue
+            required = lengths[k] * T.coeffs.levels[k][pos] * n.u * n.L
+            if required > 0:
+                drop_stats.append(((k, pos), float(d[pos]) / required))
+    lhs = values[0][0]
+    bottom = lengths[T.depth] * float(values[T.depth].sum())
+    rhs = bottom + float(sum(d.sum() for d in deltas))
+    residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    min_c, min_at = math.inf, None
+    for at, c in drop_stats:
+        if c < min_c:
+            min_c, min_at = c, at
+    glav_sum = float(glav_levels(u, v, T)[0][0])
+    u_root = nodes[0][0].u
+    chain_holds = (not drop_stats or min_c <= 0 or glav_sum <= 0
+                   or (budget.c1 + budget.c2) * u_root
+                   >= min_c * glav_sum * (1 - 1e-12))
+    return {
+        "telescoping_residual": residual,
+        "telescoping_pass": bool(residual <= 1e-10),
+        "min_drop_constant": None if not drop_stats else min_c,
+        "min_drop_at": min_at,
+        "drop_nodes": len(drop_stats),
+        "excluded_nodes": excluded,
+        "divergent_nodes": [],
+        "glav_sum": glav_sum,
+        "u_root": u_root,
+        "chain_holds": bool(chain_holds),
+        "pass": bool(residual <= 1e-10
+                     and (not drop_stats or min_c > 0)
+                     and chain_holds
+                     and not excluded),
+    }
+
+
+def _assert_green_matches_oracle(u, v, T, family, budget):
+    rep = green_induction(u, v, T, family, budget)
+    assert json.dumps(rep) == json.dumps(_green_oracle(u, v, T, family,
+                                                       budget))
+    return rep
+
+
+@pytest.mark.parametrize("family", [FAM, power_bump(2.0)], ids=repr)
+@pytest.mark.parametrize("depth", range(9))
+def test_green_matches_per_node_oracle_random(family, depth):
+    budget = default_budget(family)
+    for seed in range(2):
+        inst = random_instance(depth, seed, family=family, bump_target=0.01,
+                               omega2_delta=budget.delta)
+        _assert_green_matches_oracle(inst["u"], inst["v"], inst["T"],
+                                     family, budget)
+
+
+def test_green_matches_oracle_partial_omega2_exclusion():
+    # uv = 0.02 > delta on the left half, 2e-4 on the right: the root and
+    # the left subtree are excluded, the right subtree is not, so the order
+    # of excluded_nodes is checked
+    budget = default_budget(FAM)
+    depth = 3
+    u = LeafWeight(depth, [1.0] * 4 + [0.01] * 4)
+    v = LeafWeight.constant(depth, 0.02)
+    seq = CarlesonSequence(depth, [np.full(2 ** k, 0.1)
+                                   for k in range(depth + 1)])
+    rep = _assert_green_matches_oracle(u, v, SparseOperator(seq), FAM, budget)
+    assert [(e["level"], e["pos"]) for e in rep["excluded_nodes"]] \
+        == [(0, 0), (1, 0), (2, 0), (2, 1)]
+    assert rep["drop_nodes"] == 3
+
+
+def test_green_matches_oracle_on_the_omega2_slack():
+    # uv overshoots delta by less than its 1e-12 relative slack: inside
+    budget = default_budget(FAM)
+    u = LeafWeight.constant(2, 0.02)
+    v = LeafWeight.constant(2, 0.05 * (1 + 5e-13))
+    assert 0.02 * v.average() > budget.delta
+    seq = CarlesonSequence(2, [np.full(2 ** k, 0.1) for k in range(3)])
+    rep = _assert_green_matches_oracle(u, v, SparseOperator(seq), FAM, budget)
+    assert rep["excluded_nodes"] == [] and rep["drop_nodes"] == 3
+
+
+def test_green_matches_oracle_divergent():
+    budget = default_budget(FAM)
+    seq = CarlesonSequence.from_entries(2, [(ROOT, 0.5)])
+    u = LeafWeight.constant(2, 0.02)
+    v = LeafWeight.constant(2, 0.02)
+    rep = _assert_green_matches_oracle(u, v, SparseOperator(seq), FAM,
+                                       budget)
+    assert len(rep["divergent_nodes"]) == 6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_green_matches_oracle_zero_and_tied_leaves(seed):
+    budget = default_budget(FAM)
+    inst = random_instance(6, seed, family=FAM, bump_target=0.01,
+                           omega2_delta=budget.delta)
+    values = inst["u"].values.copy()
+    values[::3] = 0.0               # zero leaves, an all-zero node or two
+    values[1::4] = values[2::4]     # ties inside a node
+    values[:8] = 0.0
+    u = LeafWeight(6, values)
+    _assert_green_matches_oracle(u, inst["v"], inst["T"], FAM, budget)
+
+
+def test_green_matches_oracle_first_of_equal_ratios_wins():
+    # mirror-image halves give the two level-1 nodes bit-equal drop ratios,
+    # and a = 0 at the root keeps it out of the statistic
+    budget = default_budget(FAM)
+    u = LeafWeight(2, [0.02, 0.03, 0.02, 0.03])
+    v = LeafWeight.constant(2, 0.02)
+    seq = CarlesonSequence(2, [np.zeros(1), np.full(2, 0.1),
+                               np.full(4, 0.1)])
+    rep = _assert_green_matches_oracle(u, v, SparseOperator(seq), FAM,
+                                       budget)
+    assert rep["drop_nodes"] == 2
+    assert rep["min_drop_at"] == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # vavo_L_bound
 # ---------------------------------------------------------------------------
@@ -434,7 +603,7 @@ def test_vavo_root_only():
     one = LeafWeight.constant(2, 1.0)
     rep = vavo_L_bound(one, one, SparseOperator(seq))
     # L_root = 1 against P sqrt(uv) = 100
-    assert rep["worst_ratio"] == pytest.approx(0.01, rel=1e-12)
+    assert rep["worst_ratio"] == pytest.approx(0.01, rel=1e-12, abs=0)
     assert rep["pass"] and not rep["conditional"]
 
 

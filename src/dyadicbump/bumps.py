@@ -374,14 +374,14 @@ class BumpFamily:
     """A bump Phi with its companion Psi, gap function eps and weaker twin.
 
     Tags: "power" (Phi = t^p), "log" (Phi ~ t log^{1+sigma} t),
-    "loglog" (Phi ~ t log t (loglog t)^{1+sigma}), "custom" (tabulated Phi).
+    "loglog" (Phi ~ t log t (loglog t)^{1+sigma}); each has closed forms for
+    Phi, Phi', Psi, J and x Psi'/Psi.
     """
 
     # the parameters each tag takes, in serialization order
-    PARAMS = {"power": ("p",), "log": ("sigma",), "loglog": ("sigma", "delta"),
-              "custom": ("phi_table",)}
+    PARAMS = {"power": ("p",), "log": ("sigma",), "loglog": ("sigma", "delta")}
 
-    def __init__(self, tag, *, p=None, sigma=None, delta=None, phi_table=None):
+    def __init__(self, tag, *, p=None, sigma=None, delta=None):
         self.tag = tag
         self._psi_one = None  # Psi(1), set by the first call to j
         if tag == "power":
@@ -399,19 +399,12 @@ class BumpFamily:
             self.delta = 0.1 if delta is None else float(delta)
             if not 0 < self.delta < 1:
                 raise ValueError("loglog bump needs delta in (0, 1)")
-        elif tag == "custom":
-            table = np.asarray(phi_table, dtype=float)
-            if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 4:
-                raise ValueError("custom bump needs a (t, Phi) table, >= 4 rows")
-            if np.any(np.diff(table[:, 0]) <= 0) or np.any(np.diff(table[:, 1]) <= 0):
-                raise ValueError("custom phi table must be strictly increasing")
-            self.phi_table = table
         else:
             raise ValueError(f"unknown bump tag {tag!r}")
 
     def __repr__(self):
         params = "".join(f", {k}={v}" for k, v in self.to_json().items()
-                         if k not in ("tag", "phi_table"))
+                         if k != "tag")
         return f"BumpFamily({self.tag}{params})"
 
     # -- Phi and Phi' ----------------------------------------------------------
@@ -423,12 +416,8 @@ class BumpFamily:
         if self.tag == "log":
             c = 1.0 + self.sigma
             return t * (c + np.log(np.maximum(t, 1.0))) ** c
-        if self.tag == "loglog":
-            ell = math.e ** (1.0 + self.sigma) + np.log(np.maximum(t, 1.0))
-            return t * ell * np.log(ell) ** (1.0 + self.sigma)
-        logt = np.log(np.maximum(t, self.phi_table[0, 0]))
-        return np.exp(np.interp(logt, np.log(self.phi_table[:, 0]),
-                                np.log(self.phi_table[:, 1])))
+        ell = math.e ** (1.0 + self.sigma) + np.log(np.maximum(t, 1.0))
+        return t * ell * np.log(ell) ** (1.0 + self.sigma)
 
     def phi_prime(self, t):
         t = np.asarray(t, dtype=float)
@@ -438,15 +427,12 @@ class BumpFamily:
             c = 1.0 + self.sigma
             ell = c + np.log(np.maximum(t, 1.0))
             return np.where(t >= 1.0, ell ** (c - 1.0) * (ell + c), c ** c)
-        if self.tag == "loglog":
-            e0 = math.e ** (1.0 + self.sigma)
-            ell = e0 + np.log(np.maximum(t, 1.0))
-            lg = np.log(ell)
-            base = ell * lg ** (1.0 + self.sigma)
-            bump = lg ** (1.0 + self.sigma) + (1.0 + self.sigma) * lg ** self.sigma
-            return np.where(t >= 1.0, base + bump, e0 * math.log(e0) ** (1.0 + self.sigma))
-        h = 1e-6
-        return (self.phi(t * (1 + h)) - self.phi(t * (1 - h))) / (2 * h * t)
+        e0 = math.e ** (1.0 + self.sigma)
+        ell = e0 + np.log(np.maximum(t, 1.0))
+        lg = np.log(ell)
+        base = ell * lg ** (1.0 + self.sigma)
+        bump = lg ** (1.0 + self.sigma) + (1.0 + self.sigma) * lg ** self.sigma
+        return np.where(t >= 1.0, base + bump, e0 * math.log(e0) ** (1.0 + self.sigma))
 
     # -- Psi (closed forms; frozen at the s = 1 value beyond 1) ----------------
 
@@ -463,23 +449,16 @@ class BumpFamily:
         if self.tag == "log":
             c = 1.0 + self.sigma
             return (c + np.log(1.0 / sc)) ** c
-        if self.tag == "loglog":
-            ell = math.e ** (1.0 + self.sigma) + np.log(1.0 / sc)
-            return ell * np.log(ell) ** (1.0 + self.sigma)
-        scalar = s.ndim == 0
-        out = np.array([psi_from_phi(self, float(x)) for x in np.atleast_1d(sc)])
-        return float(out[0]) if scalar else out
+        ell = math.e ** (1.0 + self.sigma) + np.log(1.0 / sc)
+        return ell * np.log(ell) ** (1.0 + self.sigma)
 
     def j(self, x):
-        """J(x) = integral_0^x ds / (s Psi(s)) by closed-form antiderivative
-        (quadrature for custom Phi).  Psi is constant beyond s = 1, so J
-        grows logarithmically there."""
+        """J(x) = integral_0^x ds / (s Psi(s)) by closed-form antiderivative.
+        Psi is constant beyond s = 1, so J grows logarithmically there."""
         x = np.asarray(x, dtype=float)
         if (x < 0).any():
             raise ValueError("J is defined for x >= 0")
         if self._psi_one is None:
-            # Psi(1) first: a tabulated Phi can fail there, before any
-            # quadrature
             self._psi_one = float(self.psi(1.0))
         xc = np.minimum(np.maximum(x, 1e-300), 1.0)
         # zero for x <= 1, so adding it changes nothing there
@@ -493,21 +472,11 @@ class BumpFamily:
         elif self.tag == "log":
             k = self.sigma
             inner = ((1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
-        elif self.tag == "loglog":
+        else:
             k = self.sigma
             inner = np.log(math.e ** (1.0 + k) + np.log(1.0 / xc)) ** (-k) / k
-        else:
-            inner = np.vectorize(self._j_quad)(xc)
         out = inner + beyond
         return out if out.ndim else float(out)
-
-    def _j_quad(self, x):
-        # custom families only: J with the lower limit floored at s = 1e-12,
-        # the omitted piece being below quadrature accuracy whenever the
-        # table's Psi grows fast enough for J to be useful at all
-        body, _ = quad(lambda r: 1.0 / self.psi(np.exp(-r)),
-                       math.log(1.0 / x), math.log(1e12))
-        return body
 
     def psi_logderiv(self, x):
         """x Psi'(x) / Psi(x), zero on the constant branch x > 1."""
@@ -518,14 +487,10 @@ class BumpFamily:
         elif self.tag == "log":
             k = self.sigma
             inner = -(1.0 + k) / ((1.0 + k) + np.log(1.0 / xc))
-        elif self.tag == "loglog":
+        else:
             k = self.sigma
             big = math.e ** (1.0 + k) + np.log(1.0 / xc)
             inner = -(1.0 + (1.0 + k) / np.log(big)) / big
-        else:
-            h = 1e-6
-            inner = (np.log(self.psi(xc * (1 + h))) -
-                     np.log(self.psi(xc * (1 - h)))) / (2 * h)
         out = np.where(x > 1.0, 0.0, inner)
         return out if out.ndim else float(out)
 
@@ -561,8 +526,9 @@ class BumpFamily:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"tag": self.tag, **{k: np.asarray(getattr(self, k)).tolist()
-                                    for k in self.PARAMS[self.tag]}}
+        """The tag and the parameters that tag takes."""
+        return {"tag": self.tag,
+                **{k: getattr(self, k) for k in self.PARAMS[self.tag]}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BumpFamily":
@@ -589,56 +555,12 @@ def power_bump(p: float) -> BumpFamily:
 
 
 # ---------------------------------------------------------------------------
-# The parametric construction of Psi and integrability verdicts
+# Integrability verdicts
 # ---------------------------------------------------------------------------
-
-def psi_from_phi(family: BumpFamily, s: float) -> float:
-    """Psi(s) for s in the parametric range: the catalog closed form when one
-    exists (exact for power tags, same asymptotic class for log tags), the
-    parametric solve for tabulated Phi."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if family.tag != "custom":
-        s_cut = 1.0 / (float(family.phi(1.0)) * float(family.phi_prime(1.0)))
-        if s > s_cut * (1 + 1e-12):
-            raise ValueError(f"s={s:.3e} outside parametric range (0, {s_cut:.3e}]")
-        return float(family.psi(s))
-    return psi_parametric(family, s)
-
-
-def psi_parametric(family: BumpFamily, s: float) -> float:
-    """Solve s = 1/(Phi(t) Phi'(t)) for t >= 1 and return Phi'(t)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    def h(t):
-        return float(family.phi(t)) * float(family.phi_prime(t))
-    s_cut = 1.0 / h(1.0)
-    if s > s_cut * (1 + 1e-12):
-        raise ValueError(f"s={s:.3e} outside parametric range (0, {s_cut:.3e}]")
-    target = 1.0 / s
-    lo, hi = 1.0, 2.0
-    for _ in range(2000):
-        if h(hi) >= target:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise ValueError("parametric map failed to bracket (Phi not convex?)")
-    if h(lo) > h(hi):
-        raise ValueError("parametric map is not monotone for this Phi")
-    for _ in range(BISECT_MAXITER):
-        mid = math.sqrt(lo * hi)
-        if h(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return float(family.phi_prime(math.sqrt(lo * hi)))
-
 
 def integrability_phi(family: BumpFamily) -> dict:
     """Verdict for integral_1^infinity dt / Phi(t), with a certified analytic
-    tail for catalog tags beyond t_cut = 1e6 and quadrature on the body."""
+    tail beyond t_cut = 1e6 and quadrature on the body."""
     t_cut = 1e6
     # in u = log t the body is int e^u / Phi(e^u) du
     body, _ = quad(lambda u: np.exp(u) / family.phi(np.exp(u)), 0.0,
@@ -652,11 +574,9 @@ def integrability_phi(family: BumpFamily) -> dict:
         c = 1.0 + family.sigma
         tail = (c + math.log(t_cut)) ** (-family.sigma) / family.sigma
         return {"verdict": "finite", "value": body + tail, "tail": tail}
-    if family.tag == "loglog":
-        ell = math.e ** (1.0 + family.sigma) + math.log(t_cut)
-        tail = math.log(ell) ** (-family.sigma) / family.sigma
-        return {"verdict": "finite", "value": body + tail, "tail": tail}
-    return {"verdict": "inconclusive", "value": body, "tail": None}
+    ell = math.e ** (1.0 + family.sigma) + math.log(t_cut)
+    tail = math.log(ell) ** (-family.sigma) / family.sigma
+    return {"verdict": "finite", "value": body + tail, "tail": tail}
 
 
 def epsilon_integrability(family_or_model) -> dict:
@@ -682,10 +602,8 @@ def curv_translate(family_or_model) -> dict:
         regime = "ours-only"
     elif ours["verdict"] == "finite":
         regime = "both"
-    elif ours["verdict"] == "infinite":
-        regime = "neither"
     else:
-        regime = "inconclusive"
+        regime = "neither"
     return {"epsilon_curv": curv.to_json(), "integral_ours": ours,
             "integral_curv": older, "regime": regime}
 

@@ -60,18 +60,20 @@ def _load_config(path: str | None) -> dict:
 def _load_family(descriptor) -> BumpFamily:
     if descriptor is None:
         return log_bump(1.0)
-    if isinstance(descriptor, dict):
+    if isinstance(descriptor, str):
+        p = Path(descriptor)
+        if not p.is_file():
+            raise InputError(f"family file not found: {p}")
         try:
-            return BumpFamily.from_json(descriptor)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"bad family descriptor: {exc}") from exc
-    p = Path(descriptor)
-    if not p.is_file():
-        raise InputError(f"family file not found: {p}")
+            descriptor = json.loads(p.read_text())
+        except ValueError as exc:  # bad JSON, or bytes that are not text
+            raise InputError(f"family file {p} is not valid JSON: {exc}") from exc
+    if not isinstance(descriptor, dict):
+        raise InputError("family must be a JSON object or a path to one")
     try:
-        return BumpFamily.load(p)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"family file {p} is malformed: {exc}") from exc
+        return BumpFamily.from_json(descriptor)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"bad family descriptor: {exc}") from exc
 
 
 def _resolve(args) -> dict:

@@ -1,5 +1,6 @@
 """Tests for bump families, companion functions and Orlicz norms."""
 
+import json
 import math
 
 import numpy as np
@@ -12,27 +13,59 @@ from dyadicbump.bumps import (BumpFamily, DivergentIntegralError,
                               epsilon_integrability, integrability_phi,
                               log_bump, loglog_bump, orlicz_norm_def,
                               orlicz_norm_def_batch, orlicz_norm_dist,
-                              power_bump, psi_from_phi,
-                              psi_gap_check, psi_parametric, quad,
+                              power_bump, psi_gap_check, quad,
                               self_improvement_check, weak_concavity_probe)
 from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
 
 
 # ---------------------------------------------------------------------------
-# Psi: parametric construction and closed forms
+# Psi: closed forms against the parametric construction
 # ---------------------------------------------------------------------------
+
+def psi_parametric(family: BumpFamily, s: float) -> float:
+    """The parametric definition of Psi, an oracle for the closed forms:
+    solve s = 1/(Phi(t) Phi'(t)) for t >= 1 and return Phi'(t)."""
+    if s <= 0:
+        raise ValueError("s must be positive")
+
+    def h(t):
+        return float(family.phi(t)) * float(family.phi_prime(t))
+    s_cut = 1.0 / h(1.0)
+    if s > s_cut * (1 + 1e-12):
+        raise ValueError(f"s={s:.3e} outside parametric range (0, {s_cut:.3e}]")
+    target = 1.0 / s
+    lo, hi = 1.0, 2.0
+    for _ in range(2000):
+        if h(hi) >= target:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise ValueError("parametric map failed to bracket (Phi not convex?)")
+    if h(lo) > h(hi):
+        raise ValueError("parametric map is not monotone for this Phi")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if h(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    return float(family.phi_prime(math.sqrt(lo * hi)))
+
 
 def test_psi_linear_bump_is_one():
     fam = power_bump(1)
     for s in (0.01, 0.3, 1.0):
-        assert psi_from_phi(fam, s) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert fam.psi(s) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert psi_parametric(fam, s) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_psi_quadratic_bump_closed_form():
     fam = power_bump(2)
     for s in (0.005, 0.05, 0.4):
         expect = 2.0 * (2.0 * s) ** (-1 / 3)
-        assert psi_from_phi(fam, s) == pytest.approx(expect, rel=1e-12, abs=0)
+        assert fam.psi(s) == pytest.approx(expect, rel=1e-12, abs=0)
         # the parametric solve is an independent oracle for the closed form
         assert psi_parametric(fam, s) == pytest.approx(
             expect, rel=1e-10, abs=0)
@@ -49,17 +82,33 @@ def test_psi_log_bump_asymptotics():
 
 
 def test_psi_domain_error():
-    with pytest.raises(ValueError):
-        psi_from_phi(power_bump(2), 0.9)  # above s_cut = 1/2
-    with pytest.raises(ValueError):
-        psi_from_phi(power_bump(2), -1.0)
+    for fam in (power_bump(2), log_bump(1.0), loglog_bump(2.0, 0.1)):
+        for s in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                fam.psi(s)
 
 
-def test_psi_custom_table_matches_quadratic():
-    t = np.geomspace(1.0, 1e12, 600)
-    fam = BumpFamily("custom", phi_table=np.column_stack([t, t ** 2]))
-    assert psi_from_phi(fam, 0.01) == pytest.approx(
-        2.0 * 0.02 ** (-1 / 3), rel=1e-6, abs=0)
+# six catalog families: two of each tag
+DERIVATIVE_FAMILIES = [power_bump(1.5), power_bump(2), log_bump(1.0),
+                       log_bump(0.3), loglog_bump(2.0, 0.1),
+                       loglog_bump(1.0, 0.5)]
+FD_STEP = 1e-6
+
+
+@pytest.mark.parametrize("fam", DERIVATIVE_FAMILIES, ids=repr)
+def test_phi_prime_matches_finite_difference(fam):
+    t = np.geomspace(1.01, 1e12, 300)
+    fd = (fam.phi(t * (1 + FD_STEP)) - fam.phi(t * (1 - FD_STEP))) \
+        / (2 * FD_STEP * t)
+    assert fam.phi_prime(t) == pytest.approx(fd, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("fam", DERIVATIVE_FAMILIES, ids=repr)
+def test_psi_logderiv_matches_finite_difference(fam):
+    x = np.geomspace(1e-250, 0.99, 300)
+    fd = (np.log(fam.psi(x * (1 + FD_STEP)))
+          - np.log(fam.psi(x * (1 - FD_STEP)))) / (2 * FD_STEP)
+    assert fam.psi_logderiv(x) == pytest.approx(fd, rel=1e-5, abs=0)
 
 
 def test_psi_monotone_and_s_psi_increasing():
@@ -103,12 +152,6 @@ def test_integrability_phi_loglog_finite():
     res = integrability_phi(loglog_bump(2.0, 0.1))
     assert res["verdict"] == "finite"
     assert res["value"] > 0
-
-
-def test_integrability_phi_custom_inconclusive():
-    t = np.geomspace(1.0, 1e8, 200)
-    fam = BumpFamily("custom", phi_table=np.column_stack([t, t ** 2]))
-    assert integrability_phi(fam)["verdict"] == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +671,7 @@ def test_family_validation():
     with pytest.raises(ValueError):
         BumpFamily("loglog", sigma=1.0, delta=1.5)
     with pytest.raises(ValueError):
-        BumpFamily("custom", phi_table=[[1, 1], [2, 0.5], [3, 2], [4, 3]])
+        BumpFamily("custom")  # only the three catalog tags exist
 
 
 def test_family_phi_increasing_convex_sampled():
@@ -647,12 +690,12 @@ def test_family_json_roundtrip(tmp_path):
         blob = fam.to_json()
         again = BumpFamily.from_json(blob)
         assert again.to_json() == blob
-    t = np.geomspace(1, 100, 8)
-    fam = BumpFamily("custom", phi_table=np.column_stack([t, t ** 2]))
+    fam = loglog_bump(2.0, 0.3)
     path = tmp_path / "fam.json"
-    path.write_text(__import__("json").dumps(fam.to_json()))
+    path.write_text(json.dumps(fam.to_json()))
     again = BumpFamily.load(path)
-    assert np.allclose(again.phi_table, fam.phi_table)
+    assert again.to_json() == fam.to_json()
+    assert again.phi(7.0) == fam.phi(7.0)
 
 
 def test_companion_families():

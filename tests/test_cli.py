@@ -170,6 +170,22 @@ class TestPlumbing:
                         str(tmp_path / "fam.json"))
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("where, family", [
+        ("file", {"tag": "power", "p": "2"}),  # a parameter of the wrong type
+        ("file", ["power"]),  # not a JSON object
+        ("config", ["power"]),  # neither a path nor an object
+    ])
+    def test_malformed_family_is_input_error(self, tmp_path, where, family):
+        if where == "file":
+            path = tmp_path / "fam.json"
+            path.write_text(json.dumps(family))
+            argv = ["--family", str(path)]
+        else:
+            argv = ["--config", TestCampaigns._cfg(tmp_path,
+                                                   {"family": family})]
+        code, out = run(tmp_path, "bump-check", *argv)
+        assert code == 2 and not out.exists()
+
     def test_missing_instance_bundle(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"instance": str(tmp_path / "absent")}))
@@ -277,8 +293,8 @@ class TestPlumbing:
         "divergent-J": {"tag": "power", "p": 1},
         # a power bump has no companion and no epsilon model
         "no-companion": {"tag": "power", "p": 2},
-        # Phi = t^2 tabulated from t = 1: Psi(1) falls outside the parametric
-        # range, because Phi'(1) reads the table's clamped edge
+        # a tabulated Phi = t^2: "custom" is not a catalog tag, so every
+        # campaign rejects it
         "custom-table": {"tag": "custom", "phi_table": np.column_stack(
             [np.geomspace(1.0, 1e12, 600),
              np.geomspace(1.0, 1e12, 600) ** 2]).tolist()},
@@ -297,7 +313,8 @@ class TestPlumbing:
         ("divergent-J", "glav"),
         ("no-companion", "bump-check"), ("no-companion", "orlicz"),
         ("custom-table", "bellman-b1"), ("custom-table", "glav"),
-        ("custom-table", "bellman-b2"),
+        ("custom-table", "bellman-b2"), ("custom-table", "testing"),
+        ("custom-table", "obstruction"),
     ])
     def test_family_the_campaign_cannot_handle_is_input_error(
             self, tmp_path, family, campaign):

@@ -36,7 +36,8 @@ def main():
     print("the slab edge is 2^(-4/3) - 7 * 2^(-1/3) * delta^(1/4):")
     for delta in (1e-3, 1e-5, 1e-7):
         budget = default_budget(fam, delta=delta)
-        rep = b2_property_check(fam, budget, n_points=4000, seed=0)
+        rep = b2_property_check(fam.epsilon_model(), budget, n_points=4000,
+                                seed=0)
         c = rep["combined_drop"]["c"]
         verdict = "PASS" if c > 0 else "FAIL"
         print(f"  delta = {delta:8.0e}: c = {c:+.4f}  [{verdict}]")

@@ -6,9 +6,8 @@ Run:  python demos/bump_families.py
 
 import numpy as np
 
-from dyadicbump.bumps import (epsilon_integrability, integrability_phi,
-                              log_bump, loglog_bump, power_bump,
-                              psi_gap_check)
+from dyadicbump.bumps import (integrability_phi, log_bump, loglog_bump,
+                              power_bump, psi_gap_check)
 from dyadicbump.bellman import g_function, g_positivity
 
 
@@ -18,13 +17,16 @@ def main():
     for fam in (log_bump(1.0), loglog_bump(2.0, 0.1), power_bump(1.5)):
         print(f"\n{fam!r}")
         print(f"  1/Phi integrable:   {integrability_phi(fam)['verdict']}")
-        print(f"  eps(t)/t integrable: {epsilon_integrability(fam)['verdict']}")
-        if fam.epsilon_model() is not None:
+        model = fam.epsilon_model()
+        if model is not None:
+            print(f"  eps(t)/t integrable: "
+                  f"{model.integral_over_t()['verdict']}")
             gap = psi_gap_check(fam, bound=4.0)
             print(f"  companion gap Psi0 <= 4 Psi eps(Psi): "
                   f"{'holds' if gap['pass'] else 'fails'}")
         else:
-            print("  companion gap: n/a (power bumps have no eps profile)")
+            print("  eps(t)/t and companion gap: n/a (power bumps have no "
+                  "eps profile)")
 
     print("\nThe concavity margin g(s) = -f^2 + 2 s^2 f' W")
     print("=" * 60)

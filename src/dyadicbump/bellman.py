@@ -216,10 +216,9 @@ def g_function(model: EpsilonModel, s):
     return -f * f + 2.0 * s * s * fp * model.tail_mass(s)
 
 
-def g_positivity(family_or_model, s_range: tuple[float, float],
+def g_positivity(model: EpsilonModel, s_range: tuple[float, float],
                  n: int = 200) -> dict:
     """Check g > 0 and g nondecreasing on a log-spaced grid of s_range."""
-    model = family_or_model.epsilon_model()
     lo, hi = s_range
     cap = model.z_cap
     if hi > cap:
@@ -293,20 +292,15 @@ def hessian_fd(f, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
 
 def b1_property_check(family: BumpFamily, budget: ConstantBudget,
                       n_n: int = 128, n_a: int = 128,
-                      a_min: float = 1e-3, region: str = "triangle") -> dict:
-    """Sweep B1 over {N <= A, A >= a_min} (or the full square): bound
+                      a_min: float = 1e-3) -> dict:
+    """Sweep B1 over the triangle {N <= A, A >= a_min}: bound
     0 <= B1 <= C N, derivative floor, and 2x2 Hessian NSD by second
     differences; also map the A -> 0 violation region."""
     b1 = B1(family, budget.c1)
     N = np.linspace(0.0, 1.0, n_n)
     A = np.linspace(a_min, 1.0, n_a)
     NN, AA = np.meshgrid(N, A, indexing="ij")
-    if region == "triangle":
-        mask = NN <= AA
-    elif region == "square":
-        mask = np.ones_like(NN, dtype=bool)
-    else:
-        raise ValueError(f"unknown region {region!r}")
+    mask = NN <= AA
     NN, AA = NN[mask], AA[mask]
     vals = b1.value(NN, AA)
     upper_margin = budget.c1 * NN - vals
@@ -367,12 +361,11 @@ def b1_property_check(family: BumpFamily, budget: ConstantBudget,
 
 
 def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
-                  model: EpsilonModel | None = None,
-                  uv_floor: float = 1e-6) -> np.ndarray:
+                  model: EpsilonModel, uv_floor: float = 1e-6) -> np.ndarray:
     """Seeded rejection sample of Omega2; columns (u, v, L, A).  L spans
     [phi(uv)/10, min(P sqrt(uv), z-cap)] log-uniformly so both sides of the
     combined-drop region are populated."""
-    cap = model.z_cap if model is not None else math.inf
+    cap = model.z_cap
     out = np.empty((n, 4))
     got = 0
     lo = 0.5 * math.log(uv_floor)
@@ -383,10 +376,7 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
         keep = u * v <= budget.delta
         u, v = u[keep], v[keep]
         uv = u * v
-        if model is not None:
-            phi_uv = np.asarray(model.phi(uv), dtype=float)
-        else:
-            phi_uv = uv
+        phi_uv = np.asarray(model.phi(uv), dtype=float)
         hi_L = np.minimum(budget.P * np.sqrt(uv), cap)
         ok = phi_uv / 10.0 < hi_L
         u, v, uv, phi_uv, hi_L = u[ok], v[ok], uv[ok], phi_uv[ok], hi_L[ok]
@@ -398,10 +388,9 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
     return out
 
 
-def b2_property_check(family_or_model, budget: ConstantBudget,
+def b2_property_check(model: EpsilonModel, budget: ConstantBudget,
                       n_points: int = 10000, seed: int = 0) -> dict:
     """Sampled verification of every B2 condition on Omega2."""
-    model = family_or_model.epsilon_model()
     b2 = B2(model, budget.c2)
     rng = np.random.default_rng(seed)
     uv_floor = min(1e-6, 1e-3 * budget.delta)
@@ -506,9 +495,8 @@ def t_hessian(u, v, A) -> np.ndarray:
                      [h_uA, h_vA, h_AA]])
 
 
-def aux_T_check(n_points: int = 10000, seed: int = 0,
-                xy_max: float = 2.0) -> dict:
-    """Random sweep over the relaxed domain {0 <= A <= 1, uv <= xy_max}:
+def aux_T_check(n_points: int = 10000, seed: int = 0) -> dict:
+    """Random sweep over the relaxed domain {0 <= A <= 1, uv <= 2}:
     T'_A >= uv/4, the (v, A) 2x2 determinant positive, 3x3 determinant 0."""
     rng = np.random.default_rng(seed)
     pts = []
@@ -516,7 +504,7 @@ def aux_T_check(n_points: int = 10000, seed: int = 0,
         u = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 4 * n_points))
         v = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 4 * n_points))
         A = rng.uniform(0.0, 1.0, 4 * n_points)
-        keep = u * v <= xy_max
+        keep = u * v <= 2.0
         pts.extend(np.column_stack([u, v, A])[keep][:n_points - len(pts)])
     u, v, A = np.asarray(pts).T
 

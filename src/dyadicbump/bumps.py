@@ -18,7 +18,6 @@ log bump, so that Psi stays decreasing and s*Psi(s) increasing on all of
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -118,11 +117,6 @@ class EpsilonModel:
         """The kind and the parameters that kind uses."""
         return {"kind": self.kind,
                 **{k: getattr(self, k) for k in self.PARAMS[self.kind]}}
-
-    def epsilon_model(self) -> "EpsilonModel":
-        """The model itself, so that callers taking a family or a model
-        can ask either one for its model."""
-        return self
 
     def eps(self, t):
         t = np.asarray(t, dtype=float)
@@ -323,13 +317,11 @@ class EpsilonModel:
         return QuadValue(value, err + above + below)
 
     def truncated_tail_mass(self, z, y_floor):
-        """integral_{y_floor}^z f(y)/y^2 dy, defined even when W diverges;
-        in t = log y the integrand is f(y)/y = eps(e^l)."""
-        if self.kind == "const":
-            return self.coeff * math.log(float(z) / y_floor)
-        val, _ = quad(lambda t: np.exp(self._log_domain(t)[1]),
-                      math.log(y_floor), math.log(float(z)))
-        return val
+        """integral_{y_floor}^z f(y)/y^2 dy for const eps, whose W diverges:
+        f(y) = coeff y, so it is coeff log(z / y_floor)."""
+        if self.kind != "const":
+            raise ValueError("the truncated tail mass is for const eps only")
+        return self.coeff * math.log(float(z) / y_floor)
 
     # -- integrability of eps(t)/t -------------------------------------------
 
@@ -346,7 +338,7 @@ class EpsilonModel:
         return {"verdict": "infinite", "value": None}
 
     def curv_counterpart(self) -> "EpsilonModel":
-        """eps_{A0,A}(t) = sqrt(eps(t^2)), the two-exponent normalization."""
+        """eps_{A0,A}(t) = sqrt(eps(t^2)), the two-exponent form."""
         if self.kind == "power":
             return EpsilonModel("power", beta=self.beta,
                                 coeff=math.sqrt(self.coeff))
@@ -494,12 +486,6 @@ class BumpFamily:
         out = np.where(x > 1.0, 0.0, inner)
         return out if out.ndim else float(out)
 
-    def psi0(self, s):
-        comp = self.companion()
-        if comp is None:
-            raise ValueError(f"{self!r} has no companion family")
-        return comp.psi(s)
-
     def companion(self):
         """The weaker bump Phi_0 whose Psi_0 <= C Psi eps(Psi)."""
         if self.tag == "log":
@@ -533,13 +519,13 @@ class BumpFamily:
     @classmethod
     def from_json(cls, obj: dict) -> "BumpFamily":
         tag = obj["tag"]  # delta is optional; the other parameters are not
-        return cls(tag, **{k: obj.get(k) if k == "delta" else obj[k]
-                           for k in cls.PARAMS.get(tag, ())})
-
-    @classmethod
-    def load(cls, path) -> "BumpFamily":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        params = cls.PARAMS.get(tag, ())
+        family = cls(tag, **{k: obj.get(k) if k == "delta" else obj[k]
+                             for k in params})
+        unknown = sorted(set(obj) - {"tag", *params})
+        if unknown:  # a misspelt optional key would silently take its default
+            raise ValueError(f"bump tag {tag!r} takes no {unknown}")
+        return family
 
 
 def log_bump(sigma: float) -> BumpFamily:
@@ -579,22 +565,11 @@ def integrability_phi(family: BumpFamily) -> dict:
     return {"verdict": "finite", "value": body + tail, "tail": tail}
 
 
-def epsilon_integrability(family_or_model) -> dict:
-    """Verdict for integral_2^infinity eps(t)/t dt."""
-    model = family_or_model.epsilon_model()
-    if model is None:
-        return {"verdict": "inconclusive", "value": None}
-    return model.integral_over_t()
-
-
-def curv_translate(family_or_model) -> dict:
-    """Translate eps into the two-exponent normalization eps_{A0,A}(t) =
+def curv_translate(model: EpsilonModel) -> dict:
+    """Translate eps into the two-exponent form eps_{A0,A}(t) =
     sqrt(eps(t^2)) and compare the integrability requirements: ours is
     integral eps_curv(y)^2 / y dy (equivalently integral eps(t)/t dt), the
     older stopping-time route needs integral eps_curv(y)/y dy."""
-    model = family_or_model.epsilon_model()
-    if model is None:
-        raise ValueError("family carries no epsilon to translate")
     curv = model.curv_counterpart()
     ours = curv.squared().integral_over_t()
     older = curv.integral_over_t()
@@ -620,17 +595,13 @@ def orlicz_norm_def(w: LeafWeight, index: DyadicIndex,
 
 
 def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
-    """Luxemburg norms of many step weights at once, one per row (last axis).
-
-    A (rows, n) matrix is one block; a (blocks, rows, n) stack is one block
-    per leading index.  A block bisects until all of its rows meet
-    BISECT_TOL and then stops, so each block's norms are those of a
-    separate call on that block alone."""
+    """Luxemburg norms of many step weights at once, one per row (last
+    axis) of a (blocks, rows, n) stack.  A block bisects until all of its
+    rows meet BISECT_TOL and then stops, so each block's norms are those of
+    a separate call on that block alone."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 2:
-        return _luxemburg(rows[None], family)[0]
     if rows.ndim != 3:
-        raise ValueError("rows must be (rows, n) or (blocks, rows, n)")
+        raise ValueError("rows must be a (blocks, rows, n) stack")
     return _luxemburg(rows, family)
 
 
@@ -699,8 +670,7 @@ def orlicz_norm_dist(w: LeafWeight, index: DyadicIndex,
 
 
 def self_improvement_check(w: LeafWeight, index: DyadicIndex,
-                           family: BumpFamily,
-                           bound: float | None = None) -> dict | None:
+                           family: BumpFamily) -> dict | None:
     """Measure the constant in ||u||_{Phi_0} <= C ||u||_Phi eps(||u||_Phi / <u>),
     with both norms in distribution form.  Returns None on zero average."""
     avg = w.average(index)
@@ -713,7 +683,6 @@ def self_improvement_check(w: LeafWeight, index: DyadicIndex,
     rhs_unit = base * gap
     ratio = lhs / rhs_unit
     return {"lhs": lhs, "rhs_unit": rhs_unit, "ratio": ratio,
-            "bound": bound, "pass": None if bound is None else ratio <= bound,
             "norm_quotient": base / avg}
 
 
@@ -726,7 +695,7 @@ def psi_gap_check(family: BumpFamily, bound: float) -> dict:
     s = np.geomspace(1e-12, 1.0, 400)
     psi = family.psi(s)
     rhs = bound * psi * model.eps(np.maximum(psi, 2.0))
-    lhs = family.psi0(s)
+    lhs = family.companion().psi(s)
     worst = float(np.max(lhs / rhs))
     return {"worst_ratio": worst * bound, "pass": bool(np.all(lhs <= rhs)),
             "bound": bound}

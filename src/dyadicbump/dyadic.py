@@ -300,8 +300,7 @@ class CarlesonSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CarlesonSequence":
-        depth = int(obj["depth"]) if "depth" in obj else max(
-            (e["level"] for e in obj["entries"]), default=0)
+        depth = int(obj["depth"])
         levels = [np.zeros(2 ** k) for k in range(depth + 1)]
         for e in obj["entries"]:
             levels[e["level"]][e["pos"]] = e["a"]

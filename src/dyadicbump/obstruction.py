@@ -14,6 +14,7 @@ depths far beyond the leaf-array cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,12 @@ from .dyadic import DyadicIndex, LeafWeight, MAX_DEPTH
 
 #: Ratio of consecutive stopping thresholds: generation n stops at 3^n.
 BASE = 3.0
+
+#: Deepest construction that stays in the float range: from depth 532 on,
+#: the largest stopping average <u>_I is about 2.5e154, so its square in
+#: the identity sum sum <u>^2 <v> alpha |I| overflows and the residual
+#: reads inf.
+MAX_OBSTRUCTION_DEPTH = 531
 
 
 class ConstructionIntegrityError(ValueError):
@@ -168,7 +175,7 @@ def build_hierarchy(u: BandWeight) -> StoppingHierarchy:
     measured: 3^n <= <u>_I <= 2*3^n on members, and each member of the
     previous generation keeps at least 1/3 of its measure uncovered."""
     gens = []
-    for n in range(1, 65):  # at most 64 generations
+    for n in itertools.count(1):  # u is bounded, so some generation is empty
         gen = _generation(u, BASE ** n)
         if not gen:
             break

@@ -4,7 +4,6 @@ the weighted sums sum a_J u_J L_J |J| on finite trees."""
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -19,29 +18,16 @@ from .dyadic import (CarlesonSequence, DyadicIndex, LeafWeight, ROOT,
 
 
 class SparseOperator:
-    """Positive sparse operator given by a Carleson family of coefficients.
+    """Positive sparse operator given by a Carleson family of coefficients
+    whose intensity (1/|J|) sum_{I subseteq J} a_I |I| stays <= 1."""
 
-    Two normalizations are accepted: "unit" requires the Carleson intensity
-    (1/|J|) sum_{I subseteq J} a_I |I| to stay <= 1; "lerner" accepts a bound
-    of 2 and stores the coefficients rescaled by 1/2, recording the factor.
-    """
-
-    def __init__(self, coeffs: CarlesonSequence, normalization: str = "unit"):
-        if normalization == "unit":
-            factor = 1.0
-        elif normalization == "lerner":
-            factor = 0.5
-        else:
-            raise ValueError(f"unknown normalization {normalization!r}")
-        limit = 1.0 / factor
+    def __init__(self, coeffs: CarlesonSequence):
         worst = coeffs.max_intensity()
-        if worst > limit * (1.0 + 1e-12):
+        if worst > 1.0 + 1e-12:
             raise ValueError(
-                f"Carleson intensity {worst:.6g} exceeds the {normalization} "
-                f"bound {limit:g}")
-        self.coeffs = coeffs if factor == 1.0 else coeffs.scaled(factor)
+                f"Carleson intensity {worst:.6g} exceeds the unit bound 1")
+        self.coeffs = coeffs
         self.depth = coeffs.depth
-        self.conversion_factor = factor
 
 
 def truncated(T: SparseOperator, depth: int) -> SparseOperator:
@@ -199,7 +185,7 @@ def glav_sup(u: LeafWeight, v: LeafWeight, T: SparseOperator) -> dict:
 def glav_check(u: LeafWeight, v: LeafWeight, T: SparseOperator,
                family: BumpFamily, budget: ConstantBudget | None = None) -> dict:
     """glav_sup with the bump constants recorded so callers can confirm the
-    pre-normalization."""
+    weights were rescaled to their bump target."""
     return {**glav_sup(u, v, T), "bump": bump_condition(u, v, family),
             "budget": budget}
 
@@ -373,35 +359,19 @@ def random_instance(depth: int, seed: int, *, family: BumpFamily | None = None,
             "scale": scale}
 
 
-def save_instance(path, u: LeafWeight, v: LeafWeight, T: SparseOperator,
-                  family: BumpFamily | None = None,
-                  budget: ConstantBudget | None = None) -> None:
+def save_instance(path, u: LeafWeight, v: LeafWeight,
+                  T: SparseOperator) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     u.save(path / "u.json")
     v.save(path / "v.json")
     T.coeffs.save(path / "carleson.json")
-    if family is not None:
-        (path / "family.json").write_text(json.dumps(family.to_json()))
-    if budget is not None:
-        (path / "budget.json").write_text(json.dumps({
-            "c1": budget.c1, "c2": budget.c2, "c_drop": budget.c_drop,
-            "delta1": budget.delta1, "derivative_floor": budget.derivative_floor,
-            "delta": budget.delta, "P": budget.P}))
 
 
 def load_instance(path) -> dict:
     path = Path(path)
-    out = {
+    return {
         "u": LeafWeight.load(path / "u.json"),
         "v": LeafWeight.load(path / "v.json"),
         "T": SparseOperator(CarlesonSequence.load(path / "carleson.json")),
     }
-    fam = path / "family.json"
-    out["family"] = BumpFamily.load(fam) if fam.exists() else None
-    bud = path / "budget.json"
-    if bud.exists():
-        out["budget"] = ConstantBudget(**json.loads(bud.read_text()))
-    else:
-        out["budget"] = None
-    return out

@@ -75,8 +75,7 @@ class TestAcceptance:
     def test_criterion_03_b1_properties(self):
         t0 = time.time()
         budget = default_budget(FAM)
-        rep = b1_property_check(FAM, budget, n_n=160, n_a=160, a_min=1e-3,
-                                region="triangle")
+        rep = b1_property_check(FAM, budget, n_n=160, n_a=160, a_min=1e-3)
         elapsed = time.time() - t0
         ok = rep["pass"] and rep["points"] >= 10000 and elapsed <= 60.0
         line(3, ok, f"floor margin {rep['derivative_floor']['margin']:.3e}, "
@@ -160,7 +159,7 @@ class TestAcceptance:
         assert gp["positive"] and gp["nondecreasing"]
 
     def test_criterion_06_aux_T(self):
-        rep = aux_T_check(n_points=10000, seed=6, xy_max=2.0)
+        rep = aux_T_check(n_points=10000, seed=6)
         ok = rep["pass"]
         line(6, ok, f"T'_A floor margin "
                     f"{rep['a_derivative_floor']['margin']:.3e}, "

@@ -310,14 +310,14 @@ def test_g_positivity_quarter_and_loglog():
     fam = loglog_bump(2.0, 0.1)
     model = fam.epsilon_model()
     cap = 0.9 * float(model.phi(model.x_max))
-    rep = g_positivity(fam, (1e-12 * cap, cap))
+    rep = g_positivity(model, (1e-12 * cap, cap))
     assert rep["positive"] and rep["nondecreasing"]
 
 
 def test_g_positivity_rejects_out_of_range():
-    fam = loglog_bump(2.0, 0.1)
+    model = loglog_bump(2.0, 0.1).epsilon_model()
     with pytest.raises(ValueError):
-        g_positivity(fam, (1e-6, 1e6))
+        g_positivity(model, (1e-6, 1e6))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,8 @@ def test_sample_omega2_respects_domain():
 
 def test_b2_property_check_bounds_and_concavity():
     fam = log_bump(1.0)
-    report = b2_property_check(fam, default_budget(fam), n_points=2000, seed=0)
+    report = b2_property_check(fam.epsilon_model(), default_budget(fam),
+                               n_points=2000, seed=0)
     assert report["bound_upper"]["pass"]
     assert report["bound_lower"]["pass"]
     assert report["a_monotone"]["pass"]
@@ -376,7 +377,8 @@ def test_b2_combined_drop_fails_at_default_delta():
     # boundary L = phi(uv), A = 1 is 2^{-4/3} - 7 * 2^{-1/3} delta^{1/4},
     # which is about -0.59: the sweep must report this honestly
     fam = log_bump(1.0)
-    report = b2_property_check(fam, default_budget(fam), n_points=2000, seed=0)
+    report = b2_property_check(fam.epsilon_model(), default_budget(fam),
+                               n_points=2000, seed=0)
     expected = 2 ** (-4 / 3) - 7.0 * 2 ** (-1 / 3) * 1e-3 ** 0.25
     assert not report["combined_drop"]["pass"]
     assert report["combined_drop"]["c"] == pytest.approx(
@@ -388,7 +390,8 @@ def test_b2_combined_drop_fails_at_default_delta():
 def test_b2_combined_drop_passes_at_small_delta():
     fam = log_bump(1.0)
     budget = default_budget(fam, delta=1e-5)
-    report = b2_property_check(fam, budget, n_points=2000, seed=0)
+    report = b2_property_check(fam.epsilon_model(), budget, n_points=2000,
+                               seed=0)
     expected = 2 ** (-4 / 3) - 7.0 * 2 ** (-1 / 3) * 1e-5 ** 0.25
     assert report["combined_drop"]["pass"]
     assert report["combined_drop"]["c"] == pytest.approx(
@@ -432,7 +435,7 @@ def test_t_hessian_matches_fd():
 
 
 def test_aux_T_check_passes():
-    report = aux_T_check(n_points=4000, seed=0, xy_max=2.0)
+    report = aux_T_check(n_points=4000, seed=0)
     assert report["pass"], report
 
 

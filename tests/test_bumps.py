@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicbump.bumps import (BumpFamily, DivergentIntegralError,
-                              EpsilonModel, curv_translate,
-                              epsilon_integrability, integrability_phi,
+                              EpsilonModel, curv_translate, integrability_phi,
                               log_bump, loglog_bump, orlicz_norm_def,
                               orlicz_norm_def_batch, orlicz_norm_dist,
                               power_bump, psi_gap_check, quad,
@@ -202,22 +201,23 @@ def test_quad_error_bounds_true_error(f, a, b, exact):
 
 
 def test_epsilon_integrability_power():
-    res = epsilon_integrability(log_bump(1.0))  # eps(t) = t^{-1/4}
+    res = log_bump(1.0).epsilon_model().integral_over_t()  # eps(t) = t^{-1/4}
     assert res["verdict"] == "finite"
     assert res["value"] == pytest.approx(4.0 * 2.0 ** -0.25, rel=1e-12, abs=0)
 
 
 def test_epsilon_integrability_logpow_threshold():
-    assert epsilon_integrability(EpsilonModel("logpow", kappa=1.5))["verdict"] == "finite"
-    assert epsilon_integrability(EpsilonModel("logpow", kappa=1.0))["verdict"] == "infinite"
-    assert epsilon_integrability(EpsilonModel("logpow", kappa=0.5))["verdict"] == "infinite"
+    for kappa, verdict in ((1.5, "finite"), (1.0, "infinite"), (0.5, "infinite")):
+        res = EpsilonModel("logpow", kappa=kappa).integral_over_t()
+        assert res["verdict"] == verdict
     # (1-delta)*sigma > 1 is exactly the finite regime for the loglog tag
-    assert epsilon_integrability(loglog_bump(2.0, 0.1))["verdict"] == "finite"
-    assert epsilon_integrability(loglog_bump(1.0, 0.1))["verdict"] == "infinite"
+    for sigma, verdict in ((2.0, "finite"), (1.0, "infinite")):
+        res = loglog_bump(sigma, 0.1).epsilon_model().integral_over_t()
+        assert res["verdict"] == verdict
 
 
 def test_epsilon_integrability_constant_infinite():
-    assert epsilon_integrability(EpsilonModel("const"))["verdict"] == "infinite"
+    assert EpsilonModel("const").integral_over_t()["verdict"] == "infinite"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_norm_def_batch_matches_scalar():
     rows = rng.uniform(0, 5, (6, 8))
     rows[2] = 0.0
     fam = log_bump(1.0)
-    batch = orlicz_norm_def_batch(rows, fam)
+    batch = orlicz_norm_def_batch(rows[None], fam)[0]
     for i, row in enumerate(rows):
         assert batch[i] == pytest.approx(
             orlicz_norm_def(LeafWeight(3, row), ROOT, fam), rel=1e-10, abs=1e-15)
@@ -303,7 +303,7 @@ def test_norm_def_blocks_equal_separate_calls(fam):
         norms = orlicz_norm_def_batch(blocks, fam)
         assert norms.shape == (5, 8)
         for block, got in zip(blocks, norms):
-            assert np.array_equal(got, orlicz_norm_def_batch(block, fam))
+            assert np.array_equal(got, orlicz_norm_def_batch(block[None], fam)[0])
 
 
 @pytest.mark.parametrize("fam", BITWISE_FAMILIES[:2], ids=lambda f: f.tag)
@@ -311,16 +311,21 @@ def test_norm_def_blocks_stop_at_their_own_step(fam):
     # the data can tell the block rule from a joint or a per-row stop
     const, spike, mixed = _blocks(np.random.default_rng(6), 64)[:3]
     norms = orlicz_norm_def_batch(np.stack((const, spike)), fam)
-    joint = orlicz_norm_def_batch(np.concatenate((const, spike)), fam)
+    joint = orlicz_norm_def_batch(np.concatenate((const, spike))[None], fam)[0]
     assert not np.array_equal(joint, norms.ravel())
     per_row = orlicz_norm_def_batch(mixed[:, None, :], fam)[:, 0]
-    assert not np.array_equal(orlicz_norm_def_batch(mixed, fam), per_row)
+    assert not np.array_equal(orlicz_norm_def_batch(mixed[None], fam)[0], per_row)
+
+
+def test_norm_def_batch_takes_only_block_stacks():
+    with pytest.raises(ValueError):
+        orlicz_norm_def_batch(np.ones((3, 4)), log_bump(1.0))
 
 
 @pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
 def test_norm_def_zero_row_and_block_give_zero(fam):
     rows = _weights(np.random.default_rng(7), 6, 8)
-    assert orlicz_norm_def_batch(rows, fam)[1] == 0.0
+    assert orlicz_norm_def_batch(rows[None], fam)[0, 1] == 0.0
     blocks = np.stack((rows, np.zeros_like(rows)))
     norms = orlicz_norm_def_batch(blocks, fam)
     assert norms[0, 1] == 0.0 and np.all(norms[0, np.arange(6) != 1] > 0)
@@ -399,8 +404,8 @@ def test_self_improvement_tall_leaf_stress():
     fam = log_bump(1.0)
     vals = np.full(16, 1e-3)
     vals[0] = 1e4
-    res = self_improvement_check(LeafWeight(4, vals), ROOT, fam, bound=20.0)
-    assert res["pass"]
+    res = self_improvement_check(LeafWeight(4, vals), ROOT, fam)
+    assert res["ratio"] <= 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +634,11 @@ def test_tail_mass_divergent_cases():
         math.log(1e3), rel=1e-12, abs=0)
 
 
+def test_truncated_tail_mass_is_const_only():
+    with pytest.raises(ValueError):
+        EpsilonModel("power", beta=0.25).truncated_tail_mass(1.0, 1e-3)
+
+
 def test_curv_translate_power_fixed_point():
     res = curv_translate(EpsilonModel("power", beta=0.25))
     t = np.array([4.0, 16.0, 100.0])
@@ -655,7 +665,7 @@ def test_squared_power_needs_beta_below_half(beta):
 
 
 def test_curv_translate_from_family():
-    res = curv_translate(log_bump(1.0))
+    res = curv_translate(log_bump(1.0).epsilon_model())
     assert res["regime"] == "both"
 
 
@@ -693,9 +703,16 @@ def test_family_json_roundtrip(tmp_path):
     fam = loglog_bump(2.0, 0.3)
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(fam.to_json()))
-    again = BumpFamily.load(path)
+    again = BumpFamily.from_json(json.loads(path.read_text()))
     assert again.to_json() == fam.to_json()
     assert again.phi(7.0) == fam.phi(7.0)
+
+
+def test_family_json_rejects_keys_its_tag_does_not_take():
+    with pytest.raises(ValueError):
+        BumpFamily.from_json({"tag": "loglog", "sigma": 2.0, "detla": 0.5})
+    with pytest.raises(ValueError):
+        BumpFamily.from_json({"tag": "log", "sigma": 1.0, "delta": 0.5})
 
 
 def test_companion_families():

@@ -13,7 +13,7 @@ import pytest
 
 from dyadicbump.cli import main
 from dyadicbump.dyadic import MAX_DEPTH
-from dyadicbump.obstruction import build_u
+from dyadicbump.obstruction import MAX_OBSTRUCTION_DEPTH, build_u
 from dyadicbump.sparse import load_instance, random_instance, save_instance
 from dyadicbump.reports import (canonical, config_hash, emit_plotdata,
                                 make_report, write_report)
@@ -265,6 +265,15 @@ class TestPlumbing:
         ("bellman-b1", {"n_a": 0}),
         # delta1 must stay below c_drop (0.05 by default)
         ("bellman-b1", {"delta1": 0.1}),
+        ("bellman-b1", {"a_min": "x"}),
+        ("bellman-b1", {"a_min": 2}),
+        ("bellman-b1", {"a_min": -0.1}),
+        ("orlicz", {"equivalence_bound": "x"}),
+        ("bump-check", {"psi_gap_bound": "x"}),
+        ("bump-check", {"psi_gap_bound": 0}),
+        ("testing", {"seed": -1}),
+        # an unknown key, here a misspelt n_weights
+        ("orlicz", {"n_weigths": 3}),
     ])
     def test_bad_sample_size_is_input_error(self, tmp_path, campaign, field):
         cfg = TestCampaigns._cfg(tmp_path, field)
@@ -286,6 +295,22 @@ class TestPlumbing:
         assert rep["results"]["depth"] == MAX_DEPTH + 1
         assert rep["results"]["instance_bundle"]["depth"] == 20
 
+    @pytest.mark.parametrize("depth", [0, MAX_OBSTRUCTION_DEPTH + 1])
+    def test_obstruction_depth_out_of_range_is_input_error(self, tmp_path,
+                                                           depth):
+        code, out = run(tmp_path, "obstruction", "--depth", str(depth))
+        assert code == 2 and not out.exists()
+
+    def test_obstruction_depth_past_64_generations(self, tmp_path):
+        # depth 120 has 66 generations of stopping intervals
+        cfg = TestCampaigns._cfg(tmp_path, {"probe_points": 12})
+        code, out = run(tmp_path, "obstruction", "--depth", "120",
+                        "--config", cfg)
+        assert code == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["construction"]["generations"] == 66
+        assert res["construction"]["a2_pass"]
+
     FAMILIES = {
         # kappa = 0.9 <= 1, so the tail mass W diverges
         "divergent-W": {"tag": "loglog", "sigma": 1.0, "delta": 0.1},
@@ -293,6 +318,8 @@ class TestPlumbing:
         "divergent-J": {"tag": "power", "p": 1},
         # a power bump has no companion and no epsilon model
         "no-companion": {"tag": "power", "p": 2},
+        # "detla" is not a parameter, so delta would silently stay 0.1
+        "misspelt-key": {"tag": "loglog", "sigma": 2.0, "detla": 0.5},
         # a tabulated Phi = t^2: "custom" is not a catalog tag, so every
         # campaign rejects it
         "custom-table": {"tag": "custom", "phi_table": np.column_stack(
@@ -312,6 +339,7 @@ class TestPlumbing:
         ("divergent-J", "bellman-b1"), ("divergent-J", "bellman-b2"),
         ("divergent-J", "glav"),
         ("no-companion", "bump-check"), ("no-companion", "orlicz"),
+        ("misspelt-key", "bellman-b1"),
         ("custom-table", "bellman-b1"), ("custom-table", "glav"),
         ("custom-table", "bellman-b2"), ("custom-table", "testing"),
         ("custom-table", "obstruction"),

@@ -420,6 +420,13 @@ def test_carleson_json_roundtrip(tmp_path):
     assert again.a(DyadicIndex(1, 1)) == 0.0
 
 
+def test_carleson_json_needs_depth():
+    blob = CarlesonSequence.from_entries(1, [(ROOT, 0.5)]).to_json()
+    del blob["depth"]
+    with pytest.raises(KeyError):
+        CarlesonSequence.from_json(blob)
+
+
 # ---------------------------------------------------------------------------
 # Maximal operator and stopping families
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 weights, the growing profile, the stopping hierarchy, the companion
 weight, the divergence identity, and the joint-scaling probe."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dyadicbump.bumps import EpsilonModel
-from dyadicbump.dyadic import DyadicIndex, dyadic_maximal
+from dyadicbump.dyadic import DyadicIndex, dyadic_maximal, stopping_family
 from dyadicbump.obstruction import (
-    BandWeight, ConstructionIntegrityError, a2_supremum, b0_probe,
+    BASE, BandWeight, ConstructionIntegrityError, _generation, a2_supremum,
+    b0_probe,
     build_alpha, build_hierarchy, build_u, build_v, divergence_sum,
     growth_table, maximal_band_values, maximal_integral, obstruction_report,
 )
@@ -155,6 +157,30 @@ class TestHierarchy:
         for n in range(1, len(h.generations)):
             for mem in h.generations[n]:
                 assert any(p.contains(mem) for p in h.generations[n - 1])
+
+    @staticmethod
+    def _generations_match_leaf_oracle(u):
+        """The band shortcut against the leaf-array stopping family at
+        every threshold 3^n up to the first empty generation."""
+        leaves = u.to_leaf_weight()
+        for n in itertools.count(1):
+            want = stopping_family(leaves, BASE ** n)
+            assert sorted(_generation(u, BASE ** n)) == want, (u, n)
+            if not want:
+                return n
+
+    @pytest.mark.parametrize("depth", range(1, 15))
+    def test_generation_matches_stopping_family(self, depth):
+        self._generations_match_leaf_oracle(build_u(depth))
+
+    def test_generation_matches_stopping_family_random(self):
+        rng = np.random.default_rng(17)
+        for depth in range(1, 13):
+            for _ in range(6):
+                # growing bands, so that several generations are nonempty
+                bands = rng.lognormal(0.0, 1.5, depth) * 2.0 ** np.arange(depth)
+                u = BandWeight(depth, bands, float(rng.lognormal(0.0, 1.5)))
+                self._generations_match_leaf_oracle(u)
 
 
 # ---------------------------------------------------------------------------

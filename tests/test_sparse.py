@@ -35,17 +35,6 @@ def test_operator_rejects_oversized_intensity():
     # root intensity is 1 + 1 = 2 > 1 for the unit convention
     with pytest.raises(ValueError):
         SparseOperator(seq)
-    # the Lerner convention accepts bound 2 and halves the coefficients
-    T = SparseOperator(seq, normalization="lerner")
-    assert T.conversion_factor == 0.5
-    assert T.coeffs.a(ROOT) == 0.5
-    assert T.coeffs.max_intensity() == pytest.approx(1.0)
-
-
-def test_operator_rejects_unknown_normalization():
-    seq = CarlesonSequence.zeros(1)
-    with pytest.raises(ValueError):
-        SparseOperator(seq, normalization="l1")
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +623,9 @@ def test_random_instance_carleson_below_one():
 
 
 def test_instance_bundle_roundtrip(tmp_path):
-    fam = FAM
-    budget = default_budget(fam)
-    inst = random_instance(4, 1, family=fam, bump_target=0.01)
-    save_instance(tmp_path / "inst", inst["u"], inst["v"], inst["T"],
-                  family=fam, budget=budget)
+    inst = random_instance(4, 1, family=FAM, bump_target=0.01)
+    save_instance(tmp_path / "inst", inst["u"], inst["v"], inst["T"])
     back = load_instance(tmp_path / "inst")
     assert back["u"] == inst["u"] and back["v"] == inst["v"]
-    assert back["family"].tag == "log" and back["family"].sigma == 1.0
-    assert back["budget"].c1 == pytest.approx(budget.c1)
     assert all(np.array_equal(x, y) for x, y in
                zip(back["T"].coeffs.levels, inst["T"].coeffs.levels))

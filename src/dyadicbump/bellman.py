@@ -240,32 +240,41 @@ def g_positivity(model: EpsilonModel, s_range: tuple[float, float],
 # Sylvester-style NSD verdicts and finite-difference Hessians
 # ---------------------------------------------------------------------------
 
+def _libm_pow(x: np.ndarray, p: int) -> np.ndarray:
+    """x ** p one value at a time: numpy's array pow differs from libm's
+    scalar one in the last bit, so powers that reach a report stay scalar."""
+    return np.array([s ** p for s in x.tolist()])
+
+
 def sylvester_nsd(M: np.ndarray, tol: float = 1e-9) -> dict:
-    """Nonpositive-definiteness of a symmetric 3x3 matrix, via the singular
-    Sylvester criterion (m11 < 0, leading 2x2 minor > 0, det = 0) with an
-    eigenvalue fallback when those premises fail."""
+    """Nonpositive-definiteness of each matrix of a stack of symmetric 3x3
+    matrices, shape (n, 3, 3), via the singular Sylvester criterion
+    (m11 < 0, leading 2x2 minor > 0, det = 0) with an eigenvalue fallback
+    when those premises fail.  Each entry of the result is an array over
+    the stack."""
     M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3) or not np.allclose(M, M.T, atol=tol * (1 + np.abs(M).max())):
-        raise ValueError("sylvester_nsd expects a symmetric 3x3 matrix")
-    scale = max(float(np.abs(M).max()), 1e-300)
-    minor = M[0, 0] * M[1, 1] - M[0, 1] ** 2
-    det = float(np.linalg.det(M))
-    zero_row = bool(np.all(np.abs(M[0]) <= tol * scale))
-    premises = ((M[0, 0] < -tol * scale or (abs(M[0, 0]) <= tol * scale and zero_row))
-                and minor > -tol * scale ** 2
-                and abs(det) <= math.sqrt(tol) * scale ** 3)
-    eigs = np.linalg.eigvalsh(M)
-    by_eigen = bool(eigs.max() <= tol * scale)
-    if premises:
-        verdict = "nsd"
-        via = "lemma"
-        if not by_eigen:  # should not happen; keep the honest answer
-            verdict, via = "not-nsd", "eigenvalues"
-    else:
-        verdict = "nsd" if by_eigen else "not-nsd"
-        via = "eigenvalues"
-    return {"verdict": verdict, "via": via, "max_eigenvalue": float(eigs.max()),
-            "minor": float(minor), "det": det}
+    if M.ndim != 3 or M.shape[1:] != (3, 3):
+        raise ValueError("sylvester_nsd expects a stack of 3x3 matrices")
+    absmax = np.abs(M).max(axis=(1, 2))
+    if not np.isclose(M, M.transpose(0, 2, 1),
+                      atol=(tol * (1 + absmax))[:, None, None]).all():
+        raise ValueError("sylvester_nsd expects symmetric matrices")
+    scale = np.maximum(absmax, 1e-300)
+    m11 = M[:, 0, 0]
+    minor = m11 * M[:, 1, 1] - _libm_pow(M[:, 0, 1], 2)
+    det = np.linalg.det(M)
+    zero_row = np.all(np.abs(M[:, 0]) <= (tol * scale)[:, None], axis=1)
+    premises = (((m11 < -tol * scale)
+                 | ((np.abs(m11) <= tol * scale) & zero_row))
+                & (minor > -tol * _libm_pow(scale, 2))
+                & (np.abs(det) <= math.sqrt(tol) * _libm_pow(scale, 3)))
+    max_eig = np.linalg.eigvalsh(M).max(axis=1)
+    by_eigen = max_eig <= tol * scale
+    # the lemma's verdict stands only where the eigenvalues agree with it;
+    # otherwise the eigenvalues give the honest answer
+    return {"verdict": np.where(by_eigen, "nsd", "not-nsd"),
+            "via": np.where(premises & by_eigen, "lemma", "eigenvalues"),
+            "max_eigenvalue": max_eig, "minor": minor, "det": det}
 
 
 def hessian_fd(f, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
@@ -306,13 +315,17 @@ def b1_property_check(family: BumpFamily, budget: ConstantBudget,
     upper_margin = budget.c1 * NN - vals
     lower_margin = vals.copy()
     pos = NN > 0
-    gN, gA = b1.grad(np.maximum(NN, 1e-300), AA)
+    # the N = 0 points, the corner A = 0 among them, are masked out of the
+    # derivative and Hessian margins; (1/2, 1) stands in for them there so
+    # that x = N/A stays finite
+    n_in, a_in = np.where(pos, NN, 0.5), np.where(pos, AA, 1.0)
+    gA = b1.grad(n_in, a_in)[1]
     floor = budget.derivative_floor * NN / b1.psi0(np.maximum(NN, 1e-300))
     floor_margin = np.where(pos, gA - floor, np.inf)
 
     # analytic 2x2 Hessians; second differences are kept as an offline
     # cross-check since their roundoff exceeds the 1e-7 NSD tolerance
-    h_nn, h_na, h_aa = b1.hessian(np.where(pos, NN, 0.5), AA)
+    h_nn, h_na, h_aa = b1.hessian(n_in, a_in)
     tr = h_nn + h_aa
     gap = np.sqrt((h_nn - h_aa) ** 2 + 4 * h_na ** 2)
     max_eig = (tr + gap) / 2.0
@@ -427,16 +440,12 @@ def b2_property_check(model: EpsilonModel, budget: ConstantBudget,
 
     # Hessian NSD via the singular Sylvester criterion at a subsample
     idx = rng.choice(n_points, size=min(400, n_points), replace=False)
-    worst_eig = -math.inf
-    dets = []
-    vv_ok = True
-    for i in idx:
-        H = b2.hessian(u[i], v[i], L[i], A[i])
-        scale = max(np.abs(H).max(), 1e-300)
-        res = sylvester_nsd(H, tol=1e-9)
-        worst_eig = max(worst_eig, res["max_eigenvalue"] / scale)
-        dets.append(res["det"] / scale ** 3)
-        vv_ok = vv_ok and H[0, 0] < 0
+    H = np.array([b2.hessian(u[i], v[i], L[i], A[i]) for i in idx])
+    scale = np.maximum(np.abs(H).max(axis=(1, 2)), 1e-300)
+    res = sylvester_nsd(H, tol=1e-9)
+    worst_eig = float(np.max(res["max_eigenvalue"] / scale))
+    dets = res["det"] / _libm_pow(scale, 3)
+    vv_ok = bool(np.all(H[:, 0, 0] < 0))
     report = {
         "points": int(u.size),
         "bound_upper": {"margin": float(upper.min()), "pass": bool(upper.min() >= 0)},
@@ -499,14 +508,15 @@ def aux_T_check(n_points: int = 10000, seed: int = 0) -> dict:
     """Random sweep over the relaxed domain {0 <= A <= 1, uv <= 2}:
     T'_A >= uv/4, the (v, A) 2x2 determinant positive, 3x3 determinant 0."""
     rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < n_points:
+    chunks, got = [], 0
+    while got < n_points:
         u = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 4 * n_points))
         v = np.exp(rng.uniform(math.log(1e-3), math.log(2.0), 4 * n_points))
         A = rng.uniform(0.0, 1.0, 4 * n_points)
         keep = u * v <= 2.0
-        pts.extend(np.column_stack([u, v, A])[keep][:n_points - len(pts)])
-    u, v, A = np.asarray(pts).T
+        chunks.append(np.column_stack([u, v, A])[keep][:n_points - got])
+        got += len(chunks[-1])
+    u, v, A = np.concatenate(chunks).T
 
     gA = u * v / (A + 1.0) ** 2
     floor_margin = gA - u * v / 4.0
@@ -515,15 +525,12 @@ def aux_T_check(n_points: int = 10000, seed: int = 0) -> dict:
 
     idx = np.random.default_rng(seed + 1).choice(len(u), size=min(500, len(u)),
                                                  replace=False)
-    det3 = []
-    nsd_ok = True
-    for i in idx:
-        H = t_hessian(u[i], v[i], A[i])
-        scale = np.abs(H).max()
-        det3.append(abs(np.linalg.det(H)) / scale ** 3)
-        # order (v, A, u) puts a strictly negative entry first for the lemma
-        perm = np.ix_([1, 2, 0], [1, 2, 0])
-        nsd_ok = nsd_ok and sylvester_nsd(H[perm], tol=1e-8)["verdict"] == "nsd"
+    H = np.array([t_hessian(u[i], v[i], A[i]) for i in idx])
+    det3 = np.abs(np.linalg.det(H)) / _libm_pow(np.abs(H).max(axis=(1, 2)), 3)
+    # order (v, A, u) puts a strictly negative entry first for the lemma
+    perm = [1, 2, 0]
+    nsd_ok = bool(np.all(
+        sylvester_nsd(H[:, perm][:, :, perm], tol=1e-8)["verdict"] == "nsd"))
     report = {
         "points": int(len(u)),
         "a_derivative_floor": {"margin": float(floor_margin.min()),

@@ -321,7 +321,14 @@ class EpsilonModel:
         f(y) = coeff y, so it is coeff log(z / y_floor)."""
         if self.kind != "const":
             raise ValueError("the truncated tail mass is for const eps only")
-        return self.coeff * math.log(float(z) / y_floor)
+        ratio = np.asarray(z, dtype=float) / y_floor
+        # math.log point by point, also on arrays: numpy's array log differs
+        # from libm's in the last bit, and the top of the B0 probe's grid
+        # reaches the report
+        logs = np.fromiter(map(math.log, ratio.ravel().tolist()), float,
+                           ratio.size).reshape(ratio.shape)
+        out = self.coeff * logs
+        return float(out) if logs.ndim == 0 else out
 
     # -- integrability of eps(t)/t -------------------------------------------
 

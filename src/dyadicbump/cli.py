@@ -293,6 +293,9 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
 def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
     budget = _budget(family, cfg)
     depth = int(cfg.get("depth", 6))
+    if depth < 1:
+        # a depth-0 tree has no internal node, so no drop constant
+        raise InputError(f"glav depth {depth} is below 1")
     n = int(cfg.get("n_instances", 10))
     bump_target = float(cfg.get("bump_target", 0.01))
     seeds = [seed + i for i in range(n)]

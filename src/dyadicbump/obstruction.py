@@ -398,35 +398,39 @@ def growth_table(depths=(10, 20, 40)) -> list[dict]:
 # The B0 probe
 # ---------------------------------------------------------------------------
 
-def _b0_point(model: EpsilonModel, C: float, u: float, v: float, A: float,
-              P: float, y_floor: float | None) -> dict:
+def _b0_point(model: EpsilonModel, C: float, u: np.ndarray, v: np.ndarray,
+              A: np.ndarray, P: float, y_floor: float | None) -> dict:
     """Evaluate B0(u, v, A) = C u - sup_L (L^2/v) W(L/(A+1)) over the
     admissible slab uv <= L <= P sqrt(uv), together with the envelope
-    derivative in A at the maximizing L.
+    derivative in A at the maximizing L, at arrays of points (u, v, A).
 
     The inner term is increasing in L, so the sup sits at the right
-    endpoint; a 24-point grid is kept as an independent check of that fact.
+    endpoint; a 24-point grid per point is kept as an independent check of
+    that fact.  Each entry of the result is an array over the points.
     """
-    lo, hi = u * v, P * math.sqrt(u * v)
-    grid = np.geomspace(lo, hi, 24)
-    z = grid / (A + 1.0)
+    uv = u * v
+    grid = np.geomspace(uv, P * np.sqrt(uv), 24, axis=-1)
+    z = grid / (A + 1.0)[:, None]
     if y_floor is None:
         w = model.tail_mass(z)
     else:
-        w = np.array([max(0.0, float(model.truncated_tail_mass(s, y_floor)))
-                      for s in z])
-    terms = grid * grid / v * w
-    i_star = int(np.argmax(terms))
-    l_star = float(grid[i_star])
+        w = np.maximum(0.0, model.truncated_tail_mass(z, y_floor))
+    terms = grid * grid / v[:, None] * w
+    i_star = np.argmax(terms, axis=-1)
+    rows = np.arange(i_star.size)
+    l_star = grid[rows, i_star]
+    term = terms[rows, i_star]
     z_star = l_star / (A + 1.0)
-    # envelope derivative: d/dA of -(L^2/v) W(L/(A+1)) at fixed L = L*
-    da = l_star / v * float(model.inverse(z_star))
+    # envelope derivative: d/dA of -(L^2/v) W(L/(A+1)) at fixed L = L*.
+    # f(z*) stays a scalar call per point: numpy's array pow and log loops
+    # differ from the scalar ones in the last bit, and da reaches the report
+    f_star = np.array([float(model.inverse(s)) for s in z_star])
     return {
-        "value": C * u - float(terms[i_star]),
-        "term": float(terms[i_star]),
+        "value": C * u - term,
+        "term": term,
         "L_star": l_star,
-        "argmax_at_top": i_star == grid.size - 1,
-        "da": da,
+        "argmax_at_top": i_star == grid.shape[-1] - 1,
+        "da": l_star / v * f_star,
     }
 
 
@@ -482,27 +486,28 @@ def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
         else:
             c_budget = 1.0 + P * P * max(
                 0.0, float(model.truncated_tail_mass(z_top, y_floor)))
-        lam = 0.0
-        gamma = math.inf
-        for u, tv, A in zip(uu, t, aa):
-            v = tv / u
-            pt = _b0_point(model, c_budget, u, v, A, P, y_floor)
-            env_ok &= pt["argmax_at_top"]
-            bounds_ok &= -1e-12 * c_budget * u <= pt["value"] \
-                <= c_budget * u * (1 + 1e-12)
-            lam = max(lam, pt["value"] / u)
-            gamma = min(gamma, pt["da"] / (u * u * v))
-            da_min = min(da_min, pt["da"])
-            # finite-difference cross-check of the envelope derivative
-            # wherever the increment clears roundoff on C u
-            h = 1e-4 * (A + 1.0)
-            if 0.0 <= A - h and A + h <= 1.0 \
-                    and pt["da"] * h > 1e5 * np.finfo(float).eps * c_budget * u:
-                up = _b0_point(model, c_budget, u, v, A + h, P, y_floor)
-                dn = _b0_point(model, c_budget, u, v, A - h, P, y_floor)
-                fd = (up["value"] - dn["value"]) / (2 * h)
-                fd_max_rel = max(fd_max_rel, abs(fd - pt["da"]) / pt["da"])
-                fd_checked += 1
+        vv = t / uu
+        pt = _b0_point(model, c_budget, uu, vv, aa, P, y_floor)
+        value, da = pt["value"], pt["da"]
+        env_ok &= bool(pt["argmax_at_top"].all())
+        bounds_ok &= bool(np.all((-1e-12 * c_budget * uu <= value)
+                                 & (value <= c_budget * uu * (1 + 1e-12))))
+        lam = max(0.0, float(np.max(value / uu)))
+        gamma = float(np.min(da / (uu * uu * vv)))
+        da_min = min(da_min, float(np.min(da)))
+        # finite-difference cross-check of the envelope derivative
+        # wherever the increment clears roundoff on C u
+        h = 1e-4 * (aa + 1.0)
+        fd = (0.0 <= aa - h) & (aa + h <= 1.0) \
+            & (da * h > 1e5 * np.finfo(float).eps * c_budget * uu)
+        if fd.any():
+            u_fd, v_fd, a_fd, h_fd = uu[fd], vv[fd], aa[fd], h[fd]
+            up = _b0_point(model, c_budget, u_fd, v_fd, a_fd + h_fd, P, y_floor)
+            dn = _b0_point(model, c_budget, u_fd, v_fd, a_fd - h_fd, P, y_floor)
+            slope = (up["value"] - dn["value"]) / (2 * h_fd)
+            fd_max_rel = max(fd_max_rel, float(np.max(
+                np.abs(slope - da[fd]) / da[fd])))
+            fd_checked += int(fd.sum())
         per_floor.append({
             "y_floor": y_floor,
             "C": c_budget,
@@ -512,10 +517,10 @@ def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
         })
 
     # concavity of the envelope along A at a fixed weight point
-    u0, v0 = 1.0, delta_used
     a_line = np.linspace(0.0, 1.0, 33)
-    vals = np.array([_b0_point(model, per_floor[0]["C"], u0, v0, a, P,
-                               floors[0])["value"] for a in a_line])
+    vals = _b0_point(model, per_floor[0]["C"], np.ones_like(a_line),
+                     np.full_like(a_line, delta_used), a_line, P,
+                     floors[0])["value"]
     second = np.diff(vals, 2)
     concave_ok = bool(np.all(second <= 1e-9 * max(1.0, float(np.abs(vals).max()))))
 

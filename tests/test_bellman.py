@@ -325,27 +325,102 @@ def test_g_positivity_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_sylvester_nsd_lemma_case():
-    rep = sylvester_nsd(np.diag([-1.0, -1.0, 0.0]))
-    assert rep["verdict"] == "nsd" and rep["via"] == "lemma"
+    rep = sylvester_nsd(np.diag([-1.0, -1.0, 0.0])[None])
+    assert rep["verdict"][0] == "nsd" and rep["via"][0] == "lemma"
 
 
 def test_sylvester_eigenvalue_fallback():
-    rep = sylvester_nsd(np.diag([-1.0, 1.0, 0.0]))
-    assert rep["verdict"] == "not-nsd" and rep["via"] == "eigenvalues"
+    rep = sylvester_nsd(np.diag([-1.0, 1.0, 0.0])[None])
+    assert rep["verdict"][0] == "not-nsd" and rep["via"][0] == "eigenvalues"
 
 
 def test_sylvester_rejects_nonsymmetric():
     M = np.zeros((3, 3))
     M[0, 1] = 1.0
     with pytest.raises(ValueError):
-        sylvester_nsd(M)
+        sylvester_nsd(M[None])
 
 
 def test_sylvester_on_t_hessian():
     H = t_hessian(0.25, 0.25, 0.5)
     perm = np.ix_([1, 2, 0], [1, 2, 0])
-    rep = sylvester_nsd(H[perm], tol=1e-8)
-    assert rep["verdict"] == "nsd"
+    rep = sylvester_nsd(H[perm][None], tol=1e-8)
+    assert rep["verdict"][0] == "nsd"
+
+
+def _sylvester_oracle(M, tol=1e-9):
+    # the per-matrix check that sylvester_nsd made before it took stacks
+    M = np.asarray(M, dtype=float)
+    if M.shape != (3, 3) or not np.allclose(M, M.T, atol=tol * (1 + np.abs(M).max())):
+        raise ValueError("sylvester_nsd expects a symmetric 3x3 matrix")
+    scale = max(float(np.abs(M).max()), 1e-300)
+    minor = M[0, 0] * M[1, 1] - M[0, 1] ** 2
+    det = float(np.linalg.det(M))
+    zero_row = bool(np.all(np.abs(M[0]) <= tol * scale))
+    premises = ((M[0, 0] < -tol * scale or (abs(M[0, 0]) <= tol * scale and zero_row))
+                and minor > -tol * scale ** 2
+                and abs(det) <= math.sqrt(tol) * scale ** 3)
+    eigs = np.linalg.eigvalsh(M)
+    by_eigen = bool(eigs.max() <= tol * scale)
+    if premises:
+        verdict = "nsd"
+        via = "lemma"
+        if not by_eigen:
+            verdict, via = "not-nsd", "eigenvalues"
+    else:
+        verdict = "nsd" if by_eigen else "not-nsd"
+        via = "eigenvalues"
+    return {"verdict": verdict, "via": via, "max_eigenvalue": float(eigs.max()),
+            "minor": float(minor), "det": det}
+
+
+def _assert_stack_matches_oracle(stack, tol):
+    got = sylvester_nsd(stack, tol=tol)
+    for i, M in enumerate(stack):
+        want = _sylvester_oracle(M, tol=tol)
+        assert {k: got[k][i].item() for k in want} == want, i
+
+
+def _sylvester_cases():
+    zero_row = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.5, -1.0]])
+    perm = np.ix_([1, 2, 0], [1, 2, 0])
+    t_perm = [t_hessian(u, v, A)[perm]
+              for u, v, A in [(0.25, 0.25, 0.5), (1e-3, 2.0, 0.0),
+                              (1.3, 1.1, 1.0), (0.05, 7.0, 0.3)]]
+    return np.array([np.diag([-1.0, -1.0, 0.0]), np.diag([-1.0, 1.0, 0.0]),
+                     zero_row, *t_perm])
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-8])
+def test_sylvester_stack_matches_per_matrix_oracle(tol):
+    stack = _sylvester_cases()
+    _assert_stack_matches_oracle(stack, tol)
+    rep = sylvester_nsd(stack, tol=tol)
+    assert list(rep["verdict"]) == ["nsd", "not-nsd", "nsd"] + ["nsd"] * 4
+    assert list(rep["via"][:3]) == ["lemma", "eigenvalues", "lemma"]
+
+
+def test_sylvester_stack_matches_oracle_on_b2_hessians():
+    # the matrices b2_property_check hands over, at two seeds
+    budget = default_budget(log_bump(1.0))
+    b2 = B2(QUARTER, budget.c2)
+    for seed in (0, 4):
+        pts = sample_omega2(budget, 400, np.random.default_rng(seed),
+                            model=QUARTER)
+        stack = np.array([b2.hessian(*p) for p in pts])
+        _assert_stack_matches_oracle(stack, 1e-9)
+
+
+def test_sylvester_takes_stacks_only():
+    stack = _sylvester_cases()
+    asym = stack.copy()
+    asym[4, 0, 1] += 1.0
+    with pytest.raises(ValueError):
+        sylvester_nsd(asym)
+    with pytest.raises(ValueError):
+        sylvester_nsd(stack[0])
+    with pytest.raises(ValueError):
+        sylvester_nsd(np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

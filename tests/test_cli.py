@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,16 @@ class TestCampaigns:
                         self._cfg(tmp_path, {"n_n": 48, "n_a": 48}))
         assert code == 0
         assert (out / "b1_floor_margin_grid.csv").exists()
+
+    def test_bellman_b1_at_a_min_zero_warns_nothing(self, tmp_path):
+        # the sweep's corner (N, A) = (0, 0) gives x = N/A = 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "bellman-b1", "--config",
+                            self._cfg(tmp_path, {"a_min": 0}))
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())["results"]
+        assert rep["points"] == 128 * 129 // 2
 
     def test_bellman_b2_fails_at_default_budget(self, tmp_path):
         # the combined-drop constant is negative at delta = 1e-3: honest
@@ -237,7 +248,9 @@ class TestPlumbing:
     @pytest.mark.parametrize("argv", [
         ("testing", "--depth", "-1"), ("glav", "--depth", "-1"),
         ("orlicz", "--depth", "-1"),
-        ("glav", "--depth", str(MAX_DEPTH + 1))])
+        ("glav", "--depth", str(MAX_DEPTH + 1)),
+        # a depth-0 tree has no internal node and so no drop constant
+        ("glav", "--depth", "0"), ("full", "--depth", "0")])
     def test_bad_depth_is_input_error_without_report(self, tmp_path, argv):
         code, out = run(tmp_path, *argv)
         assert code == 2

@@ -3,16 +3,18 @@ weights, the growing profile, the stopping hierarchy, the companion
 weight, the divergence identity, and the joint-scaling probe."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dyadicbump.bumps import EpsilonModel
+from dyadicbump import obstruction
+from dyadicbump.bumps import EpsilonModel, loglog_bump
 from dyadicbump.dyadic import DyadicIndex, dyadic_maximal, stopping_family
 from dyadicbump.obstruction import (
-    BASE, BandWeight, ConstructionIntegrityError, _generation, a2_supremum,
-    b0_probe,
+    BASE, BandWeight, ConstructionIntegrityError, _b0_point, _generation,
+    a2_supremum, b0_probe,
     build_alpha, build_hierarchy, build_u, build_v, divergence_sum,
     growth_table, maximal_band_values, maximal_integral, obstruction_report,
 )
@@ -302,3 +304,166 @@ class TestB0Probe:
         m = EpsilonModel("power", beta=0.25)
         assert b0_probe(m, n_points=40, seed=7) == b0_probe(m, n_points=40,
                                                             seed=7)
+
+
+# ---------------------------------------------------------------------------
+# The array probe against the per-point oracle
+# ---------------------------------------------------------------------------
+
+def _b0_point_oracle(model, C, u, v, A, P, y_floor):
+    # the scalar evaluation that b0_probe made once per sample point
+    lo, hi = u * v, P * math.sqrt(u * v)
+    grid = np.geomspace(lo, hi, 24)
+    z = grid / (A + 1.0)
+    if y_floor is None:
+        w = model.tail_mass(z)
+    else:
+        w = np.array([max(0.0, model.coeff * math.log(float(s) / y_floor))
+                      for s in z])
+    terms = grid * grid / v * w
+    i_star = int(np.argmax(terms))
+    l_star = float(grid[i_star])
+    z_star = l_star / (A + 1.0)
+    da = l_star / v * float(model.inverse(z_star))
+    return {
+        "value": C * u - float(terms[i_star]),
+        "term": float(terms[i_star]),
+        "L_star": l_star,
+        "argmax_at_top": i_star == grid.size - 1,
+        "da": da,
+    }
+
+
+def _b0_probe_oracle(model, delta=1e-3, P=100.0, n_points=120, seed=0):
+    # b0_probe's per-point loop, kept literally
+    delta_used = min(delta, 0.5 * (model.z_cap / P) ** 2)
+    floors = [None] if model.kind != "const" else [1e-6, 1e-12, 1e-24]
+    per_floor = []
+    env_ok = True
+    bounds_ok = True
+    da_min = math.inf
+    fd_max_rel = 0.0
+    fd_checked = 0
+    for y_floor in floors:
+        if y_floor is None:
+            t_min = 1e-3 * delta_used
+        else:
+            t_min = 10.0 * (2.0 * y_floor / P) ** 2
+        rng = np.random.default_rng(seed)
+        t = np.exp(rng.uniform(math.log(t_min), math.log(delta_used), n_points))
+        uu = 10.0 ** rng.uniform(-1.0, 1.0, n_points)
+        aa = rng.uniform(0.0, 1.0, n_points)
+        aa[:2] = (0.0, 1.0)
+        t[:2] = (t_min, delta_used)
+        z_top = P * math.sqrt(delta_used)
+        if y_floor is None:
+            c_budget = 1.0 + P * P * float(model.tail_mass(z_top))
+        else:
+            c_budget = 1.0 + P * P * max(
+                0.0, model.coeff * math.log(z_top / y_floor))
+        lam = 0.0
+        gamma = math.inf
+        for u, tv, A in zip(uu, t, aa):
+            v = tv / u
+            pt = _b0_point_oracle(model, c_budget, u, v, A, P, y_floor)
+            env_ok &= pt["argmax_at_top"]
+            bounds_ok &= -1e-12 * c_budget * u <= pt["value"] \
+                <= c_budget * u * (1 + 1e-12)
+            lam = max(lam, pt["value"] / u)
+            gamma = min(gamma, pt["da"] / (u * u * v))
+            da_min = min(da_min, pt["da"])
+            h = 1e-4 * (A + 1.0)
+            if 0.0 <= A - h and A + h <= 1.0 \
+                    and pt["da"] * h > 1e5 * np.finfo(float).eps * c_budget * u:
+                up = _b0_point_oracle(model, c_budget, u, v, A + h, P, y_floor)
+                dn = _b0_point_oracle(model, c_budget, u, v, A - h, P, y_floor)
+                fd = (up["value"] - dn["value"]) / (2 * h)
+                fd_max_rel = max(fd_max_rel, abs(fd - pt["da"]) / pt["da"])
+                fd_checked += 1
+        per_floor.append({
+            "y_floor": y_floor,
+            "C": c_budget,
+            "Lambda": lam,
+            "gamma": gamma,
+            "c_joint": gamma / lam if lam > 0 else math.inf,
+        })
+    u0, v0 = 1.0, delta_used
+    a_line = np.linspace(0.0, 1.0, 33)
+    vals = np.array([_b0_point_oracle(model, per_floor[0]["C"], u0, v0, a, P,
+                                      floors[0])["value"] for a in a_line])
+    second = np.diff(vals, 2)
+    concave_ok = bool(np.all(second <= 1e-9 * max(1.0, float(np.abs(vals).max()))))
+    c_joints = [row["c_joint"] for row in per_floor]
+    if model.kind == "const":
+        collapse = all(b < a * (1 - 1e-6) for a, b in zip(c_joints, c_joints[1:]))
+        floor_pass = False
+    else:
+        collapse = False
+        floor_pass = c_joints[0] > 1e-12
+    return {
+        "kind": model.kind,
+        "points": int(n_points),
+        "delta_used": delta_used,
+        "floors": per_floor,
+        "c_joint": c_joints[0],
+        "floor_pass": bool(floor_pass),
+        "floor_collapse": bool(collapse),
+        "bounds_pass": bool(bounds_ok),
+        "envelope_pass": bool(env_ok),
+        "da_min": float(da_min),
+        "da_nonneg_pass": bool(da_min >= 0.0),
+        "fd_checked": fd_checked,
+        "fd_max_rel": float(fd_max_rel),
+        "fd_pass": bool(fd_checked == 0 or fd_max_rel <= 1e-4),
+        "concavity_in_A_pass": concave_ok,
+    }
+
+
+ORACLE_MODELS = {
+    "power-0.25": EpsilonModel("power", beta=0.25),
+    "loglog-2-0.1": loglog_bump(2.0, 0.1).epsilon_model(),
+    "logpow-1.5": EpsilonModel("logpow", kappa=1.5),
+    "const": EpsilonModel("const"),
+}
+
+
+@pytest.mark.parametrize("n_points", [12, 60, 120])
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_b0_probe_matches_per_point_oracle(name, n_points):
+    # every reported value, bit for bit, over twelve seeds
+    model = ORACLE_MODELS[name]
+    for seed in range(12):
+        got = b0_probe(model, n_points=n_points, seed=seed)
+        want = _b0_probe_oracle(model, n_points=n_points, seed=seed)
+        assert json.dumps(got) == json.dumps(want), (name, n_points, seed)
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_b0_point_rows_match_scalar_calls(name):
+    model = ORACLE_MODELS[name]
+    rng = np.random.default_rng(5)
+    uv_top = min(1e-4, 0.5 * (model.z_cap / 100.0) ** 2)
+    u = 10.0 ** rng.uniform(-1.0, 1.0, 40)
+    v = np.exp(rng.uniform(math.log(1e-3 * uv_top), math.log(uv_top), 40)) / u
+    A = rng.uniform(0.0, 1.0, 40)
+    y_floor = 1e-9 if model.kind == "const" else None
+    got = _b0_point(model, 3.0, u, v, A, 100.0, y_floor)
+    for i in range(40):
+        want = _b0_point_oracle(model, 3.0, u[i], v[i], A[i], 100.0, y_floor)
+        assert {k: got[k][i] for k in want} == want
+
+
+def test_b0_point_counts_one_call_per_batch(monkeypatch):
+    # one call for the points of each floor, one for each side of the
+    # finite differences, one for the concavity line
+    calls = []
+    inner = obstruction._b0_point
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return inner(*args)
+
+    monkeypatch.setattr(obstruction, "_b0_point", counted)
+    r = b0_probe(EpsilonModel("const"), n_points=60)
+    assert len(calls) == 10 and calls[-1] == 33
+    assert sum(calls) == 3 * 60 + 2 * r["fd_checked"] + 33

@@ -14,7 +14,7 @@ g(s) = -f(s)^2 + 2 s^2 f'(s) W(s); concavity of B2 reduces to g >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,19 +35,22 @@ class ConstantBudget:
     """Constants and tolerances shared by the Bellman sweeps.
 
     c1 and c2 are the additive constants in B1 and B2; c_drop the target in
-    the combined drop bound; delta1 the allowed negativity of uv (B2)'_L;
-    derivative_floor the factor in (B1)'_A >= floor * N / Psi0(N).
+    the combined drop bound; delta1 the allowed negativity of uv (B2)'_L,
+    c_drop / 10 unless given; derivative_floor the factor in
+    (B1)'_A >= floor * N / Psi0(N); delta and P cut out Omega2.
     """
 
     c1: float
     c2: float
     c_drop: float = 0.05
-    delta1: float = field(default=0.005)
+    delta1: float | None = None
     derivative_floor: float = 1.0
     delta: float = 1e-3
     P: float = 100.0
 
     def __post_init__(self):
+        if self.delta1 is None:
+            object.__setattr__(self, "delta1", self.c_drop / 10.0)
         if min(self.c1, self.c2, self.c_drop, self.delta1,
                self.derivative_floor, self.delta, self.P) <= 0:
             raise ValueError("all budget entries must be positive")
@@ -55,23 +58,22 @@ class ConstantBudget:
             raise ValueError("delta1 must stay below c_drop")
 
 
-def default_budget(family: BumpFamily, delta: float = 1e-3,
-                   P: float = 100.0, c_drop: float = 0.05,
-                   derivative_floor: float = 1.0,
-                   c2: float | None = None) -> ConstantBudget:
-    """C1 = 1 + J(1) (so B1 >= 0 on {N <= A}); C2, unless given, = 1 + sup
-    of the B2 tail term over Omega2, attained at uv = delta, L = P sqrt(uv),
-    A = 0.  A caller that never builds B2 passes c2 = inf: the sup needs the
-    tail mass W, which diverges for some families that B1 handles."""
-    b1 = B1(family, C=1.0)
-    c1 = 1.0 + b1.j(1.0)
+def default_budget(family: BumpFamily, c2: float | None = None,
+                   **fields) -> ConstantBudget:
+    """The budget with the given ConstantBudget fields and C1 = 1 + J(1)
+    (so B1 >= 0 on {N <= A}); C2, unless given, = 1 + sup of the B2 tail
+    term over Omega2, attained at uv = delta, L = P sqrt(uv), A = 0.  A
+    caller that never builds B2 passes c2 = inf: the sup needs the tail
+    mass W, which diverges for some families that B1 handles."""
+    # c1 and c2 are placeholders until the fields give delta and P
+    budget = ConstantBudget(c1=1.0, c2=1.0, **fields)
+    c1 = 1.0 + B1(family, C=1.0).j(1.0)
     if c2 is None:
         model = family.b2_model()
-        z_sup = P * math.sqrt(delta)
-        c2 = 1.0 + P * P * model.tail_mass(min(z_sup, model.z_cap))
-    return ConstantBudget(c1=float(c1), c2=float(c2), c_drop=c_drop,
-                          delta1=c_drop / 10.0, derivative_floor=derivative_floor,
-                          delta=delta, P=P)
+        P = budget.P
+        c2 = 1.0 + P * P * model.tail_mass(
+            min(P * math.sqrt(budget.delta), model.z_cap))
+    return replace(budget, c1=float(c1), c2=float(c2))
 
 
 # ---------------------------------------------------------------------------

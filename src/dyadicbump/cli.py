@@ -14,7 +14,6 @@ failures (report still written), 2 on input errors (no partial report).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import (B1, B2, ConstantBudget, aux_T_check, b1_property_check,
+from .bellman import (B1, B2, aux_T_check, b1_property_check,
                       b2_property_check, default_budget, g_positivity)
 from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     curv_translate, integrability_phi, log_bump,
@@ -30,7 +29,7 @@ from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     self_improvement_check)
 from .dyadic import (ROOT, CarlesonSequence, LeafWeight, TreeDepthError,
                      check_depth)
-from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, growth_table,
+from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, growth_row,
                           obstruction_report)
 from .reports import emit_plotdata, make_report, write_report
 from .sparse import (SparseOperator, bump_condition, glav_sup,
@@ -88,25 +87,29 @@ def _count(least: int):
 _POSITIVE = (lambda x: _is_number(x) and x > 0, "a positive number")
 _PATH = (lambda x: isinstance(x, str), "a path string")
 
-# every config field, with its check and what the check asks for; depths
-# and sample sizes take the least count each campaign can run on
-FIELDS = {
-    "family": (lambda x: isinstance(x, (str, dict)),
-               "a JSON object or a path to one"),
+# the integer fields: depths and sample sizes, each taking the least count
+# a campaign can run on
+COUNTS = {
     "seed": _count(0),
-    "out": _PATH,
     "depth": _count(0),
     "refine_depth": _count(0),
-    "instance": _PATH,
-    **dict.fromkeys(("delta", "P", "c_drop", "derivative_floor", "delta1",
-                     "bump_target", "psi_gap_bound", "equivalence_bound"),
-                    _POSITIVE),
-    # the seam sample draws A from [max(2 a_min, 0.05), 1]
-    "a_min": (lambda x: _is_number(x) and 0 <= x <= 0.5,
-              "a number in [0, 0.5]"),
     **dict.fromkeys(("n_points", "n_points_T", "n_quad", "g_points",
                      "n_weights", "n_instances", "n_n", "n_a"), _count(1)),
     "probe_points": _count(2),
+}
+BUDGET_FIELDS = ("delta", "P", "c_drop", "delta1", "derivative_floor")
+# every config field, with its check and what the check asks for
+FIELDS = {
+    "family": (lambda x: isinstance(x, (str, dict)),
+               "a JSON object or a path to one"),
+    "out": _PATH,
+    "instance": _PATH,
+    **COUNTS,
+    **dict.fromkeys((*BUDGET_FIELDS, "bump_target", "psi_gap_bound",
+                     "equivalence_bound"), _POSITIVE),
+    # the seam sample draws A from [max(2 a_min, 0.05), 1]
+    "a_min": (lambda x: _is_number(x) and 0 <= x <= 0.5,
+              "a number in [0, 0.5]"),
 }
 
 
@@ -133,18 +136,20 @@ def _resolve(args) -> dict:
     return cfg
 
 
+def _given(cfg: dict, **params) -> dict:
+    """Keyword arguments param=cfg[field], for each param=field whose field
+    the config sets; the called function's own default covers the rest.
+    Every number but a count becomes a float, so 1 and 1.0 report alike."""
+    return {param: cfg[key] if key in COUNTS else float(cfg[key])
+            for param, key in params.items() if key in cfg}
+
+
 def _budget(family: BumpFamily, cfg: dict, **fixed):
-    kw = {}
-    for key in ("delta", "P", "c_drop", "derivative_floor"):
-        if key in cfg:
-            kw[key] = float(cfg[key])
+    fields = _given(cfg, **{key: key for key in BUDGET_FIELDS})
     try:
-        budget = default_budget(family, **kw, **fixed)
-        if "delta1" in cfg:
-            budget = dataclasses.replace(budget, delta1=float(cfg["delta1"]))
+        return default_budget(family, **fields, **fixed)
     except ValueError as exc:
         raise InputError(f"no constant budget for {family!r}: {exc}") from exc
-    return budget
 
 
 def _need_companion(family: BumpFamily) -> None:
@@ -176,7 +181,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
     passed = results["psi_gap"]["pass"]
     if results["eps_integrability"]["verdict"] == "finite":
         gp = g_positivity(model, (1e-6, min(0.1, 0.9 * model.z_cap)),
-                          n=int(cfg.get("g_points", 200)))
+                          **_given(cfg, n="g_points"))
         results["g_positivity"] = {k: gp[k] for k in
                                    ("min_g", "positive", "nondecreasing",
                                     "limit_zero")}
@@ -227,10 +232,8 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
 def run_bellman_b1(family: BumpFamily, cfg: dict, seed: int, out: Path):
     # B1 reads no c2, and W diverges for some families B1 handles
     budget = _budget(family, cfg, c2=math.inf)
-    rep = b1_property_check(family, budget,
-                            n_n=int(cfg.get("n_n", 128)),
-                            n_a=int(cfg.get("n_a", 128)),
-                            a_min=float(cfg.get("a_min", 1e-3)))
+    rep = b1_property_check(
+        family, budget, **_given(cfg, n_n="n_n", n_a="n_a", a_min="a_min"))
     # derivative-floor margin heat grid (the binding property)
     b1 = B1(family, budget.c1)
     n_grid = np.linspace(1e-3, 1.0, 33)
@@ -253,9 +256,8 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
     model = family.epsilon_model()
     if model is None:
         raise InputError(f"family {family!r} has no epsilon model for B2")
-    rep = b2_property_check(model, budget,
-                            n_points=int(cfg.get("n_points", 10000)),
-                            seed=seed)
+    rep = b2_property_check(model, budget, seed=seed,
+                            **_given(cfg, n_points="n_points"))
     # closed form vs quadrature on a seeded sample
     b2 = B2(model, budget.c2)
     rng = np.random.default_rng(seed)
@@ -283,8 +285,7 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
                          float(dA / (s * L) + s * dL / L)])
     rep["series"] = {"b2_combined_drop_grid":
                      {"columns": ["uv", "A", "margin"], "rows": rows}}
-    rep["aux_T"] = aux_T_check(n_points=int(cfg.get("n_points_T", 10000)),
-                               seed=seed)
+    rep["aux_T"] = aux_T_check(seed=seed, **_given(cfg, n_points="n_points_T"))
     passed = rep["pass"] and rep["closed_vs_quad"]["pass"] \
         and rep["aux_T"]["pass"]
     return rep, passed
@@ -364,8 +365,7 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
         "testing": {"u_to_v_sup": tc["u_to_v"]["sup"],
                     "v_to_u_sup": tc["v_to_u"]["sup"],
                     "sup": tc["sup"]},
-        "vavo": vavo_L_bound(u, v, T,
-                             P=float(cfg.get("P", ConstantBudget.P))),
+        "vavo": vavo_L_bound(u, v, T, **_given(cfg, P="P")),
         "bump": bump_condition(u, v, family),
     }
     return results, results["vavo"]["pass"]
@@ -376,15 +376,16 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     if not 1 <= depth <= MAX_OBSTRUCTION_DEPTH:
         raise InputError(f"obstruction depth {depth} outside "
                          f"[1, {MAX_OBSTRUCTION_DEPTH}]")
-    depths = tuple(sorted({10, 20, depth}))
-    rep = obstruction_report(depth)
-    table = growth_table(depths=depths)
+    # each depth is built once: the growth table's 10 and 20, the
+    # campaign's own depth, and the bundle's min(depth, 20)
+    reports = {d: obstruction_report(d) for d in sorted({10, 20, depth})}
+    rep = reports[depth]
+    table = [growth_row(r) for r in reports.values()]
     ratios = [r["ratio"] for r in table]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     probe_model = family.b2_model()
-    probe_kw = {"delta": float(cfg.get("delta", ConstantBudget.delta)),
-                "P": float(cfg.get("P", ConstantBudget.P)),
-                "n_points": int(cfg.get("probe_points", 120)), "seed": seed}
+    probe_kw = {"seed": seed, **_given(cfg, delta="delta", P="P",
+                                       n_points="probe_points")}
     probe = b0_probe(probe_model, **probe_kw)
     probe_const = b0_probe(EpsilonModel("const"), **probe_kw)
     results = {
@@ -405,7 +406,7 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
         }},
     }
     bundle_depth = min(depth, 20)
-    brep = rep if bundle_depth == depth else obstruction_report(bundle_depth)
+    brep = reports[bundle_depth]
     entries = [(mem, 1.0 / 3.0) for _, mem in brep["hierarchy"].all_members()]
     seq = CarlesonSequence.from_entries(bundle_depth, entries)
     save_instance(out / "instance", brep["u"].to_leaf_weight(),

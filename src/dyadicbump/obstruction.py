@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bellman import ConstantBudget
 from .bumps import EpsilonModel
 from .dyadic import DyadicIndex, LeafWeight, MAX_DEPTH
 
@@ -63,28 +64,13 @@ class BandWeight:
         return float(np.dot(self.band_values, widths)) \
             + self.last_value * 0.5 ** self.depth
 
-    def suffix_integrals(self) -> np.ndarray:
-        """I_m = integral over [0, 2^{-m}) for m = 0..depth."""
-        widths = 0.5 ** (np.arange(self.depth) + 1)
-        pieces = self.band_values * widths
-        out = np.zeros(self.depth + 1)
-        out[self.depth] = self.last_value * 0.5 ** self.depth
-        for m in range(self.depth - 1, -1, -1):
-            out[m] = out[m + 1] + pieces[m]
-        return out
-
     def prefix_averages(self) -> np.ndarray:
         """Averages over the prefixes [0, 2^{-m}) for m = 0..depth."""
-        return self.suffix_integrals() * 2.0 ** np.arange(self.depth + 1)
-
-    def prefix_average(self, m: int) -> float:
-        """Average over the prefix interval [0, 2^{-m})."""
-        if not 0 <= m <= self.depth:
-            raise ValueError(f"prefix level {m} outside [0, {self.depth}]")
-        return float(self.prefix_averages()[m])
-
-    def band_average(self, k: int) -> float:
-        return float(self.band_values[k])
+        widths = 0.5 ** (np.arange(self.depth) + 1)
+        # integrals over the prefixes, summed up from the leftover interval
+        pieces = np.concatenate(([self.last_value * 0.5 ** self.depth],
+                                 (self.band_values * widths)[::-1]))
+        return np.cumsum(pieces)[::-1] * 2.0 ** np.arange(self.depth + 1)
 
     def average(self, index: DyadicIndex) -> float:
         """Average over any dyadic interval down to the weight's depth: it
@@ -93,8 +79,8 @@ class BandWeight:
             raise ValueError(f"level {index.level} deeper than weight depth "
                              f"{self.depth}")
         if index.pos == 0:
-            return self.prefix_average(index.level)
-        return self.band_average(index.level - index.pos.bit_length())
+            return float(self.prefix_averages()[index.level])
+        return float(self.band_values[index.level - index.pos.bit_length()])
 
     def to_leaf_weight(self) -> LeafWeight:
         if self.depth > MAX_DEPTH:
@@ -377,21 +363,23 @@ def obstruction_report(depth: int) -> dict:
     }
 
 
+def growth_row(rep: dict) -> dict:
+    """One depth's row of the growth table, from its obstruction_report."""
+    div = rep["divergence"]
+    return {
+        "depth": rep["depth"],
+        "generations": rep["generations"],
+        "S": div["S_total"],
+        "integral_u": div["integral_u"],
+        "ratio": div["ratio"],
+        "truncated_maximal": div["truncated_maximal_integral"],
+    }
+
+
 def growth_table(depths=(10, 20, 40)) -> list[dict]:
     """S(n)/integral(u) across a depth sweep plus the truncated maximal
     integral — the log-divergence signature."""
-    rows = []
-    for d in depths:
-        rep = obstruction_report(d)
-        rows.append({
-            "depth": d,
-            "generations": rep["generations"],
-            "S": rep["divergence"]["S_total"],
-            "integral_u": rep["divergence"]["integral_u"],
-            "ratio": rep["divergence"]["ratio"],
-            "truncated_maximal": rep["divergence"]["truncated_maximal_integral"],
-        })
-    return rows
+    return [growth_row(obstruction_report(d)) for d in depths]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +422,9 @@ def _b0_point(model: EpsilonModel, C: float, u: np.ndarray, v: np.ndarray,
     }
 
 
-def b0_probe(model: EpsilonModel, delta: float = 1e-3, P: float = 100.0,
-             n_points: int = 120, seed: int = 0) -> dict:
+def b0_probe(model: EpsilonModel, delta: float = ConstantBudget.delta,
+             P: float = ConstantBudget.P, n_points: int = 120,
+             seed: int = 0) -> dict:
     """Joint-scaling probe for a Bellman candidate on the reduced domain
     {(u, v, A): uv <= delta, 0 <= A <= 1} without the flow variable.
 

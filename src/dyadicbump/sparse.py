@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import (B1, B2, BellmanNode, ConstantBudget, default_budget,
-                      master_bellman_eval)
+from .bellman import B1, B2, BellmanNode, ConstantBudget, master_bellman_eval
 from .bumps import BumpFamily, orlicz_norm_def_batch
 from .dyadic import (CarlesonSequence, DyadicIndex, LeafWeight, ROOT,
                      StepDistribution, check_depth, l_intensity_levels,
@@ -195,8 +194,7 @@ def glav_check(u: LeafWeight, v: LeafWeight, T: SparseOperator,
 # ---------------------------------------------------------------------------
 
 def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
-                    family: BumpFamily,
-                    budget: ConstantBudget | None = None) -> dict:
+                    family: BumpFamily, budget: ConstantBudget) -> dict:
     """Evaluate the master Bellman function at every node, verify the
     telescoping identity |I| B(I) - sum over bottom nodes = sum of the
     per-node differences Delta(J), and report the achieved minimum of
@@ -206,8 +204,6 @@ def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
     the drop statistic and listed in the report; the telescoping identity
     is algebra and is checked on everything.
     """
-    if budget is None:
-        budget = default_budget(family)
     b1 = B1(family, budget.c1)
     b2 = B2(family.b2_model(), budget.c2)
     us = [u.node_averages(k) for k in range(T.depth + 1)]
@@ -296,7 +292,7 @@ def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
 
 
 def vavo_L_bound(u: LeafWeight, v: LeafWeight, T: SparseOperator,
-                 P: float = 100.0) -> dict:
+                 P: float = ConstantBudget.P) -> dict:
     """Check L_I <= P sqrt(u_I v_I) at every node.  The bound is a lemma
     under joint A2 <= 1 and Carleson bound <= 1; if either hypothesis fails
     the report is marked conditional rather than failed."""

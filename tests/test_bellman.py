@@ -43,6 +43,15 @@ def test_default_budget_constants():
     assert budget.delta1 == pytest.approx(budget.c_drop / 10.0)
 
 
+def test_delta1_is_a_tenth_of_c_drop_by_either_route():
+    # built directly or through default_budget, an unset delta1 follows
+    # c_drop, so a c_drop below 0.005 still makes a valid budget
+    direct = ConstantBudget(c1=1.0, c2=1.0, c_drop=0.01)
+    assert direct.delta1 == default_budget(log_bump(1.0),
+                                           c_drop=0.01).delta1 == 0.001
+    assert ConstantBudget(c1=1.0, c2=1.0, c_drop=0.004).delta1 == 0.004 / 10
+
+
 # ---------------------------------------------------------------------------
 # B1: J and its closed forms
 # ---------------------------------------------------------------------------

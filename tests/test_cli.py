@@ -404,6 +404,27 @@ class TestPlumbing:
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["b0_probe"]["delta_used"] == 1e-4
 
+    @pytest.mark.parametrize("campaign, whole, real", [
+        ("bellman-b1", {"a_min": 0, "n_n": 48, "n_a": 48},
+         {"a_min": 0.0, "n_n": 48, "n_a": 48}),
+        ("testing", {"P": 50, "depth": 4}, {"P": 50.0, "depth": 4}),
+        ("obstruction", {"delta": 1, "probe_points": 12},
+         {"delta": 1.0, "probe_points": 12}),
+        ("obstruction", {"P": 100, "probe_points": 12},
+         {"P": 100.0, "probe_points": 12}),
+    ])
+    def test_integer_valued_numbers_report_as_floats(self, tmp_path, campaign,
+                                                     whole, real):
+        results = []
+        for name, cfg in (("whole", whole), ("real", real)):
+            code, out = run(tmp_path / name, campaign, "--config",
+                            TestCampaigns._cfg(tmp_path, cfg))
+            assert code == 0
+            results.append(json.dumps(
+                json.loads((out / "report.json").read_text())["results"]))
+        # e.g. "delta": 1 still writes b0_probe's delta_used as 1.0
+        assert results[0] == results[1]
+
     def test_unknown_campaign_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--out", str(tmp_path / "x")])

@@ -42,10 +42,10 @@ class TestBandWeight:
         u = BandWeight(5, np.array([2.0, 0.5, 7.0, 1.0, 3.0]), 0.25)
         w = u.to_leaf_weight()
         for m in range(6):
-            assert u.prefix_average(m) == pytest.approx(
+            assert u.average(DyadicIndex(m, 0)) == pytest.approx(
                 w.average(DyadicIndex(m, 0)), rel=1e-14, abs=0)
         for k in range(5):
-            assert u.band_average(k) == pytest.approx(
+            assert u.average(DyadicIndex(k + 1, 1)) == pytest.approx(
                 w.average(DyadicIndex(k + 1, 1)), rel=1e-14, abs=0)
 
     def test_average_matches_leaf_on_every_interval(self):
@@ -76,7 +76,7 @@ class TestBandWeight:
     def test_prefix_level_out_of_range(self):
         u = build_u(4)
         with pytest.raises(ValueError):
-            u.prefix_average(5)
+            u.average(DyadicIndex(5, 0))
 
     def test_maximal_matches_leaf_oracle(self):
         # the compressed maximal function against the full leafwise oracle

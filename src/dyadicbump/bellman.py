@@ -474,18 +474,27 @@ def b2_property_check(model: EpsilonModel, budget: ConstantBudget,
 # The auxiliary function T
 # ---------------------------------------------------------------------------
 
+#: The constant c in T = c sqrt(uv) - uv/(A+1).  It is T's own, not the
+#: budget's P: T'_A = uv/(A+1)^2 and the zero 3x3 determinant (sqrt(uv) is
+#: 1-homogeneous) do not depend on c, and the (v, A) determinant
+#: (u / (v (A+1)^4)) ((c/2)(A+1) sqrt(uv) - uv) is positive on the relaxed
+#: domain uv <= 2 for every c > 2 sqrt(2), so aux_T_check passes for any
+#: such c.  c/2 and c/4 are exact in floating point.
+T_CONSTANT = 100.0
+
+
 def t_value(u, v, A):
-    """T(u, v, A) = 100 sqrt(uv) - uv / (A + 1)."""
+    """T(u, v, A) = c sqrt(uv) - uv / (A + 1) with c = T_CONSTANT."""
     u, v, A = map(lambda t: np.asarray(t, dtype=float), (u, v, A))
-    out = 100.0 * np.sqrt(u * v) - u * v / (A + 1.0)
+    out = T_CONSTANT * np.sqrt(u * v) - u * v / (A + 1.0)
     return out if out.ndim else float(out)
 
 
 def t_grad(u, v, A):
     u, v, A = map(lambda t: np.asarray(t, dtype=float), (u, v, A))
     s = np.sqrt(u * v)
-    gu = 50.0 * s / u - v / (A + 1.0)
-    gv = 50.0 * s / v - u / (A + 1.0)
+    gu = T_CONSTANT / 2 * s / u - v / (A + 1.0)
+    gv = T_CONSTANT / 2 * s / v - u / (A + 1.0)
     gA = u * v / (A + 1.0) ** 2
     if gu.ndim == 0:
         return float(gu), float(gv), float(gA)
@@ -493,17 +502,25 @@ def t_grad(u, v, A):
 
 
 def t_hessian(u, v, A) -> np.ndarray:
-    """Analytic Hessian of T in the order (u, v, A)."""
-    s = math.sqrt(u * v)
-    h_uu = -25.0 * s / u ** 2
-    h_vv = -25.0 * s / v ** 2
-    h_uv = 25.0 / s - 1.0 / (A + 1.0)
-    h_uA = v / (A + 1.0) ** 2
-    h_vA = u / (A + 1.0) ** 2
-    h_AA = -2.0 * u * v / (A + 1.0) ** 3
-    return np.array([[h_uu, h_uv, h_uA],
-                     [h_uv, h_vv, h_vA],
-                     [h_uA, h_vA, h_AA]])
+    """Analytic Hessian of T in the order (u, v, A): shape (3, 3) at one
+    point, (n, 3, 3) for arrays of n points.  The powers go through
+    `_libm_pow`, so each matrix of a stack equals its one-point Hessian."""
+    u, v, A = np.broadcast_arrays(*(np.asarray(t, dtype=float)
+                                    for t in (u, v, A)))
+    shape = u.shape
+    u, v, A = u.ravel(), v.ravel(), A.ravel()
+    s = np.sqrt(u * v)
+    a1 = A + 1.0
+    a1_sq = _libm_pow(a1, 2)
+    h_uu = -(T_CONSTANT / 4) * s / _libm_pow(u, 2)
+    h_vv = -(T_CONSTANT / 4) * s / _libm_pow(v, 2)
+    h_uv = T_CONSTANT / 4 / s - 1.0 / a1
+    h_uA = v / a1_sq
+    h_vA = u / a1_sq
+    h_AA = -2.0 * u * v / _libm_pow(a1, 3)
+    H = np.stack([h_uu, h_uv, h_uA, h_uv, h_vv, h_vA, h_uA, h_vA, h_AA],
+                 axis=-1)
+    return H.reshape(shape + (3, 3))
 
 
 def aux_T_check(n_points: int = 10000, seed: int = 0) -> dict:
@@ -520,14 +537,17 @@ def aux_T_check(n_points: int = 10000, seed: int = 0) -> dict:
         got += len(chunks[-1])
     u, v, A = np.concatenate(chunks).T
 
-    gA = u * v / (A + 1.0) ** 2
-    floor_margin = gA - u * v / 4.0
-    det2 = (u / (v * (A + 1.0) ** 4)) * (50.0 * (A + 1.0) * np.sqrt(u * v) - u * v)
-    t_aa = -2.0 * u * v / (A + 1.0) ** 3
+    floor_margin = t_grad(u, v, A)[2] - u * v / 4.0
+    # the factored closed form: the Hessian entries' own products round
+    # differently in the last bit
+    det2 = (u / (v * (A + 1.0) ** 4)) * (
+        T_CONSTANT / 2 * (A + 1.0) * np.sqrt(u * v) - u * v)
+    H_all = t_hessian(u, v, A)
+    t_aa = H_all[:, 2, 2]
 
     idx = np.random.default_rng(seed + 1).choice(len(u), size=min(500, len(u)),
                                                  replace=False)
-    H = np.array([t_hessian(u[i], v[i], A[i]) for i in idx])
+    H = H_all[idx]
     det3 = np.abs(np.linalg.det(H)) / _libm_pow(np.abs(H).max(axis=(1, 2)), 3)
     # order (v, A, u) puts a strictly negative entry first for the lemma
     perm = [1, 2, 0]

@@ -707,26 +707,3 @@ def psi_gap_check(family: BumpFamily, bound: float) -> dict:
     return {"worst_ratio": worst * bound, "pass": bool(np.all(lhs <= rhs)),
             "bound": bound}
 
-
-def weak_concavity_probe(f, domain: tuple[float, float], trials: int,
-                         rng: np.random.Generator) -> dict:
-    """Estimate the weak-concavity constant inf f(sum l_j x_j)/sum l_j f(x_j)
-    over random convex combinations of 2 to 64 points of the domain."""
-    lo, hi = domain
-    if not 0 < lo < hi:
-        raise ValueError("domain must satisfy 0 < lo < hi")
-    worst = math.inf
-    worst_at = None
-    for _ in range(trials):
-        n = int(rng.integers(2, 65))
-        x = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
-        lam = rng.dirichlet(np.ones(n))
-        fx = np.asarray(f(x), dtype=float)
-        if np.any(fx <= 0):
-            raise ValueError("probe requires f > 0 on the domain")
-        denom = float(np.dot(lam, fx))
-        ratio = float(f(float(np.dot(lam, x)))) / denom
-        if ratio < worst:
-            worst = ratio
-            worst_at = (x.tolist(), lam.tolist())
-    return {"constant": worst, "witness": worst_at, "trials": trials}

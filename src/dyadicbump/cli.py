@@ -297,6 +297,10 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
     if depth < 1:
         # a depth-0 tree has no internal node, so no drop constant
         raise InputError(f"glav depth {depth} is below 1")
+    fine = int(cfg.get("refine_depth", depth + 2))
+    if fine < depth:
+        # the stability rows coarsen the refined instances to depth
+        raise InputError(f"glav refine_depth {fine} is below depth {depth}")
     n = int(cfg.get("n_instances", 10))
     bump_target = float(cfg.get("bump_target", 0.01))
     seeds = [seed + i for i in range(n)]
@@ -316,16 +320,15 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
             "pass": green["pass"],
         })
     # refinement stability of the (glav) sup-ratio on a few instances
-    fine, coarse = int(cfg.get("refine_depth", depth + 2)), depth
     stability = []
     for s in seeds[:min(3, n)]:
         inst = random_instance(fine, s, family=family,
                                bump_target=bump_target,
                                omega2_delta=budget.delta)
         full = glav_sup(inst["u"], inst["v"], inst["T"])["sup_ratio"]
-        part = glav_sup(inst["u"].coarsened(coarse),
-                        inst["v"].coarsened(coarse),
-                        truncated(inst["T"], coarse))["sup_ratio"]
+        part = glav_sup(inst["u"].coarsened(depth),
+                        inst["v"].coarsened(depth),
+                        truncated(inst["T"], depth))["sup_ratio"]
         stability.append({"seed": s, "fine": full, "coarse": part,
                           "rel_change": abs(full - part) / max(full, 1e-300)})
     stable = all(row["rel_change"] <= 0.10 for row in stability)
@@ -348,7 +351,7 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
         where = cfg["instance"]
         try:
             inst = load_instance(Path(where))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, LookupError, TypeError, ValueError) as exc:
             raise InputError(f"instance bundle at {where} is unreadable: "
                              f"{exc}") from exc
         if inst["v"].depth != inst["u"].depth \

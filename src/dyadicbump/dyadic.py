@@ -236,10 +236,10 @@ class StepDistribution:
 
 
 class CarlesonSequence:
-    """Coefficients a_I in [0, 1] on all dyadic intervals down to a depth,
-    with a target Carleson constant for (1/|J|) sum_{I subset J} a_I |I|."""
+    """Coefficients a_I in [0, 1] on all dyadic intervals down to a depth;
+    `SparseOperator` holds their intensity at or below 1."""
 
-    def __init__(self, depth: int, levels, bound: float = 1.0):
+    def __init__(self, depth: int, levels):
         check_depth(depth)
         if len(levels) != depth + 1:
             raise ValueError(f"need {depth + 1} per-level arrays, got {len(levels)}")
@@ -254,22 +254,19 @@ class CarlesonSequence:
             a = a.copy()
             a.setflags(write=False)
             self.levels.append(a)
-        if bound <= 0:
-            raise ValueError("carleson bound must be positive")
-        self.bound = float(bound)
 
     @classmethod
-    def zeros(cls, depth: int, bound: float = 1.0) -> "CarlesonSequence":
-        return cls(depth, [np.zeros(2 ** k) for k in range(depth + 1)], bound)
+    def zeros(cls, depth: int) -> "CarlesonSequence":
+        return cls(depth, [np.zeros(2 ** k) for k in range(depth + 1)])
 
     @classmethod
-    def from_entries(cls, depth: int, entries, bound: float = 1.0) -> "CarlesonSequence":
+    def from_entries(cls, depth: int, entries) -> "CarlesonSequence":
         levels = [np.zeros(2 ** k) for k in range(depth + 1)]
         for idx, val in entries:
             if idx.level > depth:
                 raise ValueError(f"entry at level {idx.level} beyond depth {depth}")
             levels[idx.level][idx.pos] = val
-        return cls(depth, levels, bound)
+        return cls(depth, levels)
 
     def a(self, index: DyadicIndex) -> float:
         if index.level > self.depth:
@@ -277,8 +274,7 @@ class CarlesonSequence:
         return float(self.levels[index.level][index.pos])
 
     def scaled(self, factor: float) -> "CarlesonSequence":
-        return CarlesonSequence(self.depth, [lv * factor for lv in self.levels],
-                                self.bound)
+        return CarlesonSequence(self.depth, [lv * factor for lv in self.levels])
 
     def intensity_levels(self) -> list[np.ndarray]:
         """A_I = a_I + (A_{I+} + A_{I-})/2 for every node, leaves seeded with a."""
@@ -287,24 +283,20 @@ class CarlesonSequence:
     def max_intensity(self) -> float:
         return max(float(arr.max()) for arr in self.intensity_levels())
 
-    def check(self) -> bool:
-        """True iff the Carleson condition holds with the stored bound."""
-        return self.max_intensity() <= self.bound + 1e-12
-
     def to_json(self) -> dict:
         entries = []
         for k, arr in enumerate(self.levels):
             for j in np.nonzero(arr)[0]:
                 entries.append({"level": k, "pos": int(j), "a": float(arr[j])})
-        return {"bound": self.bound, "depth": self.depth, "entries": entries}
+        # the intensity cap SparseOperator enforces, kept for older readers
+        return {"bound": 1.0, "depth": self.depth, "entries": entries}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CarlesonSequence":
-        depth = int(obj["depth"])
-        levels = [np.zeros(2 ** k) for k in range(depth + 1)]
-        for e in obj["entries"]:
-            levels[e["level"]][e["pos"]] = e["a"]
-        return cls(depth, levels, float(obj.get("bound", 1.0)))
+        """Reads depth and entries; the stored cap is always 1.  An entry
+        outside the tree is a ValueError."""
+        return cls.from_entries(int(obj["depth"]), [
+            (DyadicIndex(e["level"], e["pos"]), e["a"]) for e in obj["entries"]])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

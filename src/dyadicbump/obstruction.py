@@ -305,16 +305,12 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
     # maximal function is band-constant, so integrate member by member
     trunc_maximal = 0.0
     if gens:
-        m_bands, m_last = maximal_band_values(u)
-        widths = 0.5 ** (np.arange(u.depth) + 1)
+        m_bands, _ = maximal_band_values(u)
         for mem in gens[0]:
             if mem.pos:
-                k = mem.level - 1
-                trunc_maximal += m_bands[k] * widths[k]
+                trunc_maximal += m_bands[mem.level - 1] * mem.length
             else:
-                trunc_maximal += float(
-                    np.dot(m_bands[mem.level:], widths[mem.level:])) \
-                    + m_last * 0.5 ** u.depth
+                trunc_maximal += maximal_integral(u, cutoff_band=mem.level)
     return {
         "S": s_partial,
         "S_total": s_total,

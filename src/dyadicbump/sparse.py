@@ -34,8 +34,7 @@ def truncated(T: SparseOperator, depth: int) -> SparseOperator:
     (used for depth-refinement stability comparisons)."""
     if depth > T.depth:
         raise ValueError(f"cannot truncate depth {T.depth} to {depth}")
-    return SparseOperator(CarlesonSequence(depth, T.coeffs.levels[:depth + 1],
-                                           T.coeffs.bound))
+    return SparseOperator(CarlesonSequence(depth, T.coeffs.levels[:depth + 1]))
 
 
 def apply_sparse(T: SparseOperator, f: LeafWeight) -> LeafWeight:

@@ -11,7 +11,8 @@ from dyadicbump.bellman import (
     B1, B2, BellmanNode, ConstantBudget, DataIntegrityError,
     aux_T_check, b1_property_check, b2_property_check,
     default_budget, g_function, g_positivity, hessian_fd, master_bellman_eval,
-    node_drop_check, sample_omega2, sylvester_nsd, t_grad, t_hessian, t_value,
+    T_CONSTANT, node_drop_check, sample_omega2, sylvester_nsd, t_grad,
+    t_hessian, t_value,
 )
 from dyadicbump.dyadic import (
     CarlesonSequence, DyadicIndex, LeafWeight, ROOT, StepDistribution,
@@ -516,6 +517,33 @@ def test_t_hessian_matches_fd():
     H = t_hessian(*x0)
     Hfd = hessian_fd(lambda x: t_value(*x), x0)
     assert np.allclose(H, Hfd, rtol=1e-4, atol=1e-6)
+
+
+def _t_hessian_one_point(u, v, A):
+    # the one-point formula in Python floats: libm's pow for every power
+    c = T_CONSTANT
+    s = math.sqrt(u * v)
+    h_uv = c / 4 / s - 1.0 / (A + 1.0)
+    h_uA, h_vA = v / (A + 1.0) ** 2, u / (A + 1.0) ** 2
+    return np.array([[-(c / 4) * s / u ** 2, h_uv, h_uA],
+                     [h_uv, -(c / 4) * s / v ** 2, h_vA],
+                     [h_uA, h_vA, -2.0 * u * v / (A + 1.0) ** 3]])
+
+
+def test_t_hessian_stack_equals_per_point():
+    # a (u, v) grid over the relaxed domain {uv <= 2, 0 <= A <= 1}, with a
+    # distinct A in every cell: numpy's array x ** 3 differs from libm's
+    # pow in the last bit for a few percent of such A + 1
+    U, V = (x.ravel() for x in np.meshgrid(np.geomspace(1e-3, 2.0, 47),
+                                           np.geomspace(1e-3, 2.0, 53)))
+    A = np.linspace(0.0, 1.0, U.size)
+    keep = U * V <= 2.0
+    points = list(zip(U[keep].tolist(), V[keep].tolist(), A[keep].tolist()))
+    H = t_hessian(U[keep], V[keep], A[keep])
+    assert H.shape == (len(points), 3, 3)
+    assert np.array_equal(H, np.array([t_hessian(*p) for p in points]))
+    assert np.array_equal(H, np.array([_t_hessian_one_point(*p)
+                                       for p in points]))
 
 
 def test_aux_T_check_passes():

@@ -13,7 +13,7 @@ from dyadicbump.bumps import (BumpFamily, DivergentIntegralError,
                               log_bump, loglog_bump, orlicz_norm_def,
                               orlicz_norm_def_batch, orlicz_norm_dist,
                               power_bump, psi_gap_check, quad,
-                              self_improvement_check, weak_concavity_probe)
+                              self_improvement_check)
 from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
 
 
@@ -406,35 +406,6 @@ def test_self_improvement_tall_leaf_stress():
     vals[0] = 1e4
     res = self_improvement_check(LeafWeight(4, vals), ROOT, fam)
     assert res["ratio"] <= 20.0
-
-
-# ---------------------------------------------------------------------------
-# Weak concavity probe
-# ---------------------------------------------------------------------------
-
-def test_probe_concave_at_least_one():
-    rng = np.random.default_rng(0)
-    res = weak_concavity_probe(np.sqrt, (2.0, 1e6), 500, rng)
-    assert res["constant"] >= 1.0 - 1e-9
-
-
-def test_probe_t_eps_weakly_concave():
-    rng = np.random.default_rng(1)
-    a = lambda t: np.asarray(t) * np.log(t) ** -0.5
-    res = weak_concavity_probe(a, (2.0, 1e6), 2000, rng)
-    assert res["constant"] > 0.5
-
-
-def test_probe_convex_below_one():
-    rng = np.random.default_rng(2)
-    res = weak_concavity_probe(lambda t: np.asarray(t, float) ** 2, (1.0, 10.0), 2000, rng)
-    assert res["constant"] < 1.0
-
-
-def test_probe_rejects_nonpositive():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        weak_concavity_probe(lambda t: np.asarray(t) - 5.0, (2.0, 10.0), 50, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,22 @@ class TestPlumbing:
         code, out = self._run_bundle(tmp_path, path)
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"level": 5, "pos": 0, "a": 0.5}, {"level": 1, "pos": 9, "a": 0.5},
+        {"level": -1, "pos": 0, "a": 0.5}, {"level": 2, "pos": -1, "a": 0.5},
+        {"level": 1, "pos": 1.5, "a": 0.5},
+    ], ids=["deep-level", "far-pos", "negative-level", "negative-pos",
+            "fractional-pos"])
+    def test_bundle_bad_carleson_is_input_error(self, tmp_path, entry):
+        # the bundle's operator has depth 3; a negative index must not wrap
+        # around to the last coefficient of its level
+        path = self._bundle(tmp_path)
+        blob = json.loads((path / "carleson.json").read_text())
+        blob["entries"].append(entry)
+        (path / "carleson.json").write_text(json.dumps(blob))
+        code, out = self._run_bundle(tmp_path, path)
+        assert code == 2 and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("testing", "--depth", "-1"), ("glav", "--depth", "-1"),
         ("orlicz", "--depth", "-1"),
@@ -255,6 +271,13 @@ class TestPlumbing:
         code, out = run(tmp_path, *argv)
         assert code == 2
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("campaign", ["glav", "full"])
+    def test_refine_depth_below_depth_is_input_error(self, tmp_path, campaign):
+        # the stability rows coarsen the refined instances to depth
+        cfg = TestCampaigns._cfg(tmp_path, {"refine_depth": 2, "depth": 4})
+        code, out = run(tmp_path, campaign, "--config", cfg)
+        assert code == 2 and not out.exists()
 
     @pytest.mark.parametrize("field", [{"depth": 2.5}, {"depth": True},
                                        {"depth": "4"}, {"refine_depth": -3}])

@@ -26,6 +26,10 @@ from .dyadic import DyadicIndex, LeafWeight, StepDistribution
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
+# the most leaf values one grouped Luxemburg bisection holds: past about
+# this size its temporaries leave the cache and cost more than the calls
+# that grouping saves
+LEVEL_GROUP = 1 << 14
 QUAD_NODES = 20
 # a quadrature oracle whose error bound exceeds this share of its value is
 # flagged uncertified
@@ -598,7 +602,8 @@ def orlicz_norm_def(w: LeafWeight, index: DyadicIndex,
                     family: BumpFamily) -> float:
     """Luxemburg norm inf{lambda : <Phi(w/lambda)>_I <= 1} by bisection."""
     lo_idx, hi_idx = index.leaf_range(w.depth)
-    return float(_luxemburg(w.values[None, None, lo_idx:hi_idx], family)[0, 0])
+    return float(_luxemburg([w.values[None, None, lo_idx:hi_idx]],
+                            family)[0][0, 0])
 
 
 def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
@@ -609,26 +614,73 @@ def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3:
         raise ValueError("rows must be a (blocks, rows, n) stack")
-    return _luxemburg(rows, family)
+    return _luxemburg([rows], family)[0]
 
 
-def _luxemburg(blocks, family):
-    n = blocks.shape[-1]
-    means = blocks.sum(axis=-1) / n  # bit for bit what mean() gives
-    out = np.zeros(means.shape)
-    live = means > 0
-    if not np.any(live):
-        return out
-    sub, mean = blocks[live], means[live]
-    block = np.nonzero(live)[0]  # each live row's block
+def orlicz_norm_levels(values: np.ndarray,
+                       family: BumpFamily) -> list[np.ndarray]:
+    """Luxemburg norms of every dyadic node of a (blocks, 2**depth) array
+    of leaf values: one (blocks, 2**k) array per level k = 0..depth.  Each
+    (block, level) pair is one block of `orlicz_norm_def_batch`, with the
+    norms of a separate call on it.  The levels share bisections in groups
+    of at most LEVEL_GROUP values (at least one level each)."""
+    values = np.ascontiguousarray(values, dtype=float)  # levels are views
+    depth = values.shape[-1].bit_length() - 1 if values.ndim == 2 else -1
+    if depth < 0 or values.shape[1] != 2 ** depth or not len(values):
+        raise ValueError("values must be a (blocks, 2**depth) array")
+    per = max(1, LEVEL_GROUP // values.size)
+    out = []
+    for first in range(0, depth + 1, per):
+        out += _luxemburg([values.reshape(len(values), 2 ** k, -1) for k in
+                           range(first, min(first + per, depth + 1))], family)
+    return out
+
+
+def _luxemburg(stacks, family):
+    """Norms of every row of each (blocks, rows, n) stack, one (blocks,
+    rows) array per stack, from one bracket-and-bisection loop.  The stacks
+    may differ in n: Phi is one call over the values of all their live
+    rows, and each stack's row sums keep its (rows, n) layout, so every row
+    has the bits of a call on its own stack."""
+    parts, means, block, live = [], [], [], []
+    first = 0  # global id of the stack's first block
+    for stack in stacks:
+        n = stack.shape[-1]
+        m = stack.sum(axis=-1) / n  # bit for bit what mean() gives
+        ok = m > 0
+        live.append(ok)
+        if ok.all():  # a view: a one-stack call copies no leaves
+            parts.append(stack.reshape(-1, n))
+        elif ok.any():
+            parts.append(stack[ok])
+        means.append(m[ok])
+        block.append(first + np.nonzero(ok)[0])
+        first += stack.shape[0]
+    outs = [np.zeros(ok.shape) for ok in live]
+    if not parts:
+        return outs
+    mean, block = np.concatenate(means), np.concatenate(block)
+    rows = _gather(parts)
+    buf = np.empty(rows[0].size)
 
     def constraint(lam, rows):
-        return family.phi(rows / lam[:, None]).sum(axis=1) / n
+        flat, layout, counts = rows
+        x = buf[:flat.size]
+        if counts is None:  # one stack: lam broadcasts over its rows
+            np.divide(flat.reshape(layout[0]), lam[:, None],
+                      out=x.reshape(layout[0]))
+            return family.phi(x).reshape(layout[0]).sum(axis=1) / layout[0][1]
+        np.divide(flat, np.repeat(lam, counts), out=x)
+        vals, v, sums = family.phi(x), 0, []
+        for r, n in layout:
+            sums.append(vals[v:v + r * n].reshape(r, n).sum(axis=1))
+            v += r * n
+        return np.concatenate(sums) / counts
 
     # the brackets move each row on its own, so blocks need no bookkeeping
-    hi = np.maximum(sub.max(axis=1), mean)
+    hi = np.maximum(np.concatenate([p.max(axis=1) for p in parts]), mean)
     for _ in range(200):
-        bad = constraint(hi, sub) > 1.0
+        bad = constraint(hi, rows) > 1.0
         if not np.any(bad):
             break
         hi = np.where(bad, hi * 2.0, hi)
@@ -636,7 +688,7 @@ def _luxemburg(blocks, family):
         raise RuntimeError(f"Luxemburg bracket failure (upper); hi={hi}")
     lo = mean * 1e-6
     for _ in range(200):
-        bad = constraint(lo, sub) <= 1.0
+        bad = constraint(lo, rows) <= 1.0
         if not np.any(bad):
             break
         lo = np.where(bad, lo / 4.0, lo)
@@ -644,8 +696,8 @@ def _luxemburg(blocks, family):
         raise RuntimeError(f"Luxemburg bracket failure (lower); lo={lo}")
     # bisect the rows of the blocks that have not stopped, kept compact; a
     # block stops, and its norms are set, once all of its rows meet the
-    # tolerance (a block's live rows are consecutive in sub)
-    run, rows, norms = np.arange(mean.size), sub, np.empty(mean.size)
+    # tolerance (a block's live rows are consecutive)
+    run, norms = np.arange(mean.size), np.empty(mean.size)
     starts = np.flatnonzero(np.diff(block, prepend=-1))
     for _ in range(BISECT_MAXITER):
         mid = np.sqrt(lo * hi)
@@ -657,13 +709,46 @@ def _luxemburg(blocks, family):
             continue
         keep = np.repeat(wide, np.diff(starts, append=run.size))
         norms[run[~keep]] = 0.5 * (lo[~keep] + hi[~keep])
-        run, rows, lo, hi = run[keep], rows[keep], lo[keep], hi[keep]
+        run, lo, hi = run[keep], lo[keep], hi[keep]
         if run.size == 0:
             break
+        rows = _gather(_kept_rows(rows, keep))
         starts = np.flatnonzero(np.diff(block[run], prepend=-1))
     norms[run] = 0.5 * (lo + hi)
-    out[live] = norms
-    return out
+    r = 0
+    for out, ok in zip(outs, live):
+        count = np.count_nonzero(ok)
+        out[ok] = norms[r:r + count]
+        r += count
+    return outs
+
+
+def _gather(parts):
+    """(flat, layout, counts) for a list of (rows, n) arrays: their values
+    in row order in one flat array, their shapes, and every row's length;
+    one array is a view of itself with counts None, so a one-stack call
+    holds no copy of its leaves and no array as long as them."""
+    layout = [p.shape for p in parts]
+    if len(parts) == 1:
+        return parts[0].ravel(), layout, None
+    return (np.concatenate([p.ravel() for p in parts]), layout,
+            np.repeat([n for _, n in layout], [r for r, _ in layout]))
+
+
+def _kept_rows(rows, keep):
+    """The (rows, n) arrays of the rows that keep marks, over the rows of
+    every array of the layout in order; arrays left with none drop out."""
+    flat, layout, _ = rows
+    parts, r, v = [], 0, 0
+    for count, n in layout:
+        mine = keep[r:r + count]
+        part = flat[v:v + count * n].reshape(count, n)
+        r, v = r + count, v + count * n
+        if mine.all():
+            parts.append(part)
+        elif mine.any():
+            parts.append(part[mine])
+    return parts
 
 
 def orlicz_norm_dist(w: LeafWeight, index: DyadicIndex,

@@ -351,7 +351,8 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
         where = cfg["instance"]
         try:
             inst = load_instance(Path(where))
-        except (OSError, LookupError, TypeError, ValueError) as exc:
+        except (OSError, LookupError, TypeError, ValueError,
+                OverflowError) as exc:  # an integer past float's range
             raise InputError(f"instance bundle at {where} is unreadable: "
                              f"{exc}") from exc
         if inst["v"].depth != inst["u"].depth \

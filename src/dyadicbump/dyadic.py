@@ -29,6 +29,20 @@ def check_depth(depth: int) -> None:
         raise TreeDepthError(f"depth {depth} exceeds cap {MAX_DEPTH}")
 
 
+# the Python types json gives a JSON integer and a JSON number
+_INTEGER, _NUMBER = {int}, {int, float}
+
+
+def _json_values(values, types: set, what: str) -> list:
+    """values, a list read from JSON, if the type of every entry is in
+    types, else ValueError.  json reads true as a bool and "0.5" as a str,
+    which Python takes as an int and numpy as the float 0.5."""
+    if not isinstance(values, list) or not set(map(type, values)) <= types:
+        kind = "integers" if types == _INTEGER else "numbers"
+        raise ValueError(f"{what}: expected JSON {kind}, got {values!r:.80}")
+    return values
+
+
 @dataclass(frozen=True, order=True)
 class DyadicIndex:
     """The dyadic interval I = [pos * 2**-level, (pos+1) * 2**-level)."""
@@ -142,13 +156,16 @@ class LeafWeight:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LeafWeight":
-        depth = int(obj["depth"])
+        """depth and repeats must be JSON integers and values JSON numbers
+        (ValueError otherwise)."""
+        depth, = _json_values([obj["depth"]], _INTEGER, "depth")
         check_depth(depth)
-        values = np.asarray(obj["values"], dtype=float)
+        values = np.asarray(_json_values(obj["values"], _NUMBER, "values"),
+                            dtype=float)
         if "repeats" in obj:
-            repeats = np.asarray(obj["repeats"])
-            if (repeats.dtype.kind not in "iu" or repeats.ndim != 1
-                    or repeats.shape != values.shape or np.any(repeats < 0)
+            repeats = np.asarray(_json_values(obj["repeats"], _INTEGER,
+                                              "repeats"))
+            if (repeats.shape != values.shape or np.any(repeats < 0)
                     or repeats.sum() != 2 ** depth):
                 raise ValueError(f"repeats must be {values.size} counts >= 0 "
                                  f"summing to {2 ** depth}")
@@ -294,9 +311,15 @@ class CarlesonSequence:
     @classmethod
     def from_json(cls, obj: dict) -> "CarlesonSequence":
         """Reads depth and entries; the stored cap is always 1.  An entry
-        outside the tree is a ValueError."""
-        return cls.from_entries(int(obj["depth"]), [
-            (DyadicIndex(e["level"], e["pos"]), e["a"]) for e in obj["entries"]])
+        outside the tree is a ValueError, and so are a depth, level or pos
+        that is not a JSON integer and an a that is not a JSON number."""
+        depth, = _json_values([obj["depth"]], _INTEGER, "depth")
+        entries = obj["entries"]
+        for key, types in (("level", _INTEGER), ("pos", _INTEGER),
+                           ("a", _NUMBER)):
+            _json_values([e[key] for e in entries], types, f"entry {key}")
+        return cls.from_entries(depth, [
+            (DyadicIndex(e["level"], e["pos"]), e["a"]) for e in entries])
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .bellman import B1, B2, BellmanNode, ConstantBudget, master_bellman_eval
-from .bumps import BumpFamily, orlicz_norm_def_batch
+from .bumps import BumpFamily, orlicz_norm_levels
 from .dyadic import (CarlesonSequence, DyadicIndex, LeafWeight, ROOT,
                      StepDistribution, check_depth, l_intensity_levels,
                      upward_levels)
@@ -119,10 +119,7 @@ def bump_condition(u: LeafWeight, v: LeafWeight, family: BumpFamily) -> dict:
     if u.depth != v.depth:
         raise ValueError("u and v must share a depth")
     # u's and v's nodes of a level are two blocks: each stops on its own
-    norms = [orlicz_norm_def_batch(np.stack((u.values.reshape(2 ** k, -1),
-                                             v.values.reshape(2 ** k, -1))),
-                                   family)
-             for k in range(u.depth + 1)]
+    norms = orlicz_norm_levels(np.stack((u.values, v.values)), family)
     return {"B_uv_left": _level_sup(nu * v.node_averages(k) for k, (nu, _)
                                     in enumerate(norms))[0],
             "B_uv_right": _level_sup(u.node_averages(k) * nv for k, (_, nv)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicbump.bumps import (BumpFamily, DivergentIntegralError,
-                              EpsilonModel, curv_translate, integrability_phi,
-                              log_bump, loglog_bump, orlicz_norm_def,
+from dyadicbump import bumps
+from dyadicbump.bumps import (LEVEL_GROUP, BumpFamily,
+                              DivergentIntegralError, EpsilonModel,
+                              curv_translate, integrability_phi, log_bump,
+                              loglog_bump, orlicz_norm_def,
                               orlicz_norm_def_batch, orlicz_norm_dist,
-                              power_bump, psi_gap_check, quad,
-                              self_improvement_check)
+                              orlicz_norm_levels, power_bump, psi_gap_check,
+                              quad, self_improvement_check)
 from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
 
 
@@ -332,6 +334,62 @@ def test_norm_def_zero_row_and_block_give_zero(fam):
     assert np.array_equal(norms[1], np.zeros(6))
     assert np.array_equal(orlicz_norm_def_batch(np.zeros((2, 3, 4)), fam),
                           np.zeros((2, 3)))
+
+
+def _level_weights(rng, depth):
+    """Three leaf weights: lognormal with every third leaf zero, a band
+    weight (constant on each (2^-k-1, 2^-k]) that is zero on the bands
+    below depth // 2, and the zero weight, whose rows are all dead."""
+    leaves = 2 ** depth
+    lognormal = rng.lognormal(0.0, 1.5, leaves)
+    lognormal[::3] = 0.0
+    bands = rng.lognormal(0.0, 1.0, depth + 1)
+    bands[depth // 2 + 1:] = 0.0
+    band = bands[depth - np.array([i.bit_length() for i in range(leaves)])]
+    return np.stack((lognormal, band, np.zeros(leaves)))
+
+
+@pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
+@pytest.mark.parametrize("depth", [0, 1, 4, 9, 11])
+def test_norm_levels_equal_per_level_batches(fam, depth):
+    # each (weight, level) block keeps the bits of its own batch call, also
+    # where the levels share a bisection: up to depth 4 all of them do, and
+    # at depth 11 they go two levels to a bisection
+    values = _level_weights(np.random.default_rng(depth), depth)
+    levels = orlicz_norm_levels(values, fam)
+    assert len(levels) == depth + 1
+    for k, got in enumerate(levels):
+        want = orlicz_norm_def_batch(values.reshape(3, 2 ** k, -1), fam)
+        assert got.shape == (3, 2 ** k)
+        assert np.array_equal(got, want)
+    assert np.array_equal(levels[-1][2], np.zeros(2 ** depth))
+
+
+@pytest.mark.parametrize("depth, sizes", [
+    (0, [1]), (9, [10]), (10, [8, 3]), (12, [2] * 6 + [1]), (14, [1] * 15)])
+def test_norm_levels_group_at_most_level_group_values(monkeypatch, depth,
+                                                      sizes):
+    # u and v, as bump_condition passes them: a tree of depth <= 9 is one
+    # bisection, and from depth 13 on each level has its own
+    calls = []
+
+    def spy(stacks, family):
+        calls.append(sum(s.size for s in stacks))
+        return luxemburg(stacks, family)
+
+    luxemburg = bumps._luxemburg
+    monkeypatch.setattr(bumps, "_luxemburg", spy)
+    orlicz_norm_levels(np.zeros((2, 2 ** depth)), log_bump(1.0))
+    assert calls == [2 ** (depth + 1) * n for n in sizes]
+    assert max(calls) <= max(LEVEL_GROUP, 2 ** (depth + 1))
+
+
+@pytest.mark.parametrize("values", [np.ones(4), np.ones((2, 3)),
+                                    np.ones((0, 4)), np.ones((1, 2, 2))],
+                         ids=["1d", "not-power-of-two", "no-blocks", "3d"])
+def test_norm_levels_take_only_leaf_arrays(values):
+    with pytest.raises(ValueError):
+        orlicz_norm_levels(values, log_bump(1.0))
 
 
 @given(st.floats(0.01, 100.0))

@@ -238,7 +238,12 @@ class TestPlumbing:
         {"depth": 3, "values": [1.0] * 7},
         {"depth": 3, "values": [1.0] * 7 + [-1.0]},
         {"depth": 2, "values": [1.0] * 4},
-    ], ids=["repeats-sum", "leaf-count", "negative", "depth-mismatch"])
+        {"depth": 3, "values": ["0.5"] + [1.0] * 7},
+        {"depth": 3, "values": [True] + [1.0] * 7},
+        {"depth": "3", "values": [1.0] * 8},
+        {"depth": 3, "values": [10 ** 400] + [1.0] * 7},
+    ], ids=["repeats-sum", "leaf-count", "negative", "depth-mismatch",
+            "str-value", "bool-value", "str-depth", "huge-int-value"])
     def test_bundle_bad_weight_is_input_error(self, tmp_path, blob):
         path = self._bundle(tmp_path)
         (path / "v.json").write_text(json.dumps(blob))
@@ -249,8 +254,13 @@ class TestPlumbing:
         {"level": 5, "pos": 0, "a": 0.5}, {"level": 1, "pos": 9, "a": 0.5},
         {"level": -1, "pos": 0, "a": 0.5}, {"level": 2, "pos": -1, "a": 0.5},
         {"level": 1, "pos": 1.5, "a": 0.5},
+        # inside the tree and the intensity cap, but not JSON integers and
+        # numbers: true would read as 1 (or, as pos, mask the whole level)
+        {"level": True, "pos": 1, "a": 0.001},
+        {"level": 1, "pos": True, "a": 0.001},
+        {"level": 1, "pos": 1, "a": "0.001"},
     ], ids=["deep-level", "far-pos", "negative-level", "negative-pos",
-            "fractional-pos"])
+            "fractional-pos", "bool-level", "bool-pos", "str-a"])
     def test_bundle_bad_carleson_is_input_error(self, tmp_path, entry):
         # the bundle's operator has depth 3; a negative index must not wrap
         # around to the last coefficient of its level

@@ -188,6 +188,29 @@ def test_weight_json_bad_repeats_raise(repeats):
                               "repeats": repeats})
 
 
+@pytest.mark.parametrize("blob", [
+    {"depth": 1, "values": ["0.5", True]},
+    {"depth": 1, "values": [0.5, True]},
+    {"depth": 1, "values": [0.5, None]},
+    {"depth": 1, "values": [[0.5, 1.0]]},
+    {"depth": 1, "values": 0.5},
+    {"depth": True, "values": [0.5, 1.0]},
+    {"depth": "1", "values": [0.5, 1.0]},
+    {"depth": 1.0, "values": [0.5, 1.0]},
+], ids=["str-and-bool", "bool", "null", "nested", "scalar", "bool-depth",
+        "str-depth", "float-depth"])
+def test_weight_json_non_numeric_raise(blob):
+    # numpy would read "0.5" as 0.5 and true as 1.0
+    with pytest.raises(ValueError):
+        LeafWeight.from_json(blob)
+
+
+def test_weight_json_integer_values_load():
+    assert np.array_equal(
+        LeafWeight.from_json({"depth": 1, "values": [2, 0.5]}).values,
+        [2.0, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # StepDistribution
 # ---------------------------------------------------------------------------
@@ -417,6 +440,33 @@ def test_carleson_json_roundtrip(tmp_path):
     assert again.a(ROOT) == 0.5
     assert again.a(DyadicIndex(2, 3)) == 0.25
     assert again.a(DyadicIndex(1, 1)) == 0.0
+
+
+@pytest.mark.parametrize("entry", [
+    {"level": True, "pos": 1, "a": 0.5},
+    {"level": 1, "pos": True, "a": 0.5},
+    {"level": 1, "pos": 1, "a": "0.5"},
+    {"level": 1, "pos": 1, "a": True},
+    {"level": 1.0, "pos": 1, "a": 0.5},
+    {"level": 1, "pos": "1", "a": 0.5},
+], ids=["bool-level", "bool-pos", "str-a", "bool-a", "float-level",
+        "str-pos"])
+def test_carleson_json_non_numeric_entries_raise(entry):
+    # a bool is an int to Python, and numpy reads "0.5" as 0.5
+    with pytest.raises(ValueError):
+        CarlesonSequence.from_json({"depth": 2, "entries": [entry]})
+
+
+@pytest.mark.parametrize("depth", [True, "2", 2.0])
+def test_carleson_json_non_integer_depth_raises(depth):
+    with pytest.raises(ValueError):
+        CarlesonSequence.from_json({"depth": depth, "entries": []})
+
+
+def test_carleson_json_integer_a_loads():
+    seq = CarlesonSequence.from_json(
+        {"depth": 1, "entries": [{"level": 1, "pos": 0, "a": 1}]})
+    assert np.array_equal(seq.levels[1], [1.0, 0.0])
 
 
 def test_carleson_json_needs_depth():

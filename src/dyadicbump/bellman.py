@@ -110,10 +110,15 @@ class B1:
     def value(self, N, A):
         N = np.asarray(N, dtype=float)
         A = np.asarray(A, dtype=float)
-        val = self.C * N - N * self.j(N / np.maximum(A, 1e-300))
+        val = self._formula(N, np.maximum(A, 1e-300))
         # B1 = 0 on N = 0, and B1 -> -inf as A -> 0 with N > 0 held
         out = np.where((N == 0.0) | (A > 0), val, -np.inf)
         return out if out.ndim else float(out)
+
+    def _formula(self, N, A):
+        """C N - N J(N/A), which is B1 for A > 0; the callers clamp A to
+        at least 1e-300."""
+        return self.C * N - N * self.j(N / A)
 
     def grad(self, N, A):
         """(dB1/dN, dB1/dA); dA = N / (A Psi0(N/A)), dN = C - J(x) - 1/Psi0(x)."""
@@ -146,7 +151,11 @@ class B1:
         widths, fracs = dist.steps()
         if widths.size == 0:
             return 0.0
-        return float(np.dot(widths, self.value(fracs, A)))
+        if not A > 0:
+            # value's mask: -inf on every step with mass, and the fractions
+            # do not increase, so some step has mass iff the first one does
+            return -math.inf if fracs[0] > 0 else 0.0
+        return float(np.dot(widths, self._formula(fracs, max(A, 1e-300))))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +170,8 @@ class B2:
         self.C = float(C)
 
     def value(self, u, v, L, A):
-        u, v, L, A = [np.asarray(t, dtype=float) for t in (u, v, L, A)]
-        # W(0) = 0, so the term vanishes with L
+        # W(0) = 0, so the term vanishes with L; tail_mass takes z through
+        # numpy, so its power is numpy's for scalar input too
         out = self.C * u - L * L / np.maximum(v, 1e-300) \
             * self.model.tail_mass(L / (A + 1.0))
         return out if out.ndim else float(out)

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicIndex, LeafWeight, StepDistribution
+from .dyadic import (_NUMBER, DyadicIndex, LeafWeight, StepDistribution,
+                     _json_values)
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
@@ -459,11 +460,11 @@ class BumpFamily:
         """J(x) = integral_0^x ds / (s Psi(s)) by closed-form antiderivative.
         Psi is constant beyond s = 1, so J grows logarithmically there."""
         x = np.asarray(x, dtype=float)
-        if (x < 0).any():
+        if x.min(initial=0.0) < 0:
             raise ValueError("J is defined for x >= 0")
         if self._psi_one is None:
             self._psi_one = float(self.psi(1.0))
-        xc = np.minimum(np.maximum(x, 1e-300), 1.0)
+        xc = x.clip(1e-300, 1.0)
         # zero for x <= 1, so adding it changes nothing there
         beyond = np.log(np.maximum(x, 1.0)) / self._psi_one
         if self.tag == "power":
@@ -529,10 +530,14 @@ class BumpFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BumpFamily":
+        """Each parameter must be a JSON number, not a bool or a string
+        (ValueError otherwise); an absent or null delta takes its default."""
         tag = obj["tag"]  # delta is optional; the other parameters are not
         params = cls.PARAMS.get(tag, ())
-        family = cls(tag, **{k: obj.get(k) if k == "delta" else obj[k]
-                             for k in params})
+        values = {k: obj.get(k) if k == "delta" else obj[k] for k in params}
+        _json_values([x for x in values.values() if x is not None], _NUMBER,
+                     f"bump tag {tag!r} parameters")
+        family = cls(tag, **values)
         unknown = sorted(set(obj) - {"tag", *params})
         if unknown:  # a misspelt optional key would silently take its default
             raise ValueError(f"bump tag {tag!r} takes no {unknown}")

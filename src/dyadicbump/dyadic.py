@@ -211,15 +211,22 @@ class StepDistribution:
         vals = w.values[lo:hi]
         pos = vals[vals > 0]  # a copy, sorted in place
         pos.sort()
+        # the checks of __init__ hold by construction: the thresholds are
+        # the distinct positive leaves in ascending order, and the fractions
+        # (count >= t)/n decrease within (0, 1]
+        out = cls.__new__(cls)
         if pos.size == 0:
-            return cls([], [])
+            out.thresholds = out.fractions = np.empty(0)
+            return out
         # a run of equal values starts where the sorted slice steps up, and
         # N on (t_{i-1}, t_i] counts the leaves from that run's start on
         keep = np.empty(pos.size, dtype=bool)
         keep[0] = True
         np.not_equal(pos[1:], pos[:-1], out=keep[1:])
         first = keep.nonzero()[0]
-        return cls(pos[first], (pos.size - first) / vals.size)
+        out.thresholds = pos[first]
+        out.fractions = (pos.size - first) / vals.size
+        return out
 
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
         """(widths, values): N equals values[i] on an interval of length widths[i]."""
@@ -273,10 +280,6 @@ class CarlesonSequence:
             self.levels.append(a)
 
     @classmethod
-    def zeros(cls, depth: int) -> "CarlesonSequence":
-        return cls(depth, [np.zeros(2 ** k) for k in range(depth + 1)])
-
-    @classmethod
     def from_entries(cls, depth: int, entries) -> "CarlesonSequence":
         levels = [np.zeros(2 ** k) for k in range(depth + 1)]
         for idx, val in entries:
@@ -284,14 +287,6 @@ class CarlesonSequence:
                 raise ValueError(f"entry at level {idx.level} beyond depth {depth}")
             levels[idx.level][idx.pos] = val
         return cls(depth, levels)
-
-    def a(self, index: DyadicIndex) -> float:
-        if index.level > self.depth:
-            return 0.0
-        return float(self.levels[index.level][index.pos])
-
-    def scaled(self, factor: float) -> "CarlesonSequence":
-        return CarlesonSequence(self.depth, [lv * factor for lv in self.levels])
 
     def intensity_levels(self) -> list[np.ndarray]:
         """A_I = a_I + (A_{I+} + A_{I-})/2 for every node, leaves seeded with a."""

@@ -238,11 +238,12 @@ class TestAcceptance:
         # the oracle identities are unchanged)
         worst = seq.max_intensity()
         if worst > 1.0:
-            seq = seq.scaled(1.0 / worst)
+            seq = CarlesonSequence(seq.depth,
+                                   [lv * (1.0 / worst) for lv in seq.levels])
         depth = seq.depth
         nodes = [DyadicIndex(k, p) for k in range(depth + 1)
                  for p in range(2 ** k)]
-        a = {J: float(seq.a(J)) for J in nodes}
+        a = {J: float(seq.levels[J.level][J.pos]) for J in nodes}
         # literal double sums, no recursions
         L_brute = {}
         for I in nodes:

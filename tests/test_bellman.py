@@ -219,6 +219,41 @@ def test_b1_integral_over_distribution():
         2.0 * b1.grad(0.25, 0.8)[1], rel=1e-12, abs=0)
 
 
+def _distributions(seed):
+    """StepDistribution.of on every node of a seeded depth-4 weight whose
+    leaves come from a small pool, so zero leaves, ties and single-leaf
+    nodes are common, with its first four leaves zero (an all-zero node);
+    then constructor-built distributions whose last steps, or all of them,
+    carry no mass."""
+    rng = np.random.default_rng(seed)
+    vals = rng.choice([0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 3.0], 16)
+    vals[8:] = np.where(rng.random(8) < 0.5, vals[8:], rng.uniform(0, 4, 8))
+    vals[:4] = 0.0
+    w = LeafWeight(4, vals)
+    return [StepDistribution.of(w, DyadicIndex(k, p))
+            for k in range(5) for p in range(2 ** k)] + [
+        StepDistribution([1.0, 2.0], [0.5, 0.0]),
+        StepDistribution([1.0], [0.0]), StepDistribution([], [])]
+
+
+@pytest.mark.parametrize("family", [log_bump(1.0), loglog_bump(2.0, 0.1),
+                                    power_bump(2.0)], ids=repr)
+def test_b1_integral_over_is_the_masked_dot(family):
+    # the layer-cake sum skips value's mask where A > 0 and returns -inf
+    # outright where A <= 0; both must equal the dot with value exactly
+    b1 = B1(family, C=2.0)
+    for seed in range(5):
+        for dist in _distributions(seed):
+            widths, fracs = dist.steps()
+            for A in (0.0, 5e-324, 1e-310, 1e-300, 0.3, 1.0):
+                got = b1.integral_over(dist, A)
+                assert type(got) is float
+                assert got == float(np.dot(widths, b1.value(fracs, A)))
+    # A = 0 with mass diverges; without mass the integral is 0
+    assert b1.integral_over(StepDistribution([1.0], [0.5]), 0.0) == -math.inf
+    assert b1.integral_over(StepDistribution([1.0], [0.0]), 0.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # B2: values, gradient, Hessian, g-positivity
 # ---------------------------------------------------------------------------
@@ -244,6 +279,22 @@ def test_b2_value_is_cu_where_l_vanishes(model):
         assert b2.value(u, v, 0.0, A) == 3.0 * u
     got = b2.value(np.array([0.02, 0.01]), np.array([0.0, 0.5]), 0.0, 0.5)
     assert np.array_equal(got, 3.0 * np.array([0.02, 0.01]))
+
+
+@pytest.mark.parametrize("model", [QUARTER,
+                                   loglog_bump(2.0, 0.1).epsilon_model()])
+def test_b2_value_scalar_call_is_float_and_bit_equal_to_array_entry(model):
+    rng = np.random.default_rng(11)
+    u, v, A = rng.uniform(0.0, 0.05, (3, 64))
+    L = np.minimum(u * v * rng.uniform(0.0, 50.0, 64), model.z_cap)
+    v[:4], L[4:8], A[8:12] = 0.0, 0.0, 0.0
+    b2 = B2(model, C=3.0)
+    got = b2.value(u, v, L, A)
+    assert isinstance(got, np.ndarray) and got.shape == (64,)
+    one = [b2.value(*args) for args in zip(u.tolist(), v.tolist(),
+                                            L.tolist(), A.tolist())]
+    assert all(type(x) is float for x in one)
+    assert np.array(one).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("model", [QUARTER, EpsilonModel("power", beta=1 / 3)])
@@ -577,7 +628,7 @@ def _nodes_from_tree(u, v, seq):
 def test_master_bellman_zero_weight():
     u = LeafWeight.constant(2, 0.0)
     v = LeafWeight.constant(2, 0.01)
-    seq = CarlesonSequence.zeros(2)
+    seq = CarlesonSequence.from_entries(2, [])
     node = _nodes_from_tree(u, v, seq)(ROOT)
     fam = log_bump(1.0)
     budget = default_budget(fam)
@@ -613,7 +664,8 @@ def test_node_drop_positive_on_random_tree():
     b2 = B2(QUARTER, budget.c2)
     for idx in (ROOT, DyadicIndex(1, 0), DyadicIndex(1, 1), DyadicIndex(2, 3)):
         res = node_drop_check(node(idx), node(idx.children()[0]),
-                              node(idx.children()[1]), seq.a(idx), b1, b2)
+                              node(idx.children()[1]),
+                              seq.levels[idx.level][idx.pos], b1, b2)
         assert res["pass"], (idx, res)
         assert res["drop"] > 0
 
@@ -636,7 +688,7 @@ def test_node_drop_zero_intensity_equal_children():
 def test_node_drop_rejects_bad_dynamics():
     u = LeafWeight.constant(1, 0.02)
     v = LeafWeight.constant(1, 0.02)
-    seq = CarlesonSequence.zeros(1)
+    seq = CarlesonSequence.from_entries(1, [])
     node = _nodes_from_tree(u, v, seq)
     fam = log_bump(1.0)
     b1 = B1(fam, 2.0)

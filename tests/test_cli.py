@@ -185,6 +185,8 @@ class TestPlumbing:
         ("file", {"tag": "power", "p": "2"}),  # a parameter of the wrong type
         ("file", ["power"]),  # not a JSON object
         ("config", ["power"]),  # neither a path nor an object
+        ("file", {"tag": "log", "sigma": True}),  # a bool is not a number
+        ("config", {"tag": "loglog", "sigma": True, "delta": 0.5}),
     ])
     def test_malformed_family_is_input_error(self, tmp_path, where, family):
         if where == "file":

@@ -293,6 +293,22 @@ def test_distribution_of_matches_unique(case):
     assert np.array_equal(dist.fractions, (pos.size - first) / vals.size)
 
 
+@given(weight_and_index())
+@settings(max_examples=200, deadline=None)
+@example((LeafWeight(2, [0.0, 0.0, 0.0, 0.0]), ROOT))
+@example((LeafWeight(2, [0.0, 0.0, 3.0, 3.0]), DyadicIndex(1, 0)))
+@example((LeafWeight(1, [0.0, 3.0]), DyadicIndex(1, 1)))
+@example((LeafWeight(0, [0.5]), ROOT))
+def test_distribution_of_passes_the_constructor_checks(case):
+    # of builds its result without __init__; the public constructor must
+    # accept it as it stands and keep the same arrays
+    dist = StepDistribution.of(*case)
+    again = StepDistribution(dist.thresholds, dist.fractions)
+    assert dist.thresholds.dtype == dist.fractions.dtype == np.float64
+    assert np.array_equal(again.thresholds, dist.thresholds)
+    assert np.array_equal(again.fractions, dist.fractions)
+
+
 def _rejected_by_diff_checks(t, n):
     """StepDistribution's input checks written with np.diff and np.any."""
     t = np.asarray(t, dtype=float)
@@ -340,7 +356,7 @@ def test_distribution_rejects_what_diff_checks_rejected(inputs):
 # ---------------------------------------------------------------------------
 
 def test_intensity_all_zero():
-    seq = CarlesonSequence.zeros(3)
+    seq = CarlesonSequence.from_entries(3, [])
     assert seq.intensity_levels()[0][0] == 0.0
     assert seq.max_intensity() == 0.0
 
@@ -349,8 +365,8 @@ def test_intensity_root_only():
     seq = CarlesonSequence.from_entries(2, [(ROOT, 1.0)])
     assert seq.intensity_levels()[0][0] == 1.0
     assert seq.intensity_levels()[1][0] == 0.0
-    # a level beyond the sequence's depth carries no coefficient
-    assert seq.a(DyadicIndex(3, 0)) == 0.0
+    # no level beyond the sequence's depth, so no coefficient there
+    assert len(seq.levels) == 3
 
 
 def test_intensity_direct_sum():
@@ -378,7 +394,7 @@ def test_intensity_matches_double_sum():
 def test_l_intensity_trivial_cases():
     u = LeafWeight.constant(2, 2.0)
     v = LeafWeight.constant(2, 3.0)
-    assert L_intensity(u, v, CarlesonSequence.zeros(2), ROOT) == 0.0
+    assert L_intensity(u, v, CarlesonSequence.from_entries(2, []), ROOT) == 0.0
     seq = CarlesonSequence.from_entries(2, [(ROOT, 1.0)])
     assert L_intensity(u, v, seq, ROOT) == 6.0
 
@@ -437,9 +453,9 @@ def test_carleson_json_roundtrip(tmp_path):
     seq.save(path)
     again = CarlesonSequence.load(path)
     assert json.loads(path.read_text())["bound"] == 1.0
-    assert again.a(ROOT) == 0.5
-    assert again.a(DyadicIndex(2, 3)) == 0.25
-    assert again.a(DyadicIndex(1, 1)) == 0.0
+    assert again.levels[0][0] == 0.5
+    assert again.levels[2][3] == 0.25
+    assert again.levels[1][1] == 0.0
 
 
 @pytest.mark.parametrize("entry", [

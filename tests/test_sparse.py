@@ -49,7 +49,7 @@ def test_apply_root_only_gives_global_average():
 
 
 def test_apply_zero_coefficients():
-    T = SparseOperator(CarlesonSequence.zeros(3))
+    T = SparseOperator(CarlesonSequence.from_entries(3, []))
     f = LeafWeight(3, np.arange(8.0))
     assert np.all(apply_sparse(T, f).values == 0.0)
 
@@ -82,7 +82,7 @@ def test_apply_is_linear_and_monotone():
 
 
 def test_apply_rejects_shallow_weight():
-    T = SparseOperator(CarlesonSequence.zeros(3))
+    T = SparseOperator(CarlesonSequence.from_entries(3, []))
     with pytest.raises(ValueError):
         apply_sparse(T, LeafWeight.constant(2, 1.0))
 
@@ -242,7 +242,7 @@ def test_normalize_to_bump_and_omega2():
 # ---------------------------------------------------------------------------
 
 def test_glav_zero_coefficients():
-    T = SparseOperator(CarlesonSequence.zeros(3))
+    T = SparseOperator(CarlesonSequence.from_entries(3, []))
     one = LeafWeight.constant(3, 1.0)
     G = glav_levels(one, one, T)
     assert all(np.all(g == 0.0) for g in G)
@@ -581,7 +581,7 @@ def test_green_matches_oracle_first_of_equal_ratios_wins():
 # ---------------------------------------------------------------------------
 
 def test_vavo_zero_coefficients():
-    T = SparseOperator(CarlesonSequence.zeros(2))
+    T = SparseOperator(CarlesonSequence.from_entries(2, []))
     one = LeafWeight.constant(2, 1.0)
     rep = vavo_L_bound(one, one, T)
     assert rep["worst_ratio"] == 0.0 and rep["pass"]

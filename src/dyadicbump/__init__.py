@@ -7,13 +7,12 @@ time obstruction construction.
 """
 
 from .dyadic import (ROOT, CarlesonSequence, DyadicIndex, LeafWeight,
-                     StepDistribution, L_intensity, dyadic_maximal,
-                     stopping_family)
+                     StepDistribution, dyadic_maximal, stopping_family)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ROOT", "CarlesonSequence", "DyadicIndex", "LeafWeight",
-    "StepDistribution", "L_intensity", "dyadic_maximal", "stopping_family",
+    "StepDistribution", "dyadic_maximal", "stopping_family",
     "__version__",
 ]

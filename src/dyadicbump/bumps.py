@@ -259,18 +259,19 @@ class EpsilonModel:
             b = self.beta
             return ((1.0 - b) / b) * self.coeff ** (1.0 / (1.0 - b)) \
                 * z ** (b / (1.0 - b))
-        if self.kind == "const":
-            raise DivergentIntegralError(
-                "tail mass diverges for constant eps (the no-gap case)")
-        if self.kind == "logpow" and self.kappa <= 1:
-            raise DivergentIntegralError(
-                "tail mass diverges: logpow eps needs kappa > 1")
+        self._check_tail_mass()
         # one vector solve for every positive point; each point's Newton
         # stops at its own step, so each value is its scalar one
         out = np.zeros_like(z)
         pos = z > 0
         out[pos] = self._logpow_tail_mass(z[pos])
         return out
+
+    def _check_tail_mass(self):
+        # W is finite exactly when eps(t)/t is integrable
+        if self.integral_over_t()["verdict"] == "infinite":
+            raise DivergentIntegralError(
+                f"tail mass diverges: eps(t)/t is not integrable ({self.kind})")
 
     def _logpow_tail_mass(self, z):
         # substitute w = f(y), r = log(1/w):
@@ -293,11 +294,7 @@ class EpsilonModel:
         log eps(e^l) gives dr/dl <= 1.
         """
         z = float(z)
-        if self.kind == "const":
-            raise DivergentIntegralError("tail mass diverges for constant eps")
-        if self.kind == "logpow" and self.kappa <= 1:
-            raise DivergentIntegralError(
-                "tail mass diverges: logpow eps needs kappa > 1")
+        self._check_tail_mass()
         if z < 0.0 or (self.kind != "power"
                        and z > float(self.phi(self.x_max)) * (1 + 1e-12)):
             raise ValueError(f"tail mass argument {z:.3e} outside phi's range")

@@ -98,6 +98,9 @@ COUNTS = {
     "probe_points": _count(2),
 }
 BUDGET_FIELDS = ("delta", "P", "c_drop", "delta1", "derivative_floor")
+# the pass bounds of bump-check's Psi gap and orlicz's C*; no config moves them
+PSI_GAP_BOUND = 4.0
+EQUIVALENCE_BOUND = 20.0
 # every config field, with its check and what the check asks for
 FIELDS = {
     "family": (lambda x: isinstance(x, (str, dict)),
@@ -105,8 +108,7 @@ FIELDS = {
     "out": _PATH,
     "instance": _PATH,
     **COUNTS,
-    **dict.fromkeys((*BUDGET_FIELDS, "bump_target", "psi_gap_bound",
-                     "equivalence_bound"), _POSITIVE),
+    **dict.fromkeys((*BUDGET_FIELDS, "bump_target"), _POSITIVE),
     # the seam sample draws A from [max(2 a_min, 0.05), 1]
     "a_min": (lambda x: _is_number(x) and 0 <= x <= 0.5,
               "a number in [0, 0.5]"),
@@ -175,7 +177,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
         "family": family.to_json(),
         "phi_integrability": integrability_phi(family),
         "eps_integrability": model.integral_over_t(),
-        "psi_gap": psi_gap_check(family, bound=float(cfg.get("psi_gap_bound", 4.0))),
+        "psi_gap": psi_gap_check(family, bound=PSI_GAP_BOUND),
         "curv_translate": curv_translate(model),
     }
     passed = results["psi_gap"]["pass"]
@@ -210,7 +212,6 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
             si_ratios.append(si["ratio"])
     ratios = np.asarray(ratios)
     c_star = float(max(ratios.max(), 1.0 / ratios.min()))
-    c_bound = float(cfg.get("equivalence_bound", 20.0))
     results = {
         "weights": n,
         "depth": depth,
@@ -218,8 +219,8 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
             "ratio_min": float(ratios.min()),
             "ratio_max": float(ratios.max()),
             "C_star": c_star,
-            "bound": c_bound,
-            "pass": c_star <= c_bound,
+            "bound": EQUIVALENCE_BOUND,
+            "pass": c_star <= EQUIVALENCE_BOUND,
         },
         "self_improvement": {
             "measured_C": float(max(si_ratios)),

@@ -133,10 +133,6 @@ class LeafWeight:
             self._pyramid = _average_pyramid(self.values)
         return self._pyramid[level]
 
-    def integral(self) -> float:
-        """The total mass: integral of the weight over [0, 1)."""
-        return self.average()
-
     def scaled(self, factor: float) -> "LeafWeight":
         return LeafWeight(self.depth, self.values * factor)
 
@@ -342,14 +338,6 @@ def l_intensity_levels(u: LeafWeight, v: LeafWeight,
         raise ValueError("weights must share a depth covering the sequence")
     return upward_levels(a * u.node_averages(k) * v.node_averages(k)
                          for k, a in enumerate(seq.levels))
-
-
-def L_intensity(u: LeafWeight, v: LeafWeight, seq: CarlesonSequence,
-                index: DyadicIndex) -> float:
-    """L_I = (1/|I|) sum_{J subset-or-equal I} a_J <u>_J <v>_J |J|."""
-    if index.level > seq.depth:
-        return 0.0
-    return float(l_intensity_levels(u, v, seq)[index.level][index.pos])
 
 
 def dyadic_maximal(w: LeafWeight) -> LeafWeight:

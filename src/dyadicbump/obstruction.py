@@ -115,16 +115,12 @@ def maximal_integral(u: BandWeight, cutoff_band: int | None = None) -> float:
 # The default profile and the stopping hierarchy
 # ---------------------------------------------------------------------------
 
-def build_u(depth: int, profile=None) -> BandWeight:
+def build_u(depth: int) -> BandWeight:
     """Default profile: value 2^k / (k+1)^2 on band k, zero on the leftover
     interval.  Then the integral stays below pi^2/12 at every depth while
     the maximal-function integral grows like the harmonic series."""
-    if profile is None:
-        k = np.arange(depth)
-        vals = 2.0 ** k / (k + 1) ** 2
-    else:
-        vals = np.asarray([profile(k) for k in range(depth)], dtype=float)
-    return BandWeight(depth, vals, 0.0)
+    k = np.arange(depth)
+    return BandWeight(depth, 2.0 ** k / (k + 1) ** 2, 0.0)
 
 
 @dataclass
@@ -261,23 +257,22 @@ def build_alpha(hierarchy: StoppingHierarchy, depth: int) -> dict:
     Carleson intensity A_I = (1/|I|) sum_{J within I} alpha_J |J| computed
     over the compressed structure (the sup is attained at a prefix or a
     member).  The (sn) geometry keeps the bound at most 1."""
-    members = [(n, mem) for n, mem in hierarchy.all_members()]
+    members = [mem for _, mem in hierarchy.all_members()]
     # intensity at each prefix level
     sup = 0.0
     for m in range(depth + 1):
         holder = DyadicIndex(m, 0)
-        total = sum(mem.length / 3.0 for _, mem in members
+        total = sum(mem.length / 3.0 for mem in members
                     if holder.contains(mem))
         sup = max(sup, total * 2.0 ** m)
     # intensity at each member (bands contain only themselves; prefixes
     # are covered above)
-    for _, mem in members:
+    for mem in members:
         if mem.pos:
-            inner = sum(other.length / 3.0 for _, other in members
+            inner = sum(other.length / 3.0 for other in members
                         if mem.contains(other))
             sup = max(sup, inner / mem.length)
-    return {"members": members, "value": 1.0 / 3.0,
-            "carleson_sup": float(sup), "pass": bool(sup <= 1.0 + 1e-12)}
+    return {"carleson_sup": float(sup), "pass": bool(sup <= 1.0 + 1e-12)}
 
 
 def divergence_sum(u: BandWeight, v_pre: BandWeight,
@@ -354,7 +349,6 @@ def obstruction_report(depth: int) -> dict:
         "divergence": div,
         "u": u,
         "v": built["v"],
-        "v_pre": built["v_pre"],
         "hierarchy": h,
     }
 
@@ -411,8 +405,6 @@ def _b0_point(model: EpsilonModel, C: float, u: np.ndarray, v: np.ndarray,
     f_star = np.array([float(model.inverse(s)) for s in z_star])
     return {
         "value": C * u - term,
-        "term": term,
-        "L_star": l_star,
         "argmax_at_top": i_star == grid.shape[-1] - 1,
         "da": l_star / v * f_star,
     }

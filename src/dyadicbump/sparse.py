@@ -128,15 +128,15 @@ def bump_condition(u: LeafWeight, v: LeafWeight, family: BumpFamily) -> dict:
 
 
 def normalize_to_bump(u: LeafWeight, v: LeafWeight, family: BumpFamily,
-                      target: float) -> tuple[LeafWeight, LeafWeight, float]:
+                      target: float) -> tuple[LeafWeight, LeafWeight]:
     """Scale u and v by a common factor so the larger one-sided bump
     constant equals target (both products are bilinear in (u, v))."""
     rep = bump_condition(u, v, family)
     worst = max(rep["B_uv_left"], rep["B_uv_right"])
     if worst <= 0:
-        return u, v, 1.0
+        return u, v
     s = math.sqrt(target / worst)
-    return u.scaled(s), v.scaled(s), s
+    return u.scaled(s), v.scaled(s)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +313,14 @@ def vavo_L_bound(u: LeafWeight, v: LeafWeight, T: SparseOperator,
 # ---------------------------------------------------------------------------
 
 def normalize_to_omega2(u: LeafWeight, v: LeafWeight,
-                        delta: float) -> tuple[LeafWeight, LeafWeight, float]:
+                        delta: float) -> tuple[LeafWeight, LeafWeight]:
     """Shrink u and v by a common factor until max over dyadic I of
     u_I v_I <= delta (no-op when already inside)."""
     worst = _joint_a2(u, v, u.depth)
     if worst <= delta:
-        return u, v, 1.0
+        return u, v
     s = math.sqrt(delta / worst)
-    return u.scaled(s), v.scaled(s), s
+    return u.scaled(s), v.scaled(s)
 
 
 def random_instance(depth: int, seed: int, *, family: BumpFamily | None = None,
@@ -339,16 +339,13 @@ def random_instance(depth: int, seed: int, *, family: BumpFamily | None = None,
     levels = [rng.uniform(0.0, 1.0, 2 ** k) * a_decay ** k * (1 - a_decay)
               for k in range(depth + 1)]
     seq = CarlesonSequence(depth, levels)
-    scale = 1.0
     if bump_target is not None:
         if family is None:
             raise ValueError("bump_target needs a family")
-        u, v, scale = normalize_to_bump(u, v, family, bump_target)
+        u, v = normalize_to_bump(u, v, family, bump_target)
     if omega2_delta is not None:
-        u, v, s2 = normalize_to_omega2(u, v, omega2_delta)
-        scale *= s2
-    return {"u": u, "v": v, "T": SparseOperator(seq), "seed": seed,
-            "scale": scale}
+        u, v = normalize_to_omega2(u, v, omega2_delta)
+    return {"u": u, "v": v, "T": SparseOperator(seq), "seed": seed}
 
 
 def save_instance(path, u: LeafWeight, v: LeafWeight,

@@ -4,6 +4,7 @@ determinism, config handling, and plot-data emission."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadicbump.cli import main
+from dyadicbump.cli import FIELDS, main
 from dyadicbump.dyadic import MAX_DEPTH
 from dyadicbump.obstruction import MAX_OBSTRUCTION_DEPTH, build_u
 from dyadicbump.sparse import load_instance, random_instance, save_instance
@@ -76,6 +77,8 @@ class TestCampaigns:
     def test_bump_check_passes_and_emits_g_series(self, tmp_path):
         code, out = run(tmp_path, "bump-check")
         assert code == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["results"]["psi_gap"]["bound"] == 4.0
         rows = list(csv.reader((out / "g_series.csv").open()))
         assert rows[0] == ["s", "g"]
         assert len(rows) > 100
@@ -86,6 +89,7 @@ class TestCampaigns:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["results"]["equivalence"]["C_star"] <= 20
+        assert rep["results"]["equivalence"]["bound"] == 20.0
 
     def test_bellman_b1_passes(self, tmp_path):
         code, out = run(tmp_path, "bellman-b1", "--config",
@@ -316,9 +320,10 @@ class TestPlumbing:
         ("bellman-b1", {"a_min": "x"}),
         ("bellman-b1", {"a_min": 2}),
         ("bellman-b1", {"a_min": -0.1}),
-        ("orlicz", {"equivalence_bound": "x"}),
+        # the pass bounds are no config fields, not even at their values
+        ("orlicz", {"equivalence_bound": 20.0}),
+        ("bump-check", {"psi_gap_bound": 4.0}),
         ("bump-check", {"psi_gap_bound": "x"}),
-        ("bump-check", {"psi_gap_bound": 0}),
         ("testing", {"seed": -1}),
         # an unknown key, here a misspelt n_weights
         ("orlicz", {"n_weigths": 3}),
@@ -505,3 +510,13 @@ def test_cli_import_loads_no_scipy():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_names_every_config_field():
+    # README's config-field paragraph names the fields FIELDS checks, and
+    # no others
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = re.search(r"^The config file is a JSON object;.*?(?=\n\n)",
+                     readme, re.M | re.S)
+    assert para, "README has no config-field paragraph"
+    assert set(re.findall(r"`([^`]+)`", para.group(0))) == set(FIELDS)

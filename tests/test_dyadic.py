@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dyadicbump.dyadic import (MAX_DEPTH, ROOT, CarlesonSequence, DyadicIndex,
                                LeafWeight, StepDistribution, TreeDepthError,
-                               L_intensity, dyadic_maximal,
-                               l_intensity_levels, stopping_family)
+                               dyadic_maximal, l_intensity_levels,
+                               stopping_family)
 from dyadicbump.obstruction import build_u
 
 
@@ -394,9 +394,10 @@ def test_intensity_matches_double_sum():
 def test_l_intensity_trivial_cases():
     u = LeafWeight.constant(2, 2.0)
     v = LeafWeight.constant(2, 3.0)
-    assert L_intensity(u, v, CarlesonSequence.from_entries(2, []), ROOT) == 0.0
+    empty = CarlesonSequence.from_entries(2, [])
+    assert l_intensity_levels(u, v, empty)[0][0] == 0.0
     seq = CarlesonSequence.from_entries(2, [(ROOT, 1.0)])
-    assert L_intensity(u, v, seq, ROOT) == 6.0
+    assert l_intensity_levels(u, v, seq)[0][0] == 6.0
 
 
 def test_l_intensity_matches_double_sum():
@@ -413,7 +414,7 @@ def test_l_intensity_matches_double_sum():
             * 2.0 ** -k
             for k in range(depth + 1) for j in range(2 ** k)
             if node.contains(DyadicIndex(k, j))) / node.length
-        assert L_intensity(u, v, seq, node) == pytest.approx(
+        assert l_intensity_levels(u, v, seq)[level][pos] == pytest.approx(
             brute, rel=1e-12, abs=0)
 
 
@@ -510,7 +511,7 @@ def test_maximal_two_leaf():
 def test_maximal_dominates(w):
     m = dyadic_maximal(w)
     assert np.all(m.values >= w.values)
-    assert m.integral() >= w.integral()
+    assert m.average() >= w.average()
 
 
 def test_stopping_family_empty():

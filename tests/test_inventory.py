@@ -16,7 +16,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "dyadicbump"
 ORACLES = {
     "t_value", "hessian_fd", "node_drop_check", "glav_brute",
-    "L_intensity", "dyadic_maximal", "stopping_family",
+    "dyadic_maximal", "stopping_family",
 }
 
 

@@ -36,7 +36,7 @@ class TestBandWeight:
     def test_integral_matches_leaf(self):
         u = build_u(6)
         w = u.to_leaf_weight()
-        assert u.integral() == pytest.approx(w.integral(), rel=0, abs=1e-15)
+        assert u.integral() == pytest.approx(w.average(), rel=0, abs=1e-15)
 
     def test_prefix_and_band_averages_match_leaf(self):
         u = BandWeight(5, np.array([2.0, 0.5, 7.0, 1.0, 3.0]), 0.25)
@@ -85,7 +85,7 @@ class TestBandWeight:
         bands, last = maximal_band_values(u)
         m_band = BandWeight(6, bands, last).to_leaf_weight()
         np.testing.assert_allclose(m_band.values, m_leaf.values, rtol=1e-14)
-        assert maximal_integral(u) == pytest.approx(m_leaf.integral(),
+        assert maximal_integral(u) == pytest.approx(m_leaf.average(),
                                                     rel=1e-14, abs=0)
 
     def test_maximal_cutoff_is_a_suffix(self):
@@ -122,8 +122,11 @@ class TestProfile:
         assert 0.5 < inc2 / inc1 < 2.0
 
     def test_custom_profile(self):
-        u = build_u(3, profile=lambda k: float(k + 1))
+        # band k holds k + 1; leaves run left to right from [0, 1/8)
+        u = BandWeight(3, [float(k + 1) for k in range(3)], 0.0)
         np.testing.assert_allclose(u.band_values, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(u.to_leaf_weight().values,
+                                      [0.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,7 @@ class TestCompanionWeight:
     def test_out_of_range_constant_raises(self):
         # a profile whose member averages force a solved constant outside
         # (1, 9) must be rejected, not silently accepted
-        u = build_u(10, profile=lambda k: 4.0 ** k)
+        u = BandWeight(10, 4.0 ** np.arange(10), 0.0)
         h = build_hierarchy(u)
         with pytest.raises(ConstructionIntegrityError):
             build_v(u, h)
@@ -327,8 +330,6 @@ def _b0_point_oracle(model, C, u, v, A, P, y_floor):
     da = l_star / v * float(model.inverse(z_star))
     return {
         "value": C * u - float(terms[i_star]),
-        "term": float(terms[i_star]),
-        "L_star": l_star,
         "argmax_at_top": i_star == grid.size - 1,
         "da": da,
     }

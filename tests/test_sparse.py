@@ -227,11 +227,11 @@ def test_normalize_to_bump_and_omega2():
     rng = np.random.default_rng(6)
     u = LeafWeight(4, rng.uniform(0.1, 2, 16))
     v = LeafWeight(4, rng.uniform(0.1, 2, 16))
-    u2, v2, s = normalize_to_bump(u, v, FAM, 0.01)
+    u2, v2 = normalize_to_bump(u, v, FAM, 0.01)
     rep = bump_condition(u2, v2, FAM)
     assert max(rep["B_uv_left"], rep["B_uv_right"]) == pytest.approx(
         0.01, rel=1e-8, abs=0)
-    u3, v3, _ = normalize_to_omega2(u2, v2, 1e-3)
+    u3, v3 = normalize_to_omega2(u2, v2, 1e-3)
     worst = max(float(np.max(u3.node_averages(k) * v3.node_averages(k)))
                 for k in range(5))
     assert worst <= 1e-3 * (1 + 1e-12)

@@ -155,7 +155,9 @@ class B1:
             # value's mask: -inf on every step with mass, and the fractions
             # do not increase, so some step has mass iff the first one does
             return -math.inf if fracs[0] > 0 else 0.0
-        return float(np.dot(widths, self._formula(fracs, max(A, 1e-300))))
+        # _formula with the unchecked J: fracs / A is a float array >= 0
+        x = fracs / max(A, 1e-300)
+        return float(np.dot(widths, self.C * fracs - fracs * self.base._j(x)))
 
 
 # ---------------------------------------------------------------------------

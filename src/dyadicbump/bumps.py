@@ -459,6 +459,10 @@ class BumpFamily:
         x = np.asarray(x, dtype=float)
         if x.min(initial=0.0) < 0:
             raise ValueError("J is defined for x >= 0")
+        return self._j(x)
+
+    def _j(self, x: np.ndarray):
+        """j on a float array x >= 0, without j's argument checks."""
         if self._psi_one is None:
             self._psi_one = float(self.psi(1.0))
         xc = x.clip(1e-300, 1.0)

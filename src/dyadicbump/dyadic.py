@@ -200,37 +200,24 @@ class StepDistribution:
             raise ValueError("fractions must be nonincreasing within [0, 1]")
         self.thresholds = t
         self.fractions = n
+        self.widths = t.copy()
+        self.widths[1:] -= t[:-1]
 
     @classmethod
     def of(cls, w: LeafWeight, index: DyadicIndex = ROOT) -> "StepDistribution":
-        lo, hi = index.leaf_range(w.depth)
-        vals = w.values[lo:hi]
-        pos = vals[vals > 0]  # a copy, sorted in place
-        pos.sort()
-        # the checks of __init__ hold by construction: the thresholds are
-        # the distinct positive leaves in ascending order, and the fractions
-        # (count >= t)/n decrease within (0, 1]
+        """N of w on index: three read-only slices of the level table of w
+        at index's level, which satisfy __init__'s checks by construction."""
+        thresholds, fractions, widths, offsets = _level_table(w, index.level)
+        lo, hi = offsets[index.pos], offsets[index.pos + 1]
         out = cls.__new__(cls)
-        if pos.size == 0:
-            out.thresholds = out.fractions = np.empty(0)
-            return out
-        # a run of equal values starts where the sorted slice steps up, and
-        # N on (t_{i-1}, t_i] counts the leaves from that run's start on
-        keep = np.empty(pos.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(pos[1:], pos[:-1], out=keep[1:])
-        first = keep.nonzero()[0]
-        out.thresholds = pos[first]
-        out.fractions = (pos.size - first) / vals.size
+        out.thresholds = thresholds[lo:hi]
+        out.fractions = fractions[lo:hi]
+        out.widths = widths[lo:hi]
         return out
 
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
         """(widths, values): N equals values[i] on an interval of length widths[i]."""
-        if self.thresholds.size == 0:
-            return np.empty(0), np.empty(0)
-        widths = self.thresholds.copy()
-        widths[1:] -= self.thresholds[:-1]
-        return widths, self.fractions
+        return self.widths, self.fractions
 
     def eval(self, t: float) -> float:
         if self.thresholds.size == 0 or t > self.thresholds[-1]:
@@ -253,6 +240,48 @@ class StepDistribution:
             return StepDistribution([], [])
         mixed = np.array([(a.eval(x) + b.eval(x)) / 2.0 for x in t])
         return StepDistribution(t, mixed)
+
+
+# The level table last read by StepDistribution.of: (weight, level, table),
+# matched by identity and holding the weight, so green_induction sorts each
+# level once and a weight read several times at its root sorts once.  One
+# slot keeps at most one level's table alive.
+_LEVEL_SLOT: tuple | None = None
+
+
+def _level_table(w: LeafWeight, level: int) -> tuple:
+    """(thresholds, fractions, widths, offsets) of every node of the level:
+    node pos owns entries offsets[pos]:offsets[pos + 1] of the three flat
+    read-only arrays, which hold its distinct positive leaves in ascending
+    order, N on each step, (count of leaves >= threshold) / leaf count, and
+    each step's width."""
+    global _LEVEL_SLOT
+    slot = _LEVEL_SLOT
+    if slot is not None and slot[0] is w and slot[1] == level:
+        return slot[2]
+    if level > w.depth:
+        raise ValueError(f"interval at level {level} has no leaves at depth {w.depth}")
+    rows = np.sort(w.values.reshape(1 << level, -1), axis=1)
+    n = rows.shape[1]
+    # a run of equal positive values starts where a sorted row steps up
+    # from its zeros or from a smaller value; N on (t_{i-1}, t_i] counts
+    # the leaves from that run's start to the row's end
+    keep = rows > 0
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    thresholds = rows[keep]
+    fractions = (n - keep.nonzero()[1]) / n
+    offsets = np.zeros((1 << level) + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=offsets[1:])
+    widths = thresholds.copy()
+    widths[1:] -= thresholds[:-1]
+    # each node's first step starts at 0
+    starts = offsets[:-1][offsets[:-1] < offsets[1:]]
+    widths[starts] = thresholds[starts]
+    for arr in (thresholds, fractions, widths):
+        arr.setflags(write=False)
+    table = thresholds, fractions, widths, offsets
+    _LEVEL_SLOT = (w, level, table)
+    return table
 
 
 class CarlesonSequence:

@@ -103,6 +103,25 @@ def test_j_beyond_one_grows_logarithmically():
         b1.j(1.0) + 1.0 / psi1, rel=1e-12, abs=0)
 
 
+J_POINTS = np.concatenate(([0.0, 1e-300, 1.0], np.geomspace(1e-12, 1e6)))
+
+
+@pytest.mark.parametrize("family", [power_bump(3.0), log_bump(0.5),
+                                    log_bump(1.0), loglog_bump(2.0)], ids=repr)
+def test_unchecked_j_is_j(family):
+    # B1.integral_over calls _j, which skips j's argument check; a fresh
+    # family, so _j sets Psi(1) itself
+    fresh = type(family).from_json(family.to_json())
+    got = fresh._j(J_POINTS)
+    assert got.tobytes() == family.j(J_POINTS).tobytes()
+    for x in J_POINTS:
+        one = fresh._j(np.asarray(x))
+        assert type(one) is float
+        assert np.float64(one).tobytes() == np.float64(family.j(x)).tobytes()
+    with pytest.raises(ValueError):
+        family.j(np.array([1.0, -1e-300]))
+
+
 def test_j_rejects_negative_and_linear_bump():
     b1 = B1(log_bump(2.0))
     with pytest.raises(ValueError):

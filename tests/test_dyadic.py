@@ -309,6 +309,83 @@ def test_distribution_of_passes_the_constructor_checks(case):
     assert np.array_equal(again.fractions, dist.fractions)
 
 
+# StepDistribution.of slices a table of the whole level, built from one
+# row-wise sort.  Its oracle is a per-node sort: mask, copy and sort the
+# node's leaves, then keep the start of each run of equal values.
+
+def _of_by_sort(w, index):
+    lo, hi = index.leaf_range(w.depth)
+    vals = w.values[lo:hi]
+    pos = vals[vals > 0]
+    pos.sort()
+    if pos.size == 0:
+        return np.empty(0), np.empty(0)
+    keep = np.empty(pos.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(pos[1:], pos[:-1], out=keep[1:])
+    first = keep.nonzero()[0]
+    return pos[first], (pos.size - first) / vals.size
+
+
+def _assert_of_is_the_sort(w, index):
+    dist = StepDistribution.of(w, index)
+    t, n = _of_by_sort(w, index)
+    assert dist.thresholds.tobytes() == t.tobytes()
+    assert dist.fractions.tobytes() == n.tobytes()
+    assert dist.widths.tobytes() == StepDistribution(t, n).widths.tobytes()
+    assert all(not arr.flags.writeable
+               for arr in (dist.thresholds, dist.fractions, dist.widths))
+
+
+def _pool_weight(depth, seed):
+    """Leaves from LEAF_POOL with half of them uniform, and the first
+    quarter zero, so all-zero nodes, ties and 5e-324 are common."""
+    rng = np.random.default_rng(seed)
+    vals = rng.choice(LEAF_POOL, 2 ** depth)
+    vals = np.where(rng.random(2 ** depth) < 0.5, vals,
+                    rng.uniform(0.0, 4.0, 2 ** depth))
+    vals[:2 ** depth // 4] = 0.0
+    return LeafWeight(depth, vals)
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_of_is_the_per_node_sort_in_shuffled_order(depth):
+    rng = np.random.default_rng(depth)
+    for seed in range(3):
+        w = _pool_weight(depth, seed)
+        for level in rng.permutation(depth + 1):
+            for pos in rng.permutation(2 ** int(level)):
+                _assert_of_is_the_sort(w, DyadicIndex(int(level), int(pos)))
+
+
+def test_of_alternating_weights_at_one_level():
+    # two weights of one depth read in turn at the same level and position:
+    # a table kept for the wrong weight would show here
+    a, b = _pool_weight(6, 0), _pool_weight(6, 1)
+    twin = LeafWeight(6, a.values)  # equal to a, but another weight
+    for level in range(7):
+        for pos in range(2 ** level):
+            for w in (a, b, twin, b):
+                _assert_of_is_the_sort(w, DyadicIndex(level, pos))
+
+
+@pytest.mark.parametrize("depth,values", [
+    (0, [0.0]), (0, [5e-324]), (0, [2.5]), (3, [0.0] * 8), (2, [5e-324] * 4),
+    (3, [1.0, 1.0, 0.0, 1.0, 5e-324, 5e-324, 3.0, 3.0]),
+], ids=["depth0-zero", "depth0-subnormal", "depth0", "all-zero",
+        "all-subnormal", "ties"])
+def test_of_is_the_per_node_sort_on_edge_weights(depth, values):
+    w = LeafWeight(depth, values)
+    for level in range(w.depth + 1):
+        for pos in range(2 ** level):
+            _assert_of_is_the_sort(w, DyadicIndex(level, pos))
+
+
+def test_of_rejects_a_level_below_the_leaves():
+    with pytest.raises(ValueError):
+        StepDistribution.of(LeafWeight(1, [1.0, 2.0]), DyadicIndex(2, 0))
+
+
 def _rejected_by_diff_checks(t, n):
     """StepDistribution's input checks written with np.diff and np.any."""
     t = np.asarray(t, dtype=float)

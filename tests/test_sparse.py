@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from dyadicbump.bumps import log_bump, power_bump
+from dyadicbump import dyadic
+from dyadicbump.bumps import (log_bump, orlicz_norm_dist, power_bump,
+                              self_improvement_check)
 from dyadicbump.bellman import (B1, B2, BellmanNode, DataIntegrityError,
                                 default_budget, master_bellman_eval)
 from dyadicbump.dyadic import (CarlesonSequence, DyadicIndex, LeafWeight,
@@ -355,6 +357,34 @@ def test_green_telescoping_is_exact():
     assert rep["pass"], rep
     assert rep["min_drop_constant"] > 0
     assert rep["excluded_nodes"] == []
+
+
+def test_level_table_slot_holds_one_level():
+    # StepDistribution.of keeps the table of one (weight, level) only: the
+    # induction leaves its deepest level there, repeated root reads of one
+    # weight sort once, and a new level or weight replaces the entry
+    def holds(weight, level):
+        slot = dyadic._LEVEL_SLOT
+        return len(slot) == 3 and slot[0] is weight and slot[1] == level
+
+    budget = default_budget(FAM)
+    inst = random_instance(10, 0, family=FAM, bump_target=0.01,
+                           omega2_delta=1e-3)
+    green_induction(inst["u"], inst["v"], inst["T"], FAM, budget)
+    assert holds(inst["u"], 10)
+    offsets = dyadic._LEVEL_SLOT[2][3]
+    assert len(offsets) == 2 ** 10 + 1 and offsets[-1] <= 2 ** 10
+
+    w = LeafWeight(6, np.random.default_rng(0).lognormal(0.0, 1.5, 64))
+    orlicz_norm_dist(w, ROOT, FAM)
+    table = dyadic._LEVEL_SLOT[2]
+    self_improvement_check(w, ROOT, FAM)  # two more root reads
+    assert holds(w, 0) and dyadic._LEVEL_SLOT[2] is table
+    StepDistribution.of(w, DyadicIndex(1, 0))
+    assert holds(w, 1)
+    twin = LeafWeight(6, w.values)  # equal to w, but another weight
+    StepDistribution.of(twin, DyadicIndex(1, 1))
+    assert holds(twin, 1)
 
 
 def test_green_random_suite_positive_drop():

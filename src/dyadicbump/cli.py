@@ -27,15 +27,13 @@ from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     curv_translate, integrability_phi, log_bump,
                     orlicz_norm_def_batch, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
-from .dyadic import (ROOT, CarlesonSequence, LeafWeight, TreeDepthError,
-                     check_depth)
+from .dyadic import ROOT, LeafWeight, TreeDepthError, check_depth
 from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, growth_row,
-                          obstruction_report)
+                          instance_bundle, obstruction_report)
 from .reports import emit_plotdata, make_report, write_report
-from .sparse import (SparseOperator, bump_condition, glav_sup,
-                     green_induction, load_instance, random_instance,
-                     save_instance, testing_condition, truncated,
-                     vavo_L_bound)
+from .sparse import (bump_condition, glav_sup, green_induction,
+                     load_instance, random_instance, save_instance,
+                     testing_condition, truncated, vavo_L_bound)
 
 
 class InputError(Exception):
@@ -101,6 +99,9 @@ BUDGET_FIELDS = ("delta", "P", "c_drop", "delta1", "derivative_floor")
 # the pass bounds of bump-check's Psi gap and orlicz's C*; no config moves them
 PSI_GAP_BOUND = 4.0
 EQUIVALENCE_BOUND = 20.0
+# orlicz's, glav's and testing's tree depth; glav's and testing's bump target
+DEPTH = 6
+BUMP_TARGET = 0.01
 # every config field, with its check and what the check asks for
 FIELDS = {
     "family": (lambda x: isinstance(x, (str, dict)),
@@ -197,7 +198,7 @@ def run_bump_check(family: BumpFamily, cfg: dict, seed: int, out: Path):
 
 def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
     _need_companion(family)
-    depth = int(cfg.get("depth", 6))
+    depth = int(cfg.get("depth", DEPTH))
     n = int(cfg.get("n_weights", 200))
     corpus = _corpus(depth, n, seed)
     # one block per weight, so each norm is its own orlicz_norm_def
@@ -294,7 +295,7 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
 
 def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
     budget = _budget(family, cfg)
-    depth = int(cfg.get("depth", 6))
+    depth = int(cfg.get("depth", DEPTH))
     if depth < 1:
         # a depth-0 tree has no internal node, so no drop constant
         raise InputError(f"glav depth {depth} is below 1")
@@ -303,7 +304,7 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
         # the stability rows coarsen the refined instances to depth
         raise InputError(f"glav refine_depth {fine} is below depth {depth}")
     n = int(cfg.get("n_instances", 10))
-    bump_target = float(cfg.get("bump_target", 0.01))
+    bump_target = float(cfg.get("bump_target", BUMP_TARGET))
     seeds = [seed + i for i in range(n)]
     per = []
     for s in seeds:
@@ -356,14 +357,10 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
                 OverflowError) as exc:  # an integer past float's range
             raise InputError(f"instance bundle at {where} is unreadable: "
                              f"{exc}") from exc
-        if inst["v"].depth != inst["u"].depth \
-                or inst["u"].depth < inst["T"].depth:
-            raise InputError(f"instance bundle at {where} has weights of "
-                             f"depths {inst['u'].depth} and {inst['v'].depth} "
-                             f"for an operator of depth {inst['T'].depth}")
     else:
-        inst = random_instance(int(cfg.get("depth", 6)), seed, family=family,
-                               bump_target=float(cfg.get("bump_target", 0.01)))
+        inst = random_instance(
+            int(cfg.get("depth", DEPTH)), seed, family=family,
+            bump_target=float(cfg.get("bump_target", BUMP_TARGET)))
     u, v, T = inst["u"], inst["v"], inst["T"]
     tc = testing_condition(T, u, v)
     results = {
@@ -381,17 +378,16 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     if not 1 <= depth <= MAX_OBSTRUCTION_DEPTH:
         raise InputError(f"obstruction depth {depth} outside "
                          f"[1, {MAX_OBSTRUCTION_DEPTH}]")
-    # each depth is built once: the growth table's 10 and 20, the
-    # campaign's own depth, and the bundle's min(depth, 20)
+    # each depth is built once: the growth table's 10 and 20 and the
+    # campaign's own depth
     reports = {d: obstruction_report(d) for d in sorted({10, 20, depth})}
     rep = reports[depth]
     table = [growth_row(r) for r in reports.values()]
     ratios = [r["ratio"] for r in table]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
-    probe_model = family.b2_model()
     probe_kw = {"seed": seed, **_given(cfg, delta="delta", P="P",
                                        n_points="probe_points")}
-    probe = b0_probe(probe_model, **probe_kw)
+    probe = b0_probe(family.b2_model(), **probe_kw)
     probe_const = b0_probe(EpsilonModel("const"), **probe_kw)
     results = {
         "depth": depth,
@@ -410,19 +406,10 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
                      for r in table],
         }},
     }
-    bundle_depth = min(depth, 20)
-    brep = reports[bundle_depth]
-    entries = [(mem, 1.0 / 3.0) for _, mem in brep["hierarchy"].all_members()]
-    seq = CarlesonSequence.from_entries(bundle_depth, entries)
-    save_instance(out / "instance", brep["u"].to_leaf_weight(),
-                  brep["v"].to_leaf_weight(), SparseOperator(seq))
-    results["instance_bundle"] = {"path": "instance", "depth": bundle_depth}
-    passed = (rep["sv_ok"] and rep["sn_ok"]
-              and rep["product_residual"] <= 1e-10
-              and rep["a2_pass"] and rep["carleson_pass"]
-              and rep["divergence"]["identity_pass"]
-              and rep["divergence"]["maximal_bound_pass"]
-              and monotone
+    u, v, T = instance_bundle(depth)
+    save_instance(out / "instance", u, v, T)
+    results["instance_bundle"] = {"path": "instance", "depth": T.depth}
+    passed = (rep["pass"] and monotone
               and probe["floor_pass"] and probe["fd_pass"]
               and (not probe_const["floor_pass"])
               and probe_const["floor_collapse"])

@@ -22,11 +22,18 @@ import numpy as np
 
 from .bellman import ConstantBudget
 from .bumps import EpsilonModel
-from .dyadic import DyadicIndex, LeafWeight, MAX_DEPTH
+from .dyadic import CarlesonSequence, DyadicIndex, LeafWeight, MAX_DEPTH
+from .sparse import SparseOperator
 
 
 #: Ratio of consecutive stopping thresholds: generation n stops at 3^n.
 BASE = 3.0
+
+#: The coefficient alpha_I on every stopping interval (0 elsewhere).
+ALPHA = 1.0 / 3.0
+
+#: Deepest instance bundle: its weights are written as leaf arrays.
+BUNDLE_MAX_DEPTH = 20
 
 #: Deepest construction that stays in the float range: from depth 532 on,
 #: the largest stopping average <u>_I is about 2.5e154, so its square in
@@ -102,13 +109,12 @@ def maximal_band_values(u: BandWeight) -> tuple[np.ndarray, float]:
     return bands, last
 
 
-def maximal_integral(u: BandWeight, cutoff_band: int | None = None) -> float:
+def maximal_integral(u: BandWeight, cutoff_band: int = 0) -> float:
     """integral of M^d u, over [0, 1) or truncated to [0, 2^{-cutoff}) when
     a cutoff band index is given."""
     bands, last = maximal_band_values(u)
-    k0 = 0 if cutoff_band is None else cutoff_band
-    widths = 0.5 ** (np.arange(k0, u.depth) + 1)
-    return float(np.dot(bands[k0:], widths)) + last * 0.5 ** u.depth
+    widths = 0.5 ** (np.arange(cutoff_band, u.depth) + 1)
+    return float(np.dot(bands[cutoff_band:], widths)) + last * 0.5 ** u.depth
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +268,14 @@ def build_alpha(hierarchy: StoppingHierarchy, depth: int) -> dict:
     sup = 0.0
     for m in range(depth + 1):
         holder = DyadicIndex(m, 0)
-        total = sum(mem.length / 3.0 for mem in members
+        total = sum(mem.length * ALPHA for mem in members
                     if holder.contains(mem))
         sup = max(sup, total * 2.0 ** m)
     # intensity at each member (bands contain only themselves; prefixes
     # are covered above)
     for mem in members:
         if mem.pos:
-            inner = sum(other.length / 3.0 for other in members
+            inner = sum(other.length * ALPHA for other in members
                         if mem.contains(other))
             sup = max(sup, inner / mem.length)
     return {"carleson_sup": float(sup), "pass": bool(sup <= 1.0 + 1e-12)}
@@ -290,9 +296,10 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
         for mem in gen:
             au = u.average(mem)
             running += au * mem.length
-            lhs_pre += au * au * v_pre.average(mem) * (1.0 / 3.0) * mem.length
+            lhs_pre += au * au * v_pre.average(mem) * ALPHA * mem.length
         s_partial.append(running)
     s_total = running
+    # S / 3, not S * ALPHA, which can differ in the reported last bit
     identity_residual = (abs(lhs_pre - s_total / 3.0)
                          / max(s_total / 3.0, 1e-300))
 
@@ -312,7 +319,7 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
         "integral_u": u.integral(),
         "ratio": s_total / u.integral(),
         "identity_lhs_pre": lhs_pre,
-        "identity_constant_pre": 1.0 / 3.0,
+        "identity_constant_pre": ALPHA,
         "identity_constant_post": 1.0 / 27.0,
         "identity_residual": identity_residual,
         "identity_pass": bool(identity_residual <= 1e-10),
@@ -322,19 +329,19 @@ def divergence_sum(u: BandWeight, v_pre: BandWeight,
 
 
 def obstruction_report(depth: int) -> dict:
-    """End-to-end run of the construction at one depth."""
+    """End-to-end run of the construction at one depth, as plain data;
+    "pass" is the construction's verdict."""
     u = build_u(depth)
     h = build_hierarchy(u)
     built = build_v(u, h)
     alpha = build_alpha(h, depth)
     div = divergence_sum(u, built["v_pre"], h)
     # <u><v> = 1 at stopping intervals, pre-scaling
-    worst_prod = 0.0
-    for _, mem in h.all_members():
-        worst_prod = max(worst_prod, abs(
-            u.average(mem) * built["v_pre"].average(mem) - 1.0))
+    worst_prod = max((abs(u.average(mem) * built["v_pre"].average(mem) - 1.0)
+                      for _, mem in h.all_members()), default=0.0)
     a2_pre = a2_supremum(u, built["v_pre"])
     a2_post = a2_supremum(u, built["v"])
+    a2_pass = bool(a2_post <= 1.0 + 1e-12)
     return {
         "depth": depth,
         "generations": len(h.generations),
@@ -343,14 +350,28 @@ def obstruction_report(depth: int) -> dict:
         "product_residual": worst_prod,
         "a2_pre": a2_pre,
         "a2_post": a2_post,
-        "a2_pass": bool(a2_post <= 1.0 + 1e-12),
+        "a2_pass": a2_pass,
         "carleson": alpha["carleson_sup"],
         "carleson_pass": alpha["pass"],
         "divergence": div,
-        "u": u,
-        "v": built["v"],
-        "hierarchy": h,
+        "pass": bool(h.sv_ok and h.sn_ok and worst_prod <= 1e-10
+                     and a2_pass and alpha["pass"] and div["identity_pass"]
+                     and div["maximal_bound_pass"]),
     }
+
+
+def instance_bundle(depth: int) -> tuple[LeafWeight, LeafWeight,
+                                          SparseOperator]:
+    """The construction at min(depth, BUNDLE_MAX_DEPTH) as a leaf-array
+    instance (u, v, T): the scaled companion v, and alpha on every
+    stopping interval as T's coefficients."""
+    depth = min(depth, BUNDLE_MAX_DEPTH)
+    u = build_u(depth)
+    h = build_hierarchy(u)
+    entries = [(mem, ALPHA) for _, mem in h.all_members()]
+    seq = CarlesonSequence.from_entries(depth, entries)
+    return (u.to_leaf_weight(), build_v(u, h)["v"].to_leaf_weight(),
+            SparseOperator(seq))
 
 
 def growth_row(rep: dict) -> dict:

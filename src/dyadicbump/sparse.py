@@ -358,9 +358,11 @@ def save_instance(path, u: LeafWeight, v: LeafWeight,
 
 
 def load_instance(path) -> dict:
+    """save_instance's bundle; ValueError unless u, v share a depth >= T's."""
     path = Path(path)
-    return {
-        "u": LeafWeight.load(path / "u.json"),
-        "v": LeafWeight.load(path / "v.json"),
-        "T": SparseOperator(CarlesonSequence.load(path / "carleson.json")),
-    }
+    u, v = LeafWeight.load(path / "u.json"), LeafWeight.load(path / "v.json")
+    T = SparseOperator(CarlesonSequence.load(path / "carleson.json"))
+    if v.depth != u.depth or u.depth < T.depth:
+        raise ValueError(f"weights of depths {u.depth} and {v.depth} for an "
+                         f"operator of depth {T.depth}")
+    return {"u": u, "v": v, "T": T}

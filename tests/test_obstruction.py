@@ -11,12 +11,14 @@ import pytest
 
 from dyadicbump import obstruction
 from dyadicbump.bumps import EpsilonModel, loglog_bump
-from dyadicbump.dyadic import DyadicIndex, dyadic_maximal, stopping_family
+from dyadicbump.dyadic import (CarlesonSequence, DyadicIndex, dyadic_maximal,
+                               stopping_family)
 from dyadicbump.obstruction import (
-    BASE, BandWeight, ConstructionIntegrityError, _b0_point, _generation,
-    a2_supremum, b0_probe,
+    ALPHA, BASE, BUNDLE_MAX_DEPTH, BandWeight, ConstructionIntegrityError,
+    _b0_point, _generation, a2_supremum, b0_probe,
     build_alpha, build_hierarchy, build_u, build_v, divergence_sum,
-    growth_table, maximal_band_values, maximal_integral, obstruction_report,
+    growth_table, instance_bundle, maximal_band_values, maximal_integral,
+    obstruction_report,
 )
 
 
@@ -268,6 +270,70 @@ class TestDivergence:
         assert rep["product_residual"] <= 1e-12
         assert rep["a2_pass"] and rep["carleson_pass"]
         assert rep["divergence"]["identity_pass"]
+        assert rep["pass"]
+
+    def test_report_is_plain_data(self):
+        rep = obstruction_report(12)
+        assert json.loads(json.dumps(rep)) == rep
+
+    @staticmethod
+    def _conjunction(rep):
+        # the verdict as the obstruction campaign once spelled it out
+        return (rep["sv_ok"] and rep["sn_ok"]
+                and rep["product_residual"] <= 1e-10
+                and rep["a2_pass"] and rep["carleson_pass"]
+                and rep["divergence"]["identity_pass"]
+                and rep["divergence"]["maximal_bound_pass"])
+
+    def test_verdict_is_the_seven_checks(self):
+        for depth in range(1, 41):
+            rep = obstruction_report(depth)
+            assert rep["pass"] is bool(self._conjunction(rep)), depth
+
+    def test_verdict_fails_with_one_check(self, monkeypatch):
+        monkeypatch.setattr(obstruction, "a2_supremum", lambda u, v: 2.0)
+        rep = obstruction_report(12)
+        assert not rep["a2_pass"] and not rep["pass"]
+        assert rep["pass"] is bool(self._conjunction(rep))
+
+
+# ---------------------------------------------------------------------------
+# The leaf-array instance bundle
+# ---------------------------------------------------------------------------
+
+def _inline_bundle(depth):
+    # the bundle as the obstruction campaign once built it from its report
+    u = build_u(depth)
+    h = build_hierarchy(u)
+    entries = [(mem, 1.0 / 3.0) for _, mem in h.all_members()]
+    seq = CarlesonSequence.from_entries(depth, entries)
+    return (u.to_leaf_weight(), build_v(u, h)["v"].to_leaf_weight(), seq,
+            [mem for _, mem in h.all_members()])
+
+
+class TestInstanceBundle:
+    @pytest.mark.parametrize("depth", [1, 12, 20])
+    def test_bundle_matches_inline_construction(self, depth):
+        u, v, T = instance_bundle(depth)
+        u_old, v_old, seq_old, members = _inline_bundle(depth)
+        assert u.depth == v.depth == T.depth == depth
+        assert u.values.tobytes() == u_old.values.tobytes()
+        assert v.values.tobytes() == v_old.values.tobytes()
+        assert [a.tobytes() for a in T.coeffs.levels] \
+            == [a.tobytes() for a in seq_old.levels]
+        # alpha = 1/3 on every stopping member and nowhere else
+        nonzero = {DyadicIndex(k, int(p))
+                   for k, arr in enumerate(T.coeffs.levels)
+                   for p in np.nonzero(arr)[0]}
+        assert nonzero == set(members)
+        assert all(T.coeffs.levels[m.level][m.pos] == ALPHA == 1.0 / 3.0
+                   for m in members)
+
+    def test_bundle_depth_is_capped(self):
+        u, v, T = instance_bundle(BUNDLE_MAX_DEPTH + 7)
+        assert u.depth == v.depth == T.depth == BUNDLE_MAX_DEPTH == 20
+        assert u.values.tobytes() \
+            == instance_bundle(BUNDLE_MAX_DEPTH)[0].values.tobytes()
 
 
 # ---------------------------------------------------------------------------

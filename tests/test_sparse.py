@@ -659,3 +659,25 @@ def test_instance_bundle_roundtrip(tmp_path):
     assert back["u"] == inst["u"] and back["v"] == inst["v"]
     assert all(np.array_equal(x, y) for x, y in
                zip(back["T"].coeffs.levels, inst["T"].coeffs.levels))
+
+
+@pytest.mark.parametrize("u_depth, v_depth, T_depth", [
+    (4, 3, 3),  # u and v differ in depth
+    (3, 4, 3),
+    (2, 2, 3),  # the weights are shallower than T
+])
+def test_load_instance_rejects_mismatched_depths(tmp_path, u_depth, v_depth,
+                                                 T_depth):
+    T = random_instance(T_depth, 1)["T"]
+    save_instance(tmp_path / "inst", random_instance(u_depth, 2)["u"],
+                  random_instance(v_depth, 3)["v"], T)
+    with pytest.raises(ValueError, match="depths"):
+        load_instance(tmp_path / "inst")
+
+
+def test_load_instance_takes_weights_deeper_than_T(tmp_path):
+    inst = random_instance(4, 1)
+    save_instance(tmp_path / "inst", inst["u"], inst["v"],
+                  truncated(inst["T"], 2))
+    back = load_instance(tmp_path / "inst")
+    assert back["u"].depth == back["v"].depth == 4 and back["T"].depth == 2

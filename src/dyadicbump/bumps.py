@@ -109,10 +109,12 @@ class EpsilonModel:
     def __init__(self, kind, *, beta=None, kappa=None, coeff=1.0):
         if kind not in self.PARAMS:
             raise ValueError(f"unknown epsilon kind {kind!r}")
-        if kind == "power" and not 0 < beta < 1:
+        if kind == "power" and (beta is None or not 0 < beta < 1):
             raise ValueError("power epsilon needs 0 < beta < 1")
         if kind == "logpow" and (kappa is None or kappa <= 0):
             raise ValueError("logpow epsilon needs kappa > 0")
+        if not coeff > 0:
+            raise ValueError("epsilon needs coeff > 0")
         self.kind = kind
         self.beta = beta
         self.kappa = kappa
@@ -645,116 +647,83 @@ def orlicz_norm_levels(values: np.ndarray,
 def _luxemburg(stacks, family):
     """Norms of every row of each (blocks, rows, n) stack, one (blocks,
     rows) array per stack, from one bracket-and-bisection loop.  The stacks
-    may differ in n: Phi is one call over the values of all their live
-    rows, and each stack's row sums keep its (rows, n) layout, so every row
-    has the bits of a call on its own stack."""
-    parts, means, block, live = [], [], [], []
-    first = 0  # global id of the stack's first block
+    may differ in n: the values of every live row are copied once into one
+    flat array beside the rows' lengths, Phi is one call over all of them,
+    and each stack's row sums keep its (rows, n) layout, so every row has
+    the bits of a call on its own stack.  A block that has stopped keeps
+    its place: a mask freezes its brackets, and Phi still runs over its
+    values (README's batch-shape convention gives what both cost)."""
+    outs, rows, means, sizes = [], [], [], []
     for stack in stacks:
         n = stack.shape[-1]
         m = stack.sum(axis=-1) / n  # bit for bit what mean() gives
         ok = m > 0
-        live.append(ok)
-        if ok.all():  # a view: a one-stack call copies no leaves
-            parts.append(stack.reshape(-1, n))
-        elif ok.any():
-            parts.append(stack[ok])
+        outs.append((np.zeros(ok.shape), ok))
+        rows.append(stack[ok])
         means.append(m[ok])
-        block.append(first + np.nonzero(ok)[0])
-        first += stack.shape[0]
-    outs = [np.zeros(ok.shape) for ok in live]
-    if not parts:
-        return outs
-    mean, block = np.concatenate(means), np.concatenate(block)
-    rows = _gather(parts)
-    buf = np.empty(rows[0].size)
+        sizes.append(ok.sum(axis=1))  # each block's live rows
+    mean, sizes = np.concatenate(means), np.concatenate(sizes)
+    if not mean.size:
+        return [out for out, _ in outs]
+    layout = [r.shape for r in rows]
+    # every live row's length, a float so the row means cast nothing
+    counts = np.repeat([float(n) for _, n in layout], [r for r, _ in layout])
+    hi = np.maximum(np.concatenate([r.max(axis=1) for r in rows]), mean)
+    # rows of one length keep their (rows, n) shape and lam broadcasts over
+    # them; rows of several lengths lie flat, with lam repeated per value
+    one_n = len({n for _, n in layout}) == 1
+    flat = np.concatenate([r.ravel() for r in rows])
+    flat = flat.reshape(-1, layout[0][1] if one_n else 1)
+    del rows
+    buf, sums = np.empty(flat.size), np.empty(counts.size)
+    quotients, repeats = buf.reshape(flat.shape), counts.astype(int)
 
-    def constraint(lam, rows):
-        flat, layout, counts = rows
-        x = buf[:flat.size]
-        if counts is None:  # one stack: lam broadcasts over its rows
-            np.divide(flat.reshape(layout[0]), lam[:, None],
-                      out=x.reshape(layout[0]))
-            return family.phi(x).reshape(layout[0]).sum(axis=1) / layout[0][1]
-        np.divide(flat, np.repeat(lam, counts), out=x)
-        vals, v, sums = family.phi(x), 0, []
+    def constraint(lam):
+        per_row = lam if one_n else np.repeat(lam, repeats)
+        np.divide(flat, per_row[:, None], out=quotients)
+        vals, v, i = family.phi(buf), 0, 0
         for r, n in layout:
-            sums.append(vals[v:v + r * n].reshape(r, n).sum(axis=1))
-            v += r * n
-        return np.concatenate(sums) / counts
+            vals[v:v + r * n].reshape(r, n).sum(axis=1, out=sums[i:i + r])
+            v, i = v + r * n, i + r
+        return sums / counts
 
     # the brackets move each row on its own, so blocks need no bookkeeping
-    hi = np.maximum(np.concatenate([p.max(axis=1) for p in parts]), mean)
-    for _ in range(200):
-        bad = constraint(hi, rows) > 1.0
+    for _ in range(BISECT_MAXITER):
+        bad = constraint(hi) > 1.0
         if not np.any(bad):
             break
         hi = np.where(bad, hi * 2.0, hi)
     else:
         raise RuntimeError(f"Luxemburg bracket failure (upper); hi={hi}")
     lo = mean * 1e-6
-    for _ in range(200):
-        bad = constraint(lo, rows) <= 1.0
+    for _ in range(BISECT_MAXITER):
+        bad = constraint(lo) <= 1.0
         if not np.any(bad):
             break
         lo = np.where(bad, lo / 4.0, lo)
     else:
         raise RuntimeError(f"Luxemburg bracket failure (lower); lo={lo}")
-    # bisect the rows of the blocks that have not stopped, kept compact; a
-    # block stops, and its norms are set, once all of its rows meet the
-    # tolerance (a block's live rows are consecutive)
-    run, norms = np.arange(mean.size), np.empty(mean.size)
-    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    # a block stops once all of its rows meet the tolerance; from then on
+    # a mask freezes its brackets, so its norms are those of a call on it
+    # alone (a block's live rows are consecutive)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    run = None  # no mask while every block still bisects
     for _ in range(BISECT_MAXITER):
         mid = np.sqrt(lo * hi)
-        feasible = constraint(mid, rows) <= 1.0
-        hi = np.where(feasible, mid, hi)
-        lo = np.where(feasible, lo, mid)
+        feasible = constraint(mid) <= 1.0
+        up = feasible if run is None else feasible & run
+        keep = feasible if run is None else feasible | ~run
+        hi, lo = np.where(up, mid, hi), np.where(keep, lo, mid)
         wide = np.logical_or.reduceat(~(hi - lo <= BISECT_TOL * hi), starts)
-        if wide.all():
-            continue
-        keep = np.repeat(wide, np.diff(starts, append=run.size))
-        norms[run[~keep]] = 0.5 * (lo[~keep] + hi[~keep])
-        run, lo, hi = run[keep], lo[keep], hi[keep]
-        if run.size == 0:
+        if not wide.any():
             break
-        rows = _gather(_kept_rows(rows, keep))
-        starts = np.flatnonzero(np.diff(block[run], prepend=-1))
-    norms[run] = 0.5 * (lo + hi)
-    r = 0
-    for out, ok in zip(outs, live):
-        count = np.count_nonzero(ok)
-        out[ok] = norms[r:r + count]
-        r += count
-    return outs
-
-
-def _gather(parts):
-    """(flat, layout, counts) for a list of (rows, n) arrays: their values
-    in row order in one flat array, their shapes, and every row's length;
-    one array is a view of itself with counts None, so a one-stack call
-    holds no copy of its leaves and no array as long as them."""
-    layout = [p.shape for p in parts]
-    if len(parts) == 1:
-        return parts[0].ravel(), layout, None
-    return (np.concatenate([p.ravel() for p in parts]), layout,
-            np.repeat([n for _, n in layout], [r for r, _ in layout]))
-
-
-def _kept_rows(rows, keep):
-    """The (rows, n) arrays of the rows that keep marks, over the rows of
-    every array of the layout in order; arrays left with none drop out."""
-    flat, layout, _ = rows
-    parts, r, v = [], 0, 0
-    for count, n in layout:
-        mine = keep[r:r + count]
-        part = flat[v:v + count * n].reshape(count, n)
-        r, v = r + count, v + count * n
-        if mine.all():
-            parts.append(part)
-        elif mine.any():
-            parts.append(part[mine])
-    return parts
+        if not wide.all():
+            run = np.repeat(wide, sizes)
+    ends = np.cumsum([np.count_nonzero(ok) for _, ok in outs])
+    for (out, ok), norms in zip(outs, np.split(0.5 * (lo + hi), ends[:-1])):
+        out[ok] = norms
+    return [out for out, _ in outs]
 
 
 def orlicz_norm_dist(w: LeafWeight, index: DyadicIndex,

@@ -332,12 +332,16 @@ class CarlesonSequence:
     def from_json(cls, obj: dict) -> "CarlesonSequence":
         """Reads depth and entries; the stored cap is always 1.  An entry
         outside the tree is a ValueError, and so are a depth, level or pos
-        that is not a JSON integer and an a that is not a JSON number."""
+        that is not a JSON integer, an a that is not a JSON number and a
+        second entry for one (level, pos), which `to_json` never writes."""
         depth, = _json_values([obj["depth"]], _INTEGER, "depth")
         entries = obj["entries"]
         for key, types in (("level", _INTEGER), ("pos", _INTEGER),
                            ("a", _NUMBER)):
             _json_values([e[key] for e in entries], types, f"entry {key}")
+        keys = [(e["level"], e["pos"]) for e in entries]
+        if len(set(keys)) < len(keys):
+            raise ValueError("repeated (level, pos) entry")
         return cls.from_entries(depth, [
             (DyadicIndex(e["level"], e["pos"]), e["a"]) for e in entries])
 

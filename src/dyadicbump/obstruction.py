@@ -205,7 +205,6 @@ def build_v(u: BandWeight, hierarchy: StoppingHierarchy) -> dict:
     v_bands = np.full(u.depth, -1.0)   # -1 marks "not assigned yet"
     v_last = -1.0
     gens = hierarchy.generations
-    constants = []
     for n in range(len(gens), 0, -1):
         for mem in gens[n - 1]:
             target_avg = 1.0 / u.average(mem)
@@ -229,8 +228,6 @@ def build_v(u: BandWeight, hierarchy: StoppingHierarchy) -> dict:
                     f"no uncovered mass below prefix {m}")
             c_val = (2.0 ** (-m) * target_avg - covered_integral) / uncovered
             rel = c_val * BASE ** (n + 1)
-            constants.append({"generation": n, "member": mem,
-                              "value": c_val, "relative": rel})
             if not 1.0 < rel < 9.0:
                 raise ConstructionIntegrityError(
                     f"solved constant {c_val:.6g} (relative {rel:.4g}) "
@@ -244,7 +241,7 @@ def build_v(u: BandWeight, hierarchy: StoppingHierarchy) -> dict:
         v_last = 1.0 / 3.0
     v_pre = BandWeight(u.depth, v_bands, v_last)
     v_scaled = BandWeight(u.depth, v_bands / 9.0, v_last / 9.0)
-    return {"v_pre": v_pre, "v": v_scaled, "constants": constants}
+    return {"v_pre": v_pre, "v": v_scaled}
 
 
 def a2_supremum(u: BandWeight, v: BandWeight) -> float:

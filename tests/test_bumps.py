@@ -319,6 +319,39 @@ def test_norm_def_blocks_stop_at_their_own_step(fam):
     assert not np.array_equal(orlicz_norm_def_batch(mixed[None], fam)[0], per_row)
 
 
+class _CountedPhi:
+    """A bump that counts its Phi calls, all `_luxemburg` reads of it."""
+
+    def __init__(self, family):
+        self.family, self.calls = family, 0
+
+    def phi(self, t):
+        self.calls += 1
+        return self.family.phi(t)
+
+
+@pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
+def test_luxemburg_stacks_of_different_n_equal_separate_calls(fam):
+    # constant rows of 4 leaves beside an all-zero block, and spike rows of
+    # 64 leaves: in one call the blocks stop at different steps, and a
+    # stopped block's frozen brackets keep each stack's bytes those of a
+    # call on it alone
+    rng = np.random.default_rng(6)
+    const, spike = _blocks(rng, 4)[0], _blocks(rng, 64)[1]
+    stacks = [np.stack((const, np.zeros_like(const))), spike[None]]
+    joint = bumps._luxemburg(stacks, fam)
+    calls = []
+    for stack, got in zip(stacks, joint):
+        counted = _CountedPhi(fam)
+        assert got.tobytes() == bumps._luxemburg([stack], counted)[0].tobytes()
+        calls.append(counted.calls)
+    assert np.array_equal(joint[0][1], np.zeros(8))
+    if fam.tag == "power":
+        # a power bump's first brackets (the largest leaf, 1e-6 times the
+        # mean) already hold, so the calls differ only in bisection steps
+        assert calls[0] != calls[1]
+
+
 def test_norm_def_batch_takes_only_block_stacks():
     with pytest.raises(ValueError):
         orlicz_norm_def_batch(np.ones((3, 4)), log_bump(1.0))
@@ -507,6 +540,22 @@ def test_epsilon_model_json_holds_used_parameters():
         "kind": "logpow", "kappa": 1.8, "coeff": 0.5}
     assert EpsilonModel("const", coeff=2.0).to_json() == {"kind": "const",
                                                           "coeff": 2.0}
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("power", {}), ("power", {"beta": 0.0}), ("power", {"beta": 1.0}),
+    ("logpow", {}), ("logpow", {"kappa": 0.0}), ("nope", {}),
+    ("power", {"beta": 0.25, "coeff": 0.0}),
+    ("logpow", {"kappa": 1.5, "coeff": -1.0}),
+    ("const", {"coeff": 0.0}), ("const", {"coeff": math.nan}),
+], ids=["power-no-beta", "power-beta-0", "power-beta-1", "logpow-no-kappa",
+        "logpow-kappa-0", "unknown-kind", "power-coeff-0", "logpow-coeff-neg",
+        "const-coeff-0", "const-coeff-nan"])
+def test_epsilon_model_rejects_bad_parameters(kind, params):
+    # a missing beta must not reach a comparison with None, and phi divides
+    # by coeff and the logpow solve takes its log
+    with pytest.raises(ValueError):
+        EpsilonModel(kind, **params)
 
 
 def test_phi_inverse_convex_second_difference():

@@ -277,6 +277,17 @@ class TestPlumbing:
         code, out = self._run_bundle(tmp_path, path)
         assert code == 2 and not out.exists()
 
+    def test_bundle_repeated_carleson_entry_is_input_error(self, tmp_path):
+        # a second entry for one interval, inside the intensity cap, would
+        # otherwise overwrite the first
+        path = self._bundle(tmp_path)
+        blob = json.loads((path / "carleson.json").read_text())
+        first = blob["entries"][0]
+        blob["entries"].append(dict(first, a=first["a"] / 2))
+        (path / "carleson.json").write_text(json.dumps(blob))
+        code, out = self._run_bundle(tmp_path, path)
+        assert code == 2 and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("testing", "--depth", "-1"), ("glav", "--depth", "-1"),
         ("orlicz", "--depth", "-1"),

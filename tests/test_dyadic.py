@@ -557,6 +557,17 @@ def test_carleson_json_non_integer_depth_raises(depth):
         CarlesonSequence.from_json({"depth": depth, "entries": []})
 
 
+def test_carleson_json_repeated_entry_raises():
+    # a later entry for the same interval must not overwrite an earlier one
+    entries = [{"level": 1, "pos": 0, "a": 0.5},
+               {"level": 0, "pos": 0, "a": 0.1},
+               {"level": 1, "pos": 0, "a": 0.2}]
+    with pytest.raises(ValueError, match="repeated"):
+        CarlesonSequence.from_json({"depth": 1, "entries": entries})
+    seq = CarlesonSequence.from_json({"depth": 1, "entries": entries[:2]})
+    assert seq.levels[1][0] == 0.5 and seq.levels[0][0] == 0.1
+
+
 def test_carleson_json_integer_a_loads():
     seq = CarlesonSequence.from_json(
         {"depth": 1, "entries": [{"level": 1, "pos": 0, "a": 1}]})

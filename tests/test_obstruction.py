@@ -204,12 +204,6 @@ class TestCompanionWeight:
             assert u.average(mem) * v_pre.average(mem) == pytest.approx(
                 1.0, rel=1e-12, abs=0)
 
-    def test_solved_constants_in_range(self):
-        u = build_u(25)
-        built = build_v(u, build_hierarchy(u))
-        for rec in built["constants"]:
-            assert 1.0 < rec["relative"] < 9.0
-
     def test_final_scaling_is_one_ninth(self):
         u = build_u(15)
         built = build_v(u, build_hierarchy(u))

@@ -200,25 +200,35 @@ class B2:
         return du, dv, dL, dA
 
     def hessian(self, u, v, L, A) -> np.ndarray:
-        """Analytic Hessian of B2 - Cu in the variables (v, L, A).
+        """Analytic Hessian of B2 - Cu in the variables (v, L, A): shape
+        (3, 3) at one point, (n, 3, 3) for arrays of n points, and each
+        matrix of a stack equals its one-point Hessian.
 
         Singular by 1-homogeneity in (v, L, A+1); the (v, L) minor equals
         (A+1)^2 g(z) / v^4.
         """
+        u, v, L, A = np.broadcast_arrays(*(np.asarray(t, dtype=float)
+                                           for t in (u, v, L, A)))
+        shape = v.shape
+        v, L, A = v.ravel(), L.ravel(), A.ravel()
         z = L / (A + 1.0)
-        W = float(self.model.tail_mass(z))
-        fz = float(self.model.inverse(z))
-        # f'(z) = 1 / phi'(f(z)), from the f(z) above: no second solve
-        fp = 1.0 / float(self.model.phi_prime(fz)) if z > 0 else 0.0
+        W = self.model.tail_mass(z)
+        fz = self.model.inverse(z)
+        pos = z > 0
+        # f'(z) = 1 / phi'(f(z)), from the f(z) above: no second solve; on
+        # z = 0 rows x_max stands in for f(z), inside phi's domain
+        fp = np.where(pos, 1.0 / self.model.phi_prime(
+            np.where(pos, fz, self.model.x_max)), 0.0)
         h_vv = -2.0 * L * L * W / v ** 3
         h_vL = (2.0 * L * W + (A + 1.0) * fz) / v ** 2
         h_vA = -L * fz / v ** 2
-        h_LL = -(2.0 * W + (2.0 * fz / z if z > 0 else 0.0) + fp) / v
+        h_LL = -(2.0 * W + np.divide(2.0 * fz, z, out=np.zeros_like(z),
+                                     where=pos) + fp) / v
         h_LA = (fz + z * fp) / v
         h_AA = -z * z * fp / v
-        return np.array([[h_vv, h_vL, h_vA],
-                         [h_vL, h_LL, h_LA],
-                         [h_vA, h_LA, h_AA]])
+        H = np.stack([h_vv, h_vL, h_vA, h_vL, h_LL, h_LA, h_vA, h_LA, h_AA],
+                     axis=-1)
+        return H.reshape(shape + (3, 3))
 
 
 def g_function(model: EpsilonModel, s):
@@ -252,12 +262,6 @@ def g_positivity(model: EpsilonModel, s_range: tuple[float, float],
 # ---------------------------------------------------------------------------
 # Sylvester-style NSD verdicts and finite-difference Hessians
 # ---------------------------------------------------------------------------
-
-def _libm_pow(x: np.ndarray, p: int) -> np.ndarray:
-    """x ** p one value at a time: numpy's array pow differs from libm's
-    scalar one in the last bit, so powers that reach a report stay scalar."""
-    return np.array([s ** p for s in x.tolist()])
-
 
 def sylvester_nsd(M: np.ndarray, tol: float = 1e-9) -> dict:
     """Nonpositive-definiteness of each matrix of a stack of symmetric 3x3
@@ -378,8 +382,14 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
                   model: EpsilonModel, uv_floor: float = 1e-6) -> np.ndarray:
     """Seeded rejection sample of Omega2; columns (u, v, L, A).  L spans
     [phi(uv)/10, min(P sqrt(uv), z-cap)] log-uniformly so both sides of the
-    combined-drop region are populated."""
+    combined-drop region are populated; ValueError if that slab is empty
+    on a grid of the whole sampled uv range, where no point is accepted."""
     cap = model.z_cap
+    uv = np.geomspace(uv_floor, min(budget.delta, 1.0), 1025)
+    if uv_floor >= budget.delta or not np.any(
+            model.phi(uv) / 10.0 < np.minimum(budget.P * np.sqrt(uv), cap)):
+        raise ValueError("the L-slab [phi(uv)/10, min(P sqrt(uv), z-cap)] "
+                         f"is empty for uv in [{uv_floor:g}, {budget.delta:g}]")
     out = np.empty((n, 4))
     got = 0
     lo = 0.5 * math.log(uv_floor)
@@ -441,11 +451,11 @@ def b2_property_check(model: EpsilonModel, budget: ConstantBudget,
 
     # Hessian NSD via the singular Sylvester criterion at a subsample
     idx = rng.choice(n_points, size=min(400, n_points), replace=False)
-    H = np.array([b2.hessian(u[i], v[i], L[i], A[i]) for i in idx])
+    H = b2.hessian(u[idx], v[idx], L[idx], A[idx])
     scale = np.maximum(np.abs(H).max(axis=(1, 2)), 1e-300)
     res = sylvester_nsd(H, tol=1e-9)
     worst_eig = float(np.max(res["max_eigenvalue"] / scale))
-    dets = res["det"] / _libm_pow(scale, 3)
+    dets = res["det"] / scale ** 3
     vv_ok = bool(np.all(H[:, 0, 0] < 0))
     report = {
         "points": int(u.size),
@@ -502,21 +512,21 @@ def t_grad(u, v, A):
 
 def t_hessian(u, v, A) -> np.ndarray:
     """Analytic Hessian of T in the order (u, v, A): shape (3, 3) at one
-    point, (n, 3, 3) for arrays of n points.  The powers go through
-    `_libm_pow`, so each matrix of a stack equals its one-point Hessian."""
+    point, (n, 3, 3) for arrays of n points, and each matrix of a stack
+    equals its one-point Hessian."""
     u, v, A = np.broadcast_arrays(*(np.asarray(t, dtype=float)
                                     for t in (u, v, A)))
     shape = u.shape
     u, v, A = u.ravel(), v.ravel(), A.ravel()
     s = np.sqrt(u * v)
     a1 = A + 1.0
-    a1_sq = _libm_pow(a1, 2)
-    h_uu = -(T_CONSTANT / 4) * s / _libm_pow(u, 2)
-    h_vv = -(T_CONSTANT / 4) * s / _libm_pow(v, 2)
+    a1_sq = a1 ** 2
+    h_uu = -(T_CONSTANT / 4) * s / u ** 2
+    h_vv = -(T_CONSTANT / 4) * s / v ** 2
     h_uv = T_CONSTANT / 4 / s - 1.0 / a1
     h_uA = v / a1_sq
     h_vA = u / a1_sq
-    h_AA = -2.0 * u * v / _libm_pow(a1, 3)
+    h_AA = -2.0 * u * v / a1 ** 3
     H = np.stack([h_uu, h_uv, h_uA, h_uv, h_vv, h_vA, h_uA, h_vA, h_AA],
                  axis=-1)
     return H.reshape(shape + (3, 3))
@@ -547,7 +557,7 @@ def aux_T_check(n_points: int = 10000, seed: int = 0) -> dict:
     idx = np.random.default_rng(seed + 1).choice(len(u), size=min(500, len(u)),
                                                  replace=False)
     H = H_all[idx]
-    det3 = np.abs(np.linalg.det(H)) / _libm_pow(np.abs(H).max(axis=(1, 2)), 3)
+    det3 = np.abs(np.linalg.det(H)) / np.abs(H).max(axis=(1, 2)) ** 3
     # order (v, A, u) puts a strictly negative entry first for the lemma
     perm = [1, 2, 0]
     nsd_ok = bool(np.all(

@@ -326,13 +326,10 @@ class EpsilonModel:
         if self.kind != "const":
             raise ValueError("the truncated tail mass is for const eps only")
         ratio = np.asarray(z, dtype=float) / y_floor
-        # math.log point by point, also on arrays: numpy's array log differs
-        # from libm's in the last bit, and the top of the B0 probe's grid
-        # reaches the report
-        logs = np.fromiter(map(math.log, ratio.ravel().tolist()), float,
-                           ratio.size).reshape(ratio.shape)
-        out = self.coeff * logs
-        return float(out) if logs.ndim == 0 else out
+        if (ratio <= 0).any():  # where math.log raises, np.log warns
+            raise ValueError("the truncated tail mass needs z / y_floor > 0")
+        out = self.coeff * np.log(ratio)
+        return float(out) if out.ndim == 0 else out
 
     # -- integrability of eps(t)/t -------------------------------------------
 
@@ -620,8 +617,8 @@ def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
     rows meet BISECT_TOL and then stops, so each block's norms are those of
     a separate call on that block alone."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 3:
-        raise ValueError("rows must be a (blocks, rows, n) stack")
+    if rows.ndim != 3 or not rows.shape[-1]:
+        raise ValueError("rows must be a (blocks, rows, n) stack, n >= 1")
     return _luxemburg([rows], family)[0]
 
 

@@ -238,16 +238,11 @@ def run_bellman_b1(family: BumpFamily, cfg: dict, seed: int, out: Path):
         family, budget, **_given(cfg, n_n="n_n", n_a="n_a", a_min="a_min"))
     # derivative-floor margin heat grid (the binding property)
     b1 = B1(family, budget.c1)
-    n_grid = np.linspace(1e-3, 1.0, 33)
-    a_grid = np.linspace(1e-3, 1.0, 33)
-    rows = []
-    for nn in n_grid:
-        for aa in a_grid:
-            if nn > aa:
-                continue
-            d_a = b1.grad(nn, aa)[1]
-            floor = budget.derivative_floor * nn / float(b1.psi0(nn))
-            rows.append([float(nn), float(aa), float(d_a - floor)])
+    grid = np.linspace(1e-3, 1.0, 33)
+    N, A = np.meshgrid(grid, grid, indexing="ij")
+    N, A = N[N <= A], A[N <= A]
+    margin = b1.grad(N, A)[1] - budget.derivative_floor * N / b1.psi0(N)
+    rows = np.column_stack([N, A, margin]).tolist()
     rep["series"] = {"b1_floor_margin_grid":
                      {"columns": ["N", "A", "margin"], "rows": rows}}
     return rep, rep["pass"]
@@ -258,8 +253,11 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
     model = family.epsilon_model()
     if model is None:
         raise InputError(f"family {family!r} has no epsilon model for B2")
-    rep = b2_property_check(model, budget, seed=seed,
-                            **_given(cfg, n_points="n_points"))
+    try:
+        rep = b2_property_check(model, budget, seed=seed,
+                                **_given(cfg, n_points="n_points"))
+    except ValueError as exc:  # an empty L-slab: no Omega2 point to sample
+        raise InputError(f"no B2 sample for this budget: {exc}") from exc
     # closed form vs quadrature on a seeded sample
     b2 = B2(model, budget.c2)
     rng = np.random.default_rng(seed)
@@ -268,7 +266,8 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
         u = math.exp(rng.uniform(-6.0, 0.0))
         v = min(math.exp(rng.uniform(-6.0, 0.0)), budget.delta / u)
         z_hi = min(budget.P * math.sqrt(u * v), model.z_cap)
-        L = math.exp(rng.uniform(math.log(u * v), math.log(z_hi)))
+        # L from [uv, z_hi], or z_hi itself where a small P puts z_hi < uv
+        L = math.exp(rng.uniform(math.log(min(u * v, z_hi)), math.log(z_hi)))
         A = rng.uniform(0.0, 1.0)
         closed = b2.value(u, v, L, A)
         quadv = b2.value_quad(u, v, L, A)
@@ -277,14 +276,10 @@ def run_bellman_b2(family: BumpFamily, cfg: dict, seed: int, out: Path):
     # combined-drop margin heat grid along the slab edge L = phi(uv)
     uv_grid = np.geomspace(min(1e-6, 1e-3 * budget.delta), budget.delta, 33)
     a_grid = np.linspace(0.0, 1.0, 17)
-    rows = []
-    for uv in uv_grid:
-        s = math.sqrt(uv)
-        L = float(model.phi(uv))
-        for aa in a_grid:
-            _, _, dL, dA = b2.grad(s, s, L, aa)
-            rows.append([float(uv), float(aa),
-                         float(dA / (s * L) + s * dL / L)])
+    uv, A = (x.ravel() for x in np.meshgrid(uv_grid, a_grid, indexing="ij"))
+    s, L = np.sqrt(uv), model.phi(uv)
+    _, _, dL, dA = b2.grad(s, s, L, A)
+    rows = np.column_stack([uv, A, dA / (s * L) + s * dL / L]).tolist()
     rep["series"] = {"b2_combined_drop_grid":
                      {"columns": ["uv", "A", "margin"], "rows": rows}}
     rep["aux_T"] = aux_T_check(seed=seed, **_given(cfg, n_points="n_points_T"))

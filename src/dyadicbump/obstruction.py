@@ -417,14 +417,11 @@ def _b0_point(model: EpsilonModel, C: float, u: np.ndarray, v: np.ndarray,
     l_star = grid[rows, i_star]
     term = terms[rows, i_star]
     z_star = l_star / (A + 1.0)
-    # envelope derivative: d/dA of -(L^2/v) W(L/(A+1)) at fixed L = L*.
-    # f(z*) stays a scalar call per point: numpy's array pow and log loops
-    # differ from the scalar ones in the last bit, and da reaches the report
-    f_star = np.array([float(model.inverse(s)) for s in z_star])
+    # envelope derivative: d/dA of -(L^2/v) W(L/(A+1)) at fixed L = L*
     return {
         "value": C * u - term,
         "argmax_at_top": i_star == grid.shape[-1] - 1,
-        "da": l_star / v * f_star,
+        "da": l_star / v * model.inverse(z_star),
     }
 
 

@@ -2,6 +2,7 @@
 function T, and the master Bellman evaluation on dyadic nodes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,47 @@ def test_b2_hessian_determinant_vanishes():
         assert abs(np.linalg.det(H)) <= 1e-12 * np.abs(H).max() ** 3
 
 
+def _b2_hessian_one_point(model, v, L, A):
+    # the one-point formula in Python floats, as B2.hessian had it per point
+    z = L / (A + 1.0)
+    W = float(model.tail_mass(z))
+    fz = float(model.inverse(z))
+    fp = 1.0 / float(model.phi_prime(fz)) if z > 0 else 0.0
+    h_vv = -2.0 * L * L * W / v ** 3
+    h_vL = (2.0 * L * W + (A + 1.0) * fz) / v ** 2
+    h_vA = -L * fz / v ** 2
+    h_LL = -(2.0 * W + (2.0 * fz / z if z > 0 else 0.0) + fp) / v
+    h_LA = (fz + z * fp) / v
+    h_AA = -z * z * fp / v
+    return np.array([[h_vv, h_vL, h_vA], [h_vL, h_LL, h_LA],
+                     [h_vA, h_LA, h_AA]])
+
+
+@pytest.mark.parametrize("family", [log_bump(1.0), loglog_bump(2.0, 0.1)],
+                         ids=["power", "logpow"])
+def test_b2_hessian_stack_equals_per_point(family):
+    # 400 points of Omega2 and 8 more on L = 0, where every entry is 0
+    model = family.epsilon_model()
+    b2 = B2(model, C=3.0)
+    pts = sample_omega2(default_budget(family), 400,
+                        np.random.default_rng(0), model=model)
+    zero = np.column_stack([np.full(8, 0.1), np.geomspace(1e-3, 1.0, 8),
+                            np.zeros(8), np.linspace(0.0, 1.0, 8)])
+    pts = np.vstack([pts, zero])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = b2.hessian(*pts.T)
+        one = np.array([b2.hessian(*p) for p in pts])
+    assert H.shape == (408, 3, 3) and one.shape == (408, 3, 3)
+    assert np.array_equal(H, one)
+    assert not H[400:].any()
+    # numpy's array pow differs from libm's in the last bit on a few
+    # percent of the entries
+    np.testing.assert_allclose(
+        H, [_b2_hessian_one_point(model, *p) for p in pts[:, 1:].tolist()],
+        rtol=1e-15, atol=0)
+
+
 def test_g_closed_form_quarter():
     # beta = 1/4: f(s) = s^{4/3}, f' = (4/3) s^{1/3}, W = 3 s^{1/3},
     # so g(s) = -s^{8/3} + 8 s^{8/3} = 7 s^{8/3} exactly
@@ -473,7 +515,7 @@ def test_sylvester_stack_matches_oracle_on_b2_hessians():
     for seed in (0, 4):
         pts = sample_omega2(budget, 400, np.random.default_rng(seed),
                             model=QUARTER)
-        stack = np.array([b2.hessian(*p) for p in pts])
+        stack = b2.hessian(*pts.T)
         _assert_stack_matches_oracle(stack, 1e-9)
 
 
@@ -501,6 +543,21 @@ def test_sample_omega2_respects_domain():
     assert np.all(u * v <= budget.delta * (1 + 1e-12))
     assert np.all(L <= budget.P * np.sqrt(u * v) * (1 + 1e-12))
     assert np.all((A >= 0) & (A <= 1))
+
+
+def test_sample_omega2_rejects_an_empty_slab():
+    # for beta = 1/4, phi(uv)/10 < P sqrt(uv) exactly when uv < (10 P)^4:
+    # 1e-8 at P = 1e-3, below every sampled uv >= 1e-6, and 1e-4 at
+    # P = 1e-2; at delta = 1e-7 no sampled uv is at most delta
+    rng = np.random.default_rng(0)
+    for fields in ({"P": 1e-3}, {"delta": 1e-7}):
+        with pytest.raises(ValueError):
+            sample_omega2(ConstantBudget(c1=1.0, c2=1.0, **fields), 10, rng,
+                          model=QUARTER)
+    pts = sample_omega2(ConstantBudget(c1=1.0, c2=1.0, P=1e-2), 10, rng,
+                        model=QUARTER)
+    u, v, L, A = pts.T
+    assert pts.shape == (10, 4) and np.all(u * v < 1e-4)
 
 
 def test_b2_property_check_bounds_and_concavity():
@@ -576,7 +633,7 @@ def test_t_hessian_matches_fd():
 
 
 def _t_hessian_one_point(u, v, A):
-    # the one-point formula in Python floats: libm's pow for every power
+    # the one-point formula in Python floats, with libm's pow
     c = T_CONSTANT
     s = math.sqrt(u * v)
     h_uv = c / 4 / s - 1.0 / (A + 1.0)
@@ -589,7 +646,8 @@ def _t_hessian_one_point(u, v, A):
 def test_t_hessian_stack_equals_per_point():
     # a (u, v) grid over the relaxed domain {uv <= 2, 0 <= A <= 1}, with a
     # distinct A in every cell: numpy's array x ** 3 differs from libm's
-    # pow in the last bit for a few percent of such A + 1
+    # pow in the last bit for a few percent of such A + 1, so the Python
+    # float formula is matched to rounding, and each one-point call exactly
     U, V = (x.ravel() for x in np.meshgrid(np.geomspace(1e-3, 2.0, 47),
                                            np.geomspace(1e-3, 2.0, 53)))
     A = np.linspace(0.0, 1.0, U.size)
@@ -598,8 +656,8 @@ def test_t_hessian_stack_equals_per_point():
     H = t_hessian(U[keep], V[keep], A[keep])
     assert H.shape == (len(points), 3, 3)
     assert np.array_equal(H, np.array([t_hessian(*p) for p in points]))
-    assert np.array_equal(H, np.array([_t_hessian_one_point(*p)
-                                       for p in points]))
+    np.testing.assert_allclose(H, [_t_hessian_one_point(*p) for p in points],
+                               rtol=1e-15, atol=0)
 
 
 def test_aux_T_check_passes():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,14 @@ def test_luxemburg_stacks_of_different_n_equal_separate_calls(fam):
 def test_norm_def_batch_takes_only_block_stacks():
     with pytest.raises(ValueError):
         orlicz_norm_def_batch(np.ones((3, 4)), log_bump(1.0))
+
+
+def test_norm_def_batch_rejects_rows_without_leaves():
+    # a weight with no leaves has no norm: no 0/0 row mean, no zero norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            orlicz_norm_def_batch(np.zeros((2, 3, 0)), log_bump(1.0))
 
 
 @pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
@@ -712,16 +721,22 @@ def test_tail_mass_divergent_cases():
         math.log(1e3), rel=1e-12, abs=0)
 
 
-def test_truncated_tail_mass_takes_libm_log_per_point():
-    # numpy's array log differs from math.log on about 1 in 10^4 of these
+def test_truncated_tail_mass_is_one_array_log():
+    # numpy's array log differs from math.log in the last bit on about 1 in
+    # 10^4 of these
     model = EpsilonModel("const", coeff=0.7)
     z = 1e-12 * np.exp(np.random.default_rng(0).uniform(0.0, 40.0, 200_000))
     z = z.reshape(400, 500)
     w = model.truncated_tail_mass(z, 1e-12)
     assert w.shape == z.shape
-    assert np.array_equal(w.ravel(), [0.7 * math.log(s / 1e-12)
-                                      for s in z.ravel().tolist()])
+    np.testing.assert_allclose(w.ravel(), [0.7 * math.log(s / 1e-12)
+                                           for s in z.ravel().tolist()],
+                               rtol=1e-15, atol=0)
     assert type(model.truncated_tail_mass(2.0, 1e-12)) is float
+    # z <= 0 raises, as math.log does, where np.log would warn
+    for bad in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError):
+            model.truncated_tail_mass(bad, 1e-12)
 
 
 def test_truncated_tail_mass_is_const_only():

@@ -344,6 +344,28 @@ class TestPlumbing:
         code, out = run(tmp_path, campaign, "--config", cfg)
         assert code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("campaign", ["bellman-b2", "full"])
+    def test_empty_omega2_slab_is_input_error(self, tmp_path, campaign):
+        # at P = 0.001 the L-slab [phi(uv)/10, P sqrt(uv)] is empty for
+        # every sampled uv, so Omega2's sampler could accept no point; a
+        # subprocess with a timeout bounds the run should it loop
+        cfg = TestCampaigns._cfg(tmp_path, {"P": 0.001})
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "dyadicbump.cli", campaign, "--config", cfg,
+             "--out", str(out)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2 and not out.exists()
+        assert "L-slab" in done.stderr
+
+    def test_small_omega2_slab_still_runs(self, tmp_path):
+        # at P = 0.01 the slab is empty only above uv = 1e-4
+        cfg = TestCampaigns._cfg(tmp_path, {"P": 0.01, "n_points": 500,
+                                            "n_quad": 5, "n_points_T": 500})
+        code, out = run(tmp_path, "bellman-b2", "--config", cfg)
+        assert code == 1 and (out / "report.json").exists()
+
     def test_obstruction_runs_at_least_probe_points(self, tmp_path):
         cfg = TestCampaigns._cfg(tmp_path, {"probe_points": 2})
         code, out = run(tmp_path, "obstruction", "--config", cfg)

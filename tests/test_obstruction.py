@@ -491,11 +491,15 @@ ORACLE_MODELS = {
 @pytest.mark.parametrize("n_points", [12, 60, 120])
 @pytest.mark.parametrize("name", ORACLE_MODELS)
 def test_b0_probe_matches_per_point_oracle(name, n_points):
-    # every reported value, bit for bit, over twelve seeds
+    # every reported value over twelve seeds, bit for bit but fd_max_rel: a
+    # roundoff measurement near 5e-9, which the array f(z*) moves by about
+    # 1e-16 (power-0.25 at 120 points, seed 3)
     model = ORACLE_MODELS[name]
     for seed in range(12):
         got = b0_probe(model, n_points=n_points, seed=seed)
         want = _b0_probe_oracle(model, n_points=n_points, seed=seed)
+        assert got.pop("fd_max_rel") == pytest.approx(
+            want.pop("fd_max_rel"), rel=0, abs=1e-14), (name, n_points, seed)
         assert json.dumps(got) == json.dumps(want), (name, n_points, seed)
 
 
@@ -511,6 +515,9 @@ def test_b0_point_rows_match_scalar_calls(name):
     got = _b0_point(model, 3.0, u, v, A, 100.0, y_floor)
     for i in range(40):
         want = _b0_point_oracle(model, 3.0, u[i], v[i], A[i], 100.0, y_floor)
+        # f(z*) is one array call, which may differ from the scalar one in
+        # the last bit
+        assert got["da"][i] == pytest.approx(want.pop("da"), rel=1e-15, abs=0)
         assert {k: got[k][i] for k in want} == want
 
 

@@ -378,12 +378,18 @@ def b1_property_check(family: BumpFamily, budget: ConstantBudget,
     return report
 
 
+#: sample_omega2 gives up after this many (u, v) draws per point asked
+#: for; the default budgets draw about 2, and P = 0.0035 about 590.
+MAX_DRAWS_PER_POINT = 1000
+
+
 def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
                   model: EpsilonModel, uv_floor: float = 1e-6) -> np.ndarray:
     """Seeded rejection sample of Omega2; columns (u, v, L, A).  L spans
     [phi(uv)/10, min(P sqrt(uv), z-cap)] log-uniformly so both sides of the
     combined-drop region are populated; ValueError if that slab is empty
-    on a grid of the whole sampled uv range, where no point is accepted."""
+    on a grid of the whole sampled uv range, where no point is accepted,
+    or if n points take more than MAX_DRAWS_PER_POINT * n draws."""
     cap = model.z_cap
     uv = np.geomspace(uv_floor, min(budget.delta, 1.0), 1025)
     if uv_floor >= budget.delta or not np.any(
@@ -391,10 +397,15 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
         raise ValueError("the L-slab [phi(uv)/10, min(P sqrt(uv), z-cap)] "
                          f"is empty for uv in [{uv_floor:g}, {budget.delta:g}]")
     out = np.empty((n, 4))
-    got = 0
+    got = drawn = 0
     lo = 0.5 * math.log(uv_floor)
     while got < n:
+        if drawn >= MAX_DRAWS_PER_POINT * n:
+            raise ValueError(f"the L-slab is too thin: {got} of {drawn} "
+                             f"draws accepted (rate {got / drawn:.3g}) for "
+                             f"{n} points")
         m = 2 * (n - got) + 16
+        drawn += m
         u = np.exp(rng.uniform(lo, 0.0, m))
         v = np.exp(rng.uniform(lo, 0.0, m))
         keep = u * v <= budget.delta

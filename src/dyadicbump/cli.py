@@ -28,8 +28,8 @@ from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     orlicz_norm_def_batch, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
 from .dyadic import ROOT, LeafWeight, TreeDepthError, check_depth
-from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, growth_row,
-                          instance_bundle, obstruction_report)
+from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, band_bundle,
+                          growth_row, obstruction_report)
 from .reports import emit_plotdata, make_report, write_report
 from .sparse import (bump_condition, glav_sup, green_induction,
                      load_instance, random_instance, save_instance,
@@ -401,9 +401,9 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
                      for r in table],
         }},
     }
-    u, v, T = instance_bundle(depth)
+    u, v, T = band_bundle(depth)
     save_instance(out / "instance", u, v, T)
-    results["instance_bundle"] = {"path": "instance", "depth": T.depth}
+    results["instance_bundle"] = {"path": "instance", "depth": u.depth}
     passed = (rep["pass"] and monotone
               and probe["floor_pass"] and probe["fd_pass"]
               and (not probe_const["floor_pass"])

@@ -102,6 +102,20 @@ def _average_pyramid(values: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
+def weight_json(depth: int, values, lengths) -> dict:
+    """The weight file of values[i] on lengths[i] adjacent leaves, left to
+    right: one value per run of equal adjacent leaves and each run's length
+    ("repeats"), which is left out when every run is a single leaf."""
+    check_depth(depth)
+    values = np.asarray(values, dtype=float)
+    first = np.r_[True, values[1:] != values[:-1]]
+    if np.count_nonzero(first) == 1 << depth:
+        return {"depth": depth, "values": values.tolist()}
+    ends = np.cumsum(lengths)[np.r_[first[1:], True]]
+    return {"depth": depth, "values": values[first].tolist(),
+            "repeats": np.diff(ends, prepend=0).tolist()}
+
+
 class LeafWeight:
     """A nonnegative weight on [0,1) given by its values on 2**depth leaves."""
 
@@ -141,14 +155,8 @@ class LeafWeight:
         return LeafWeight(level, self.node_averages(level))
 
     def to_json(self) -> dict:
-        """One value per run of equal adjacent leaves and each run's length
-        ("repeats"), which is left out when every run is a single leaf."""
-        vals = self.values
-        starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-        if starts.size == vals.size:
-            return {"depth": self.depth, "values": vals.tolist()}
-        return {"depth": self.depth, "values": vals[starts].tolist(),
-                "repeats": np.diff(np.r_[starts, vals.size]).tolist()}
+        return weight_json(self.depth, self.values,
+                           np.ones(self.values.size, dtype=np.intp))
 
     @classmethod
     def from_json(cls, obj: dict) -> "LeafWeight":
@@ -284,6 +292,14 @@ def _level_table(w: LeafWeight, level: int) -> tuple:
     return table
 
 
+def carleson_json(depth: int, entries) -> dict:
+    """The Carleson file of the coefficients a != 0 given as (level, pos, a)
+    in (level, pos) order, each (level, pos) once; its bound is the
+    intensity cap SparseOperator enforces, kept for older readers."""
+    return {"bound": 1.0, "depth": depth, "entries": [
+        {"level": k, "pos": j, "a": a} for k, j, a in entries]}
+
+
 class CarlesonSequence:
     """Coefficients a_I in [0, 1] on all dyadic intervals down to a depth;
     `SparseOperator` holds their intensity at or below 1."""
@@ -321,12 +337,9 @@ class CarlesonSequence:
         return max(float(arr.max()) for arr in self.intensity_levels())
 
     def to_json(self) -> dict:
-        entries = []
-        for k, arr in enumerate(self.levels):
-            for j in np.nonzero(arr)[0]:
-                entries.append({"level": k, "pos": int(j), "a": float(arr[j])})
-        # the intensity cap SparseOperator enforces, kept for older readers
-        return {"bound": 1.0, "depth": self.depth, "entries": entries}
+        return carleson_json(self.depth, (
+            (k, int(j), float(arr[j]))
+            for k, arr in enumerate(self.levels) for j in np.nonzero(arr)[0]))
 
     @classmethod
     def from_json(cls, obj: dict) -> "CarlesonSequence":

@@ -22,8 +22,8 @@ import numpy as np
 
 from .bellman import ConstantBudget
 from .bumps import EpsilonModel
-from .dyadic import CarlesonSequence, DyadicIndex, LeafWeight, MAX_DEPTH
-from .sparse import SparseOperator
+from .dyadic import (DyadicIndex, LeafWeight, MAX_DEPTH, carleson_json,
+                     weight_json)
 
 
 #: Ratio of consecutive stopping thresholds: generation n stops at 3^n.
@@ -32,7 +32,7 @@ BASE = 3.0
 #: The coefficient alpha_I on every stopping interval (0 elsewhere).
 ALPHA = 1.0 / 3.0
 
-#: Deepest instance bundle: its weights are written as leaf arrays.
+#: Deepest instance bundle: its readers load its weights as leaf arrays.
 BUNDLE_MAX_DEPTH = 20
 
 #: Deepest construction that stays in the float range: from depth 532 on,
@@ -89,14 +89,20 @@ class BandWeight:
             return float(self.prefix_averages()[index.level])
         return float(self.band_values[index.level - index.pos.bit_length()])
 
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, lengths) left to right: one leaf for [0, 2^-depth),
+        then bands depth-1, ..., 0 of 1, 2, ..., 2^(depth-1) leaves."""
+        return (np.r_[self.last_value, self.band_values[::-1]],
+                np.r_[1, 2 ** np.arange(self.depth)])
+
     def to_leaf_weight(self) -> LeafWeight:
         if self.depth > MAX_DEPTH:
             raise ValueError("band weight too deep for a leaf array")
-        # left to right: one leaf for [0, 2^-depth), then bands depth-1, ...,
-        # 0 of 1, 2, ..., 2^(depth-1) leaves
-        runs = np.r_[1, 2 ** np.arange(self.depth)]
-        return LeafWeight(self.depth, np.repeat(
-            np.r_[self.last_value, self.band_values[::-1]], runs))
+        return LeafWeight(self.depth, np.repeat(*self._runs()))
+
+    def to_json(self) -> dict:
+        """to_leaf_weight().to_json(), written from the runs: no leaves."""
+        return weight_json(self.depth, *self._runs())
 
 
 def maximal_band_values(u: BandWeight) -> tuple[np.ndarray, float]:
@@ -357,18 +363,17 @@ def obstruction_report(depth: int) -> dict:
     }
 
 
-def instance_bundle(depth: int) -> tuple[LeafWeight, LeafWeight,
-                                          SparseOperator]:
-    """The construction at min(depth, BUNDLE_MAX_DEPTH) as a leaf-array
-    instance (u, v, T): the scaled companion v, and alpha on every
-    stopping interval as T's coefficients."""
+def band_bundle(depth: int) -> tuple[BandWeight, BandWeight, dict]:
+    """The construction at min(depth, BUNDLE_MAX_DEPTH) as an instance
+    bundle (u, v, T) for save_instance: the scaled companion v, and as T
+    the file of alpha on every stopping interval, written from the members,
+    so no leaf array or dense coefficient level is built."""
     depth = min(depth, BUNDLE_MAX_DEPTH)
     u = build_u(depth)
     h = build_hierarchy(u)
-    entries = [(mem, ALPHA) for _, mem in h.all_members()]
-    seq = CarlesonSequence.from_entries(depth, entries)
-    return (u.to_leaf_weight(), build_v(u, h)["v"].to_leaf_weight(),
-            SparseOperator(seq))
+    members = sorted({mem for _, mem in h.all_members()})
+    return (u, build_v(u, h)["v"],
+            carleson_json(depth, [(m.level, m.pos, ALPHA) for m in members]))
 
 
 def growth_row(rep: dict) -> dict:

@@ -4,6 +4,7 @@ the weighted sums sum a_J u_J L_J |J| on finite trees."""
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -348,13 +349,17 @@ def random_instance(depth: int, seed: int, *, family: BumpFamily | None = None,
     return {"u": u, "v": v, "T": SparseOperator(seq), "seed": seed}
 
 
-def save_instance(path, u: LeafWeight, v: LeafWeight,
-                  T: SparseOperator) -> None:
+def save_instance(path, u, v, T) -> None:
+    """Write u.json, v.json and carleson.json: u and v are weights with
+    LeafWeight's to_json (a LeafWeight, or a band weight that writes the
+    same file without leaves), T a SparseOperator or its file's dict."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    u.save(path / "u.json")
-    v.save(path / "v.json")
-    T.coeffs.save(path / "carleson.json")
+    carleson = T if isinstance(T, dict) else T.coeffs.to_json()
+    for name, obj in (("u", u.to_json()), ("v", v.to_json()),
+                      ("carleson", carleson)):
+        with open(path / f"{name}.json", "w") as fh:
+            json.dump(obj, fh)
 
 
 def load_instance(path) -> dict:

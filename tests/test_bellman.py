@@ -2,6 +2,7 @@
 function T, and the master Bellman evaluation on dyadic nodes."""
 
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -558,6 +559,23 @@ def test_sample_omega2_rejects_an_empty_slab():
                         model=QUARTER)
     u, v, L, A = pts.T
     assert pts.shape == (10, 4) and np.all(u * v < 1e-4)
+
+
+def test_sample_omega2_gives_up_on_a_sliver_slab():
+    # at P = 0.00317 the slab is non-empty only for uv < (10 P)^4 =
+    # 1.0098e-6, a sliver above uv_floor = 1e-6 that log-uniform u and v
+    # almost never reach; the sampler must raise, not spin
+    def expire(signum, frame):
+        raise TimeoutError("sample_omega2 still running after 5 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(ValueError, match="rate"):
+            sample_omega2(ConstantBudget(c1=1.0, c2=1.0, P=0.00317), 10000,
+                          np.random.default_rng(0), model=QUARTER)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_b2_property_check_bounds_and_concavity():

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from dyadicbump.cli import FIELDS, main
-from dyadicbump.dyadic import MAX_DEPTH
-from dyadicbump.obstruction import MAX_OBSTRUCTION_DEPTH, build_u
+from dyadicbump.dyadic import MAX_DEPTH, CarlesonSequence
+from dyadicbump.obstruction import (ALPHA, MAX_OBSTRUCTION_DEPTH,
+                                    build_hierarchy, build_u, build_v)
 from dyadicbump.sparse import load_instance, random_instance, save_instance
 from dyadicbump.reports import (canonical, config_hash, emit_plotdata,
                                 make_report, write_report)
@@ -153,8 +154,15 @@ class TestCampaigns:
             assert (out / "instance" / name).stat().st_size < 2048
         bundle = load_instance(out / "instance")
         assert bundle["u"].depth == bundle["v"].depth == 20
-        assert np.array_equal(bundle["u"].values,
-                              build_u(20).to_leaf_weight().values)
+        u = build_u(20)
+        h = build_hierarchy(u)
+        seq = CarlesonSequence.from_entries(
+            20, [(mem, ALPHA) for _, mem in h.all_members()])
+        assert np.array_equal(bundle["u"].values, u.to_leaf_weight().values)
+        assert np.array_equal(bundle["v"].values,
+                              build_v(u, h)["v"].to_leaf_weight().values)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(bundle["T"].coeffs.levels, seq.levels, strict=True))
 
     @staticmethod
     def _cfg(tmp_path, obj):
@@ -358,6 +366,19 @@ class TestPlumbing:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 2 and not out.exists()
         assert "L-slab" in done.stderr
+
+    def test_sliver_omega2_slab_is_input_error(self, tmp_path):
+        # at P = 0.00317 the slab holds only uv < 1.0098e-6, which the
+        # sampler almost never draws: it gives up with status 2, no report
+        cfg = TestCampaigns._cfg(tmp_path, {"P": 0.00317})
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "dyadicbump.cli", "bellman-b2", "--config",
+             cfg, "--out", str(out)], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2 and not out.exists()
+        assert "rate" in done.stderr
 
     def test_small_omega2_slab_still_runs(self, tmp_path):
         # at P = 0.01 the slab is empty only above uv = 1e-4

@@ -5,6 +5,7 @@ weight, the divergence identity, and the joint-scaling probe."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from dyadicbump.obstruction import (
     ALPHA, BASE, BUNDLE_MAX_DEPTH, BandWeight, ConstructionIntegrityError,
     _b0_point, _generation, a2_supremum, b0_probe,
     build_alpha, build_hierarchy, build_u, build_v, divergence_sum,
-    growth_table, instance_bundle, maximal_band_values, maximal_integral,
+    band_bundle, growth_table, maximal_band_values, maximal_integral,
     obstruction_report,
 )
+from dyadicbump.sparse import SparseOperator, load_instance, save_instance
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +29,21 @@ from dyadicbump.obstruction import (
 # ---------------------------------------------------------------------------
 
 class TestBandWeight:
+    @pytest.mark.parametrize("depth", range(13))
+    def test_json_matches_leaf_json(self, depth):
+        # values from a small set, so adjacent bands, the deepest band and
+        # the last value often agree and zeros occur
+        rng = np.random.default_rng(depth)
+        for _ in range(20):
+            vals = rng.choice([0.0, 0.5, 1.0, 3.0], size=depth + 1)
+            if rng.random() < 0.3:
+                vals[0] = vals[-1]  # the last value equals the deepest band
+            w = BandWeight(depth, vals[1:], float(vals[0]))
+            assert w.to_json() == w.to_leaf_weight().to_json()
+        for w in (BandWeight(depth, np.zeros(depth)),
+                  BandWeight(depth, np.full(depth, 2.0), 2.0)):
+            assert w.to_json() == w.to_leaf_weight().to_json()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BandWeight(3, np.ones(2))
@@ -292,7 +309,7 @@ class TestDivergence:
 
 
 # ---------------------------------------------------------------------------
-# The leaf-array instance bundle
+# The instance bundle, written from the band form
 # ---------------------------------------------------------------------------
 
 def _inline_bundle(depth):
@@ -305,10 +322,21 @@ def _inline_bundle(depth):
             [mem for _, mem in h.all_members()])
 
 
+def _written(path, depth):
+    save_instance(path, *band_bundle(depth))
+    return load_instance(path)
+
+
+def _files(path):
+    return {name: (path / name).read_bytes()
+            for name in ("u.json", "v.json", "carleson.json")}
+
+
 class TestInstanceBundle:
     @pytest.mark.parametrize("depth", [1, 12, 20])
-    def test_bundle_matches_inline_construction(self, depth):
-        u, v, T = instance_bundle(depth)
+    def test_bundle_matches_inline_construction(self, depth, tmp_path):
+        bundle = _written(tmp_path, depth)
+        u, v, T = bundle["u"], bundle["v"], bundle["T"]
         u_old, v_old, seq_old, members = _inline_bundle(depth)
         assert u.depth == v.depth == T.depth == depth
         assert u.values.tobytes() == u_old.values.tobytes()
@@ -323,11 +351,32 @@ class TestInstanceBundle:
         assert all(T.coeffs.levels[m.level][m.pos] == ALPHA == 1.0 / 3.0
                    for m in members)
 
-    def test_bundle_depth_is_capped(self):
-        u, v, T = instance_bundle(BUNDLE_MAX_DEPTH + 7)
-        assert u.depth == v.depth == T.depth == BUNDLE_MAX_DEPTH == 20
-        assert u.values.tobytes() \
-            == instance_bundle(BUNDLE_MAX_DEPTH)[0].values.tobytes()
+    def test_bundle_depth_is_capped(self, tmp_path):
+        bundle = _written(tmp_path / "deep", BUNDLE_MAX_DEPTH + 7)
+        assert bundle["u"].depth == bundle["v"].depth == bundle["T"].depth \
+            == BUNDLE_MAX_DEPTH == 20
+        _written(tmp_path / "cap", BUNDLE_MAX_DEPTH)
+        assert _files(tmp_path / "deep") == _files(tmp_path / "cap")
+
+    @pytest.mark.parametrize("depth", [*range(1, 21), 21, 27])
+    def test_files_match_dense_oracle(self, depth, tmp_path):
+        # the leaf arrays and dense coefficient levels the bundle was once
+        # written from give the same bytes
+        bundle = _written(tmp_path / "band", depth)
+        u, v, seq, _ = _inline_bundle(min(depth, BUNDLE_MAX_DEPTH))
+        save_instance(tmp_path / "dense", u, v, SparseOperator(seq))
+        assert _files(tmp_path / "band") == _files(tmp_path / "dense")
+        assert bundle["u"].depth == min(depth, BUNDLE_MAX_DEPTH)
+
+    def test_writing_the_deepest_bundle_builds_no_leaf_array(self, tmp_path):
+        # 2^20 float leaves alone would take 8 MiB
+        tracemalloc.start()
+        try:
+            save_instance(tmp_path, *band_bundle(BUNDLE_MAX_DEPTH))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

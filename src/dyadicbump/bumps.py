@@ -31,6 +31,11 @@ BISECT_MAXITER = 200
 # this size its temporaries leave the cache and cost more than the calls
 # that grouping saves
 LEVEL_GROUP = 1 << 14
+# The half-width M, relative to a row's root estimate lam^, of the window
+# (a, b) = lam^ (1 -+ M) outside which `_certified_bracket` settles the
+# bisection's verdicts without Phi, and the most secant steps it takes.
+CERTIFY_MARGIN = 1e-11
+SECANT_MAXITER = 8
 QUAD_NODES = 20
 # a quadrature oracle whose error bound exceeds this share of its value is
 # flagged uncertified
@@ -619,6 +624,7 @@ def orlicz_norm_def_batch(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3 or not rows.shape[-1]:
         raise ValueError("rows must be a (blocks, rows, n) stack, n >= 1")
+    _check_leaves(rows)
     return _luxemburg([rows], family)[0]
 
 
@@ -633,12 +639,20 @@ def orlicz_norm_levels(values: np.ndarray,
     depth = values.shape[-1].bit_length() - 1 if values.ndim == 2 else -1
     if depth < 0 or values.shape[1] != 2 ** depth or not len(values):
         raise ValueError("values must be a (blocks, 2**depth) array")
+    _check_leaves(values)
     per = max(1, LEVEL_GROUP // values.size)
     out = []
     for first in range(0, depth + 1, per):
         out += _luxemburg([values.reshape(len(values), 2 ** k, -1) for k in
                            range(first, min(first + per, depth + 1))], family)
     return out
+
+
+def _check_leaves(values):
+    """ValueError unless every leaf value is finite and nonnegative (a NaN
+    fails both min() >= 0 and max() < inf)."""
+    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
+        raise ValueError("leaf values must be finite and nonnegative")
 
 
 def _luxemburg(stacks, family):
@@ -649,7 +663,9 @@ def _luxemburg(stacks, family):
     and each stack's row sums keep its (rows, n) layout, so every row has
     the bits of a call on its own stack.  A block that has stopped keeps
     its place: a mask freezes its brackets, and Phi still runs over its
-    values (README's batch-shape convention gives what both cost)."""
+    values (README's batch-shape convention gives what both cost).  Phi
+    runs only on the steps where `_certified_bracket` leaves the verdict
+    of some running row in doubt."""
     outs, rows, means, sizes = [], [], [], []
     for stack in stacks:
         n = stack.shape[-1]
@@ -659,21 +675,30 @@ def _luxemburg(stacks, family):
         rows.append(stack[ok])
         means.append(m[ok])
         sizes.append(ok.sum(axis=1))  # each block's live rows
+    del m  # each per-row array held past here costs 16 MB at depth 20
     mean, sizes = np.concatenate(means), np.concatenate(sizes)
+    del means
     if not mean.size:
         return [out for out, _ in outs]
     layout = [r.shape for r in rows]
-    # every live row's length, a float so the row means cast nothing
-    counts = np.repeat([float(n) for _, n in layout], [r for r, _ in layout])
     hi = np.maximum(np.concatenate([r.max(axis=1) for r in rows]), mean)
-    # rows of one length keep their (rows, n) shape and lam broadcasts over
-    # them; rows of several lengths lie flat, with lam repeated per value
+    lo = mean * 1e-6
+    del mean
+    # rows of one length keep their (rows, n) shape, lam broadcasts over
+    # them and every row sum is divided by the one length; rows of several
+    # lengths lie flat, with lam repeated per value and a float length per
+    # row, so the row means cast nothing
     one_n = len({n for _, n in layout}) == 1
+    if one_n:
+        counts = float(layout[0][1])
+    else:
+        repeats = np.repeat([n for _, n in layout], [r for r, _ in layout])
+        counts = repeats.astype(float)
     flat = np.concatenate([r.ravel() for r in rows])
     flat = flat.reshape(-1, layout[0][1] if one_n else 1)
     del rows
-    buf, sums = np.empty(flat.size), np.empty(counts.size)
-    quotients, repeats = buf.reshape(flat.shape), counts.astype(int)
+    buf, sums = np.empty(flat.size), np.empty(hi.size)
+    quotients = buf.reshape(flat.shape)
 
     def constraint(lam):
         per_row = lam if one_n else np.repeat(lam, repeats)
@@ -684,17 +709,26 @@ def _luxemburg(stacks, family):
             v, i = v + r * n, i + r
         return sums / counts
 
+    a, b = _certified_bracket(constraint, hi)
+
+    def feasible(lam, live=None):
+        """constraint(lam) <= 1.0, calling Phi only when the verdict of some
+        row (of the live ones, if given) is not certified"""
+        doubt = ~((lam <= a) | (lam >= b))
+        if live is not None:
+            doubt &= live
+        return constraint(lam) <= 1.0 if doubt.any() else lam >= b
+
     # the brackets move each row on its own, so blocks need no bookkeeping
     for _ in range(BISECT_MAXITER):
-        bad = constraint(hi) > 1.0
+        bad = ~feasible(hi)
         if not np.any(bad):
             break
         hi = np.where(bad, hi * 2.0, hi)
     else:
         raise RuntimeError(f"Luxemburg bracket failure (upper); hi={hi}")
-    lo = mean * 1e-6
     for _ in range(BISECT_MAXITER):
-        bad = constraint(lo) <= 1.0
+        bad = feasible(lo)
         if not np.any(bad):
             break
         lo = np.where(bad, lo / 4.0, lo)
@@ -708,9 +742,9 @@ def _luxemburg(stacks, family):
     run = None  # no mask while every block still bisects
     for _ in range(BISECT_MAXITER):
         mid = np.sqrt(lo * hi)
-        feasible = constraint(mid) <= 1.0
-        up = feasible if run is None else feasible & run
-        keep = feasible if run is None else feasible | ~run
+        fits = feasible(mid, run)
+        up = fits if run is None else fits & run
+        keep = fits if run is None else fits | ~run
         hi, lo = np.where(up, mid, hi), np.where(keep, lo, mid)
         wide = np.logical_or.reduceat(~(hi - lo <= BISECT_TOL * hi), starts)
         if not wide.any():
@@ -721,6 +755,57 @@ def _luxemburg(stacks, family):
     for (out, ok), norms in zip(outs, np.split(0.5 * (lo + hi), ends[:-1])):
         out[ok] = norms
     return [out for out, _ in outs]
+
+
+def _certified_bracket(constraint, hi):
+    """Per row, a < b with the float verdict F(lam) <= 1 of `constraint`
+    known outside (a, b): False for lam <= a, True for lam >= b.  Both are
+    NaN for a row it cannot certify, whose verdicts all go through Phi.
+
+    A secant on g(x) = log F(e^x), x = log lam, from x = log hi finds the
+    root estimate lam^; then a row is certified when F(a) > 1 + M/4 and
+    F(b) <= 1 - M/4 at a, b = lam^ (1 -+ M), M = CERTIFY_MARGIN.  Why that
+    settles every verdict: C(lam) = <Phi(w/lam)> is decreasing, and the
+    float F is within eps_f (relative) of it at every lam, so for lam <= a
+    F(lam) >= (1 - eps_f) C(a) >= F(a) (1 - eps_f)/(1 + eps_f) > 1 once
+    M/4 >= 3 eps_f, and the mirror holds for lam >= b.  The eps_f budget,
+    in units of 2^-53: 1 for w/lam, times c = max t Phi'(t)/Phi(t) (p for
+    t^p, at most 2 for the log and loglog bumps); a few for Phi's own log,
+    pow and products; at most 16 + log2 n for numpy's pairwise row sum of
+    n nonnegative terms; 1 for the division by n.  For c <= 3 and
+    n <= 2^20 that is under 50 units, 5.6e-15, and M/4 = 2.5e-12 is over
+    400 times it.
+
+    Phi(t)/t is nondecreasing for a convex Phi with Phi(0) = 0, so g has
+    slope <= -1: a secant slope is clamped to at most -1, which bounds a
+    step by |g|, and each step is clipped to +-1.  The secant stops when
+    every |g| <= M/16, which puts lam^ within about M/16 of the root."""
+    with np.errstate(all="ignore"):  # a failed row ends up NaN, not raised
+        # in place where it can be: at depth 20 a row array is 16 MB
+        x = np.log(hi)
+        g = np.log(constraint(hi))
+        step = np.clip(g, -1.0, 1.0)
+        for _ in range(SECANT_MAXITER):
+            if not ((g > CERTIFY_MARGIN / 16).any()
+                    or (g < -CERTIFY_MARGIN / 16).any()):
+                break
+            x += step
+            g_new = constraint(np.exp(x))
+            np.log(g_new, out=g_new)
+            g -= g_new
+            g /= step  # minus the secant slope; NaN where step was 0
+            np.fmax(g, 1.0, out=g)  # fmax takes 1 over NaN
+            np.divide(g_new, g, out=step)
+            np.clip(step, -1.0, 1.0, out=step)
+            g = g_new
+        del g, step
+        np.exp(x, out=x)
+        a = x * (1.0 - CERTIFY_MARGIN)
+        b = np.multiply(x, 1.0 + CERTIFY_MARGIN, out=x)
+        doubt = ~(constraint(a) > 1.0 + CERTIFY_MARGIN / 4)
+        doubt |= ~(constraint(b) <= 1.0 - CERTIFY_MARGIN / 4)
+    a[doubt] = b[doubt] = np.nan
+    return a, b
 
 
 def orlicz_norm_dist(w: LeafWeight, index: DyadicIndex,

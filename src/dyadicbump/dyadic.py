@@ -43,6 +43,15 @@ def _json_values(values, types: set, what: str) -> list:
     return values
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself if it is read-only and owns its memory, so that no other
+    name can write to it; else a read-only copy."""
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, order=True)
 class DyadicIndex:
     """The dyadic interval I = [pos * 2**-level, (pos+1) * 2**-level)."""
@@ -126,10 +135,8 @@ class LeafWeight:
             raise ValueError(f"expected {2 ** depth} leaf values, got shape {arr.shape}")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("leaf values must be finite and nonnegative")
-        arr = arr.copy()
-        arr.setflags(write=False)
         self.depth = depth
-        self.values = arr
+        self.values = _read_only(arr)
         self._pyramid: list[np.ndarray] | None = None
 
     @classmethod
@@ -174,6 +181,7 @@ class LeafWeight:
                 raise ValueError(f"repeats must be {values.size} counts >= 0 "
                                  f"summing to {2 ** depth}")
             values = np.repeat(values, repeats)
+        values.setflags(write=False)  # fresh: the constructor keeps it
         return cls(depth, values)
 
     def save(self, path) -> None:
@@ -316,9 +324,7 @@ class CarlesonSequence:
                 raise ValueError(f"level {k} must have {2 ** k} entries")
             if np.any(a < 0) or np.any(a > 1):
                 raise ValueError("coefficients must lie in [0, 1]")
-            a = a.copy()
-            a.setflags(write=False)
-            self.levels.append(a)
+            self.levels.append(_read_only(a))
 
     @classmethod
     def from_entries(cls, depth: int, entries) -> "CarlesonSequence":
@@ -327,6 +333,8 @@ class CarlesonSequence:
             if idx.level > depth:
                 raise ValueError(f"entry at level {idx.level} beyond depth {depth}")
             levels[idx.level][idx.pos] = val
+        for a in levels:  # fresh: the constructor keeps them
+            a.setflags(write=False)
         return cls(depth, levels)
 
     def intensity_levels(self) -> list[np.ndarray]:

@@ -353,6 +353,75 @@ def test_luxemburg_stacks_of_different_n_equal_separate_calls(fam):
         assert calls[0] != calls[1]
 
 
+CERTIFIED_FAMILIES = BITWISE_FAMILIES + [log_bump(2.0), power_bump(3)]
+
+
+def _hard_stacks(rng):
+    """Stacks of 1, 2, 64 and 1,024 leaves: lognormal sigma = 3 rows,
+    single spikes, tied and zero leaves, constant and all-zero rows."""
+    stacks = []
+    for n in (1, 2, 64, 1024):
+        wild = rng.lognormal(0.0, 3.0, (3, 6, n))
+        spike = np.zeros((2, 6, n))
+        spike[:, np.arange(6), rng.integers(0, n, 6)] = rng.lognormal(
+            0.0, 3.0, (2, 6))
+        ties = np.round(rng.lognormal(0.0, 1.0, (2, 6, n)))
+        ties[0, :, ::2] = 0.0
+        const = np.repeat(rng.lognormal(0.0, 2.0, (1, 6, 1)), n, axis=2)
+        const[0, 0] = 0.0
+        stacks += [wild, spike, ties, const]
+    return stacks
+
+
+def _without_certificates(monkeypatch):
+    """Every row uncertified, so every verdict goes through Phi."""
+    def nothing(constraint, hi):
+        return np.full(hi.shape, np.nan), np.full(hi.shape, np.nan)
+    monkeypatch.setattr(bumps, "_certified_bracket", nothing)
+
+
+@pytest.mark.parametrize("fam", CERTIFIED_FAMILIES, ids=repr)
+def test_luxemburg_certified_verdicts_keep_the_bits(monkeypatch, fam):
+    # the certified window settles verdicts without Phi; every norm must
+    # keep the bits of the loop that asks Phi at every step, one stack at a
+    # time and several stacks of different n in one call
+    stacks = _hard_stacks(np.random.default_rng(11))
+    certified = [bumps._luxemburg([s], fam)[0] for s in stacks]
+    joint = bumps._luxemburg(stacks[::3], fam)
+    levels = orlicz_norm_levels(_level_weights(np.random.default_rng(3), 9),
+                                fam)
+    _without_certificates(monkeypatch)
+    for stack, got in zip(stacks, certified):
+        assert got.tobytes() == bumps._luxemburg([stack], fam)[0].tobytes()
+    for got, want in zip(joint, bumps._luxemburg(stacks[::3], fam)):
+        assert got.tobytes() == want.tobytes()
+    want = orlicz_norm_levels(_level_weights(np.random.default_rng(3), 9), fam)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(levels, want))
+
+
+@pytest.mark.parametrize("fam", CERTIFIED_FAMILIES, ids=repr)
+def test_luxemburg_certifies_almost_every_verdict(fam):
+    # a block of 8 lognormal rows of 64 leaves: about 48 Phi passes when
+    # every verdict asks Phi, at most 24 with the certified window
+    for seed in range(5):
+        w = np.random.default_rng(seed).lognormal(0.0, 1.5, (1, 8, 64))
+        counted = _CountedPhi(fam)
+        assert (bumps._luxemburg([w], counted)[0].tobytes()
+                == bumps._luxemburg([w], fam)[0].tobytes())
+        assert counted.calls <= 24
+
+
+@pytest.mark.parametrize("leaves", [[-1.0, 2.0], [np.nan, 2.0], [-3.0, 2.0],
+                                    [np.inf, 2.0], [2.0, -1e-300]],
+                         ids=["negative", "nan", "negative-mean", "inf",
+                              "tiny-negative"])
+def test_norms_reject_negative_or_nonfinite_leaves(leaves):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        orlicz_norm_def_batch(np.array([[leaves]]), log_bump(1.0))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        orlicz_norm_levels(np.array([leaves]), log_bump(1.0))
+
+
 def test_norm_def_batch_takes_only_block_stacks():
     with pytest.raises(ValueError):
         orlicz_norm_def_batch(np.ones((3, 4)), log_bump(1.0))

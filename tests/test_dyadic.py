@@ -211,6 +211,36 @@ def test_weight_json_integer_values_load():
         [2.0, 0.5])
 
 
+def test_constructors_copy_what_another_name_can_write():
+    # a writeable array, and a read-only view of a writeable one
+    arr = np.arange(4.0) / 8.0
+    owner = np.arange(4.0) / 8.0
+    view = owner[:]
+    view.setflags(write=False)
+    for given, writer in ((arr, arr), (view, owner)):
+        w = LeafWeight(2, given)
+        seq = CarlesonSequence(2, [np.zeros(1), np.zeros(2), given])
+        writer[0] = 1.0
+        assert w.values[0] == 0.0 and seq.levels[2][0] == 0.0
+        assert not w.values.flags.writeable
+        assert all(not a.flags.writeable for a in seq.levels)
+
+
+def test_constructors_keep_a_read_only_array_they_alone_hold():
+    # what from_json and from_entries hand over is built once, not copied
+    arr = np.arange(4.0)
+    arr.setflags(write=False)
+    assert LeafWeight(2, arr).values is arr
+    levels = [np.zeros(2 ** k) for k in range(3)]
+    for a in levels:
+        a.setflags(write=False)
+    assert all(kept is a for kept, a in
+               zip(CarlesonSequence(2, levels).levels, levels))
+    loaded = LeafWeight.from_json({"depth": 2, "values": [1.0, 2.0],
+                                   "repeats": [1, 3]})
+    assert loaded.values.base is None and not loaded.values.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # StepDistribution
 # ---------------------------------------------------------------------------

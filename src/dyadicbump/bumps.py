@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .dyadic import (_NUMBER, DyadicIndex, LeafWeight, StepDistribution,
-                     _json_values)
+from .dyadic import (_NUMBER, DyadicIndex, LeafWeight, _average_pyramid,
+                     _json_values, _step_table)
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
@@ -739,9 +739,19 @@ def _luxemburg(stacks, family):
     # alone (a block's live rows are consecutive)
     sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
+    # lo * hi overflows once a bracket passes about 1.3e154; hi only falls
+    # from here, so the rows where it can are known now, and only they
+    # take the product of square roots
+    with np.errstate(over="ignore"):
+        huge = np.flatnonzero(np.isinf(hi * hi))
     run = None  # no mask while every block still bisects
     for _ in range(BISECT_MAXITER):
-        mid = np.sqrt(lo * hi)
+        if huge.size:
+            with np.errstate(over="ignore"):
+                mid = np.sqrt(lo * hi)
+            mid[huge] = np.sqrt(lo[huge]) * np.sqrt(hi[huge])
+        else:
+            mid = np.sqrt(lo * hi)
         fits = feasible(mid, run)
         up = fits if run is None else fits & run
         keep = fits if run is None else fits | ~run
@@ -808,31 +818,50 @@ def _certified_bracket(constraint, hi):
     return a, b
 
 
-def orlicz_norm_dist(w: LeafWeight, index: DyadicIndex,
-                     family: BumpFamily) -> float:
-    """The distribution-function form: sum over steps of N Psi(N) dt."""
-    dist = StepDistribution.of(w, index)
-    widths, fracs = dist.steps()
-    if widths.size == 0:
-        return 0.0
-    return float(np.dot(widths, fracs * family.psi(fracs)))
+def orlicz_norm_dist(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
+    """The distribution-function form, sum over steps of N Psi(N) dt, of
+    each row of a (rows, n) array of leaves: one Psi call over every row's
+    steps and one dot product per row; 0.0 for a row with no mass."""
+    rows = _leaf_rows(rows)
+    fracs, widths, offsets = _step_table(rows)[1:]
+    terms = fracs * family.psi(fracs)
+    out = np.zeros(len(rows))
+    for i in np.flatnonzero(offsets[:-1] < offsets[1:]):
+        lo, hi = offsets[i], offsets[i + 1]
+        out[i] = np.dot(widths[lo:hi], terms[lo:hi])
+    return out
 
 
-def self_improvement_check(w: LeafWeight, index: DyadicIndex,
-                           family: BumpFamily) -> dict | None:
+def self_improvement_check(rows: np.ndarray,
+                           family: BumpFamily) -> np.ndarray:
     """Measure the constant in ||u||_{Phi_0} <= C ||u||_Phi eps(||u||_Phi / <u>),
-    with both norms in distribution form.  Returns None on zero average."""
-    avg = w.average(index)
-    if avg == 0.0:
-        return None
+    with both norms in distribution form, for each row of a (rows, 2**depth)
+    array of leaves: the ratios C of the rows with a positive average, in
+    row order."""
+    rows = _leaf_rows(rows)
+    n = rows.shape[1]
+    if n & (n - 1):
+        raise ValueError(f"rows must have 2**depth leaves, got {n}")
+    avg = _average_pyramid(rows)[0][:, 0]
+    live = avg > 0
+    avg = avg[live].tolist()
     model = family.epsilon_model()
-    base = orlicz_norm_dist(w, index, family)
-    lhs = orlicz_norm_dist(w, index, family.companion())
-    gap = float(model.eps(max(base / avg, 1.0 + 1e-12)))
-    rhs_unit = base * gap
-    ratio = lhs / rhs_unit
-    return {"lhs": lhs, "rhs_unit": rhs_unit, "ratio": ratio,
-            "norm_quotient": base / avg}
+    base = orlicz_norm_dist(rows, family)[live].tolist()
+    lhs = orlicz_norm_dist(rows, family.companion())[live].tolist()
+    # one scalar eps per row: an array call to logpow's pow can differ in
+    # the last bit
+    return np.array([l / (b * float(model.eps(max(b / a, 1.0 + 1e-12))))
+                     for l, b, a in zip(lhs, base, avg)])
+
+
+def _leaf_rows(rows) -> np.ndarray:
+    """rows as a float (rows, n) array, n >= 1, of finite nonnegative
+    leaves, else ValueError."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or not rows.shape[1]:
+        raise ValueError("rows must be a (rows, n) array, n >= 1")
+    _check_leaves(rows)
+    return rows
 
 
 def psi_gap_check(family: BumpFamily, bound: float) -> dict:

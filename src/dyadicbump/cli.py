@@ -27,7 +27,7 @@ from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     curv_translate, integrability_phi, log_bump,
                     orlicz_norm_def_batch, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
-from .dyadic import ROOT, LeafWeight, TreeDepthError, check_depth
+from .dyadic import TreeDepthError, check_depth
 from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, band_bundle,
                           growth_row, obstruction_report)
 from .reports import emit_plotdata, make_report, write_report
@@ -160,13 +160,6 @@ def _need_companion(family: BumpFamily) -> None:
         raise InputError(f"family {family!r} has no companion bump")
 
 
-def _corpus(depth: int, n: int, seed: int) -> list[LeafWeight]:
-    check_depth(depth)
-    rng = np.random.default_rng(seed)
-    return [LeafWeight(depth, rng.lognormal(0.0, 1.5, 2 ** depth))
-            for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Campaigns: each takes (family, cfg, seed, out) and returns (results, passed)
 # ---------------------------------------------------------------------------
@@ -200,18 +193,13 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
     _need_companion(family)
     depth = int(cfg.get("depth", DEPTH))
     n = int(cfg.get("n_weights", 200))
-    corpus = _corpus(depth, n, seed)
+    check_depth(depth)
+    # one weight per row
+    corpus = np.random.default_rng(seed).lognormal(0.0, 1.5, (n, 2 ** depth))
     # one block per weight, so each norm is its own orlicz_norm_def
-    bases = orlicz_norm_def_batch(
-        np.stack([w.values for w in corpus])[:, None, :], family)[:, 0]
-    ratios, si_ratios = [], []
-    for w, base in zip(corpus, bases):
-        dist = orlicz_norm_dist(w, ROOT, family)
-        ratios.append(dist / base)
-        si = self_improvement_check(w, ROOT, family)
-        if si is not None:
-            si_ratios.append(si["ratio"])
-    ratios = np.asarray(ratios)
+    bases = orlicz_norm_def_batch(corpus[:, None, :], family)[:, 0]
+    ratios = orlicz_norm_dist(corpus, family) / bases
+    si_ratios = self_improvement_check(corpus, family)
     c_star = float(max(ratios.max(), 1.0 / ratios.min()))
     results = {
         "weights": n,
@@ -224,8 +212,8 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
             "pass": c_star <= EQUIVALENCE_BOUND,
         },
         "self_improvement": {
-            "measured_C": float(max(si_ratios)),
-            "ratio_min": float(min(si_ratios)),
+            "measured_C": float(si_ratios.max()),
+            "ratio_min": float(si_ratios.min()),
         },
     }
     return results, results["equivalence"]["pass"]

@@ -96,15 +96,16 @@ ROOT = DyadicIndex(0, 0)
 
 
 def _average_pyramid(values: np.ndarray) -> list[np.ndarray]:
-    """pyramid[k] = node averages at level k, each the half-sum of its two
-    children, so the midpoint identity <w>_I = (<w>_I- + <w>_I+)/2 is
-    bit-exact, subnormal averages included.  Halving is exact above the
-    subnormal range, so there each average is its node's pairwise sum
-    divided by the node's leaf count, bit for bit."""
+    """pyramid[k] = node averages at level k over the last axis, each the
+    half-sum of its two children, so the midpoint identity
+    <w>_I = (<w>_I- + <w>_I+)/2 is bit-exact, subnormal averages included.
+    Halving is exact above the subnormal range, so there each average is
+    its node's pairwise sum divided by the node's leaf count, bit for bit.
+    Each row of a (rows, 2**depth) array gets the pyramid of its own."""
     levels = [values]
     cur = values
-    while len(cur) > 1:
-        cur = (cur[0::2] + cur[1::2]) / 2.0
+    while cur.shape[-1] > 1:
+        cur = (cur[..., 0::2] + cur[..., 1::2]) / 2.0
         cur.setflags(write=False)  # handed out by node_averages
         levels.append(cur)
     levels.reverse()
@@ -184,10 +185,6 @@ class LeafWeight:
         values.setflags(write=False)  # fresh: the constructor keeps it
         return cls(depth, values)
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
     @classmethod
     def load(cls, path) -> "LeafWeight":
         with open(path) as fh:
@@ -266,18 +263,25 @@ _LEVEL_SLOT: tuple | None = None
 
 
 def _level_table(w: LeafWeight, level: int) -> tuple:
-    """(thresholds, fractions, widths, offsets) of every node of the level:
-    node pos owns entries offsets[pos]:offsets[pos + 1] of the three flat
-    read-only arrays, which hold its distinct positive leaves in ascending
-    order, N on each step, (count of leaves >= threshold) / leaf count, and
-    each step's width."""
+    """The `_step_table` of the nodes of w at the level, kept in the slot."""
     global _LEVEL_SLOT
     slot = _LEVEL_SLOT
     if slot is not None and slot[0] is w and slot[1] == level:
         return slot[2]
     if level > w.depth:
         raise ValueError(f"interval at level {level} has no leaves at depth {w.depth}")
-    rows = np.sort(w.values.reshape(1 << level, -1), axis=1)
+    table = _step_table(w.values.reshape(1 << level, -1))
+    _LEVEL_SLOT = (w, level, table)
+    return table
+
+
+def _step_table(rows: np.ndarray) -> tuple:
+    """(thresholds, fractions, widths, offsets) of the step distribution of
+    every row of a (nodes, n) array of leaves: row i owns entries
+    offsets[i]:offsets[i + 1] of the three flat read-only arrays, which
+    hold its distinct positive leaves in ascending order, N on each step,
+    (count of leaves >= threshold) / n, and each step's width."""
+    rows = np.sort(rows, axis=1)
     n = rows.shape[1]
     # a run of equal positive values starts where a sorted row steps up
     # from its zeros or from a smaller value; N on (t_{i-1}, t_i] counts
@@ -285,19 +289,18 @@ def _level_table(w: LeafWeight, level: int) -> tuple:
     keep = rows > 0
     keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
     thresholds = rows[keep]
-    fractions = (n - keep.nonzero()[1]) / n
-    offsets = np.zeros((1 << level) + 1, dtype=np.intp)
+    del rows
+    fractions = np.broadcast_to((n - np.arange(n)) / n, keep.shape)[keep]
+    offsets = np.zeros(len(keep) + 1, dtype=np.intp)
     np.cumsum(keep.sum(axis=1), out=offsets[1:])
     widths = thresholds.copy()
     widths[1:] -= thresholds[:-1]
-    # each node's first step starts at 0
+    # each row's first step starts at 0
     starts = offsets[:-1][offsets[:-1] < offsets[1:]]
     widths[starts] = thresholds[starts]
     for arr in (thresholds, fractions, widths):
         arr.setflags(write=False)
-    table = thresholds, fractions, widths, offsets
-    _LEVEL_SLOT = (w, level, table)
-    return table
+    return thresholds, fractions, widths, offsets
 
 
 def carleson_json(depth: int, entries) -> dict:
@@ -365,10 +368,6 @@ class CarlesonSequence:
             raise ValueError("repeated (level, pos) entry")
         return cls.from_entries(depth, [
             (DyadicIndex(e["level"], e["pos"]), e["a"]) for e in entries])
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
 
     @classmethod
     def load(cls, path) -> "CarlesonSequence":

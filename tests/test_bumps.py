@@ -17,7 +17,7 @@ from dyadicbump.bumps import (LEVEL_GROUP, BumpFamily,
                               orlicz_norm_def_batch, orlicz_norm_dist,
                               orlicz_norm_levels, power_bump, psi_gap_check,
                               quad, self_improvement_check)
-from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight
+from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight, StepDistribution
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +420,39 @@ def test_norms_reject_negative_or_nonfinite_leaves(leaves):
         orlicz_norm_def_batch(np.array([[leaves]]), log_bump(1.0))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         orlicz_norm_levels(np.array([leaves]), log_bump(1.0))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        orlicz_norm_dist(np.array([[1.0, 1.0], leaves]), log_bump(1.0))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        self_improvement_check(np.array([leaves]), log_bump(1.0))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 0), (1, 2, 2)])
+def test_row_forms_take_only_rows_with_leaves(shape):
+    for norm in (orlicz_norm_dist, self_improvement_check):
+        with pytest.raises(ValueError, match="rows"):
+            norm(np.ones(shape), log_bump(1.0))
+
+
+def test_self_improvement_takes_only_dyadic_rows():
+    # the pairwise half-sum of an odd row would broadcast, not fail
+    with pytest.raises(ValueError, match="2\\*\\*depth"):
+        self_improvement_check(np.ones((2, 3)), log_bump(1.0))
+
+
+@pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+def test_norm_def_of_huge_constant_rows(c):
+    # the bisection's midpoint sqrt(lo * hi) overflows for brackets past
+    # about 1.3e154; a constant row c has the norm c / Phi^-1(1) = 4c
+    fam = log_bump(1.0)
+    norm = orlicz_norm_def_batch(np.full((1, 1, 4), c), fam)[0, 0]
+    assert norm == pytest.approx(4.0 * c, rel=1e-11)
+    # an ordinary row beside a huge one keeps the bits of its own call
+    w = np.random.default_rng(0).lognormal(0.0, 1.5, (3, 1, 4))
+    w[1] = c
+    mixed = orlicz_norm_def_batch(w, fam)[:, 0]
+    alone = orlicz_norm_def_batch(w[[0, 2]], fam)[:, 0]
+    assert mixed[[0, 2]].tobytes() == alone.tobytes()
+    assert mixed[1] == norm
 
 
 def test_norm_def_batch_takes_only_block_stacks():
@@ -527,10 +560,64 @@ def test_norm_def_monotone():
 def test_norm_dist_trivial_cases():
     # constant weight: N = 1 on (0, c], value c * Psi(1)
     fam = log_bump(1.0)
-    w = LeafWeight.constant(2, 3.0)
-    assert orlicz_norm_dist(w, ROOT, fam) == pytest.approx(3.0 * float(fam.psi(1.0)))
+    rows = np.full((1, 4), 3.0)
+    assert orlicz_norm_dist(rows, fam)[0] == pytest.approx(3.0 * float(fam.psi(1.0)))
     # Psi = 1: distribution form collapses to the average
-    assert orlicz_norm_dist(LeafWeight(1, [2.0, 0.0]), ROOT, power_bump(1)) == 1.0
+    assert orlicz_norm_dist(np.array([[2.0, 0.0]]), power_bump(1))[0] == 1.0
+
+
+def _norm_dist_oracle(depth, row, fam):
+    """The per-weight distribution form: the root StepDistribution of the
+    row and one dot product."""
+    widths, fracs = StepDistribution.of(LeafWeight(depth, row), ROOT).steps()
+    if widths.size == 0:
+        return 0.0
+    return float(np.dot(widths, fracs * fam.psi(fracs)))
+
+
+def _dist_rows(rng, depth):
+    """_weights' rows (zero row, zero leaves, ties) and a row of one
+    repeated leaf value beside a zero leaf."""
+    w = _weights(rng, 12, 2 ** depth)
+    w[5] = 2.5
+    w[5, -1] = 0.0
+    return w
+
+
+ROW_FAMILIES = [log_bump(1.0), log_bump(0.3), loglog_bump(2.0, 0.1),
+                loglog_bump(0.5, 0.5)]
+
+
+@pytest.mark.parametrize("fam", ROW_FAMILIES, ids=repr)
+def test_norm_dist_rows_equal_per_weight_form(fam):
+    rng = np.random.default_rng(8)
+    for depth in (0, 1, 3, 6):
+        w = _dist_rows(rng, depth)
+        got = orlicz_norm_dist(w, fam)
+        want = np.array([_norm_dist_oracle(depth, row, fam) for row in w])
+        assert got.tobytes() == want.tobytes()
+    assert orlicz_norm_dist(np.zeros((3, 8)), fam).tobytes() == bytes(24)
+
+
+@pytest.mark.parametrize("fam", ROW_FAMILIES, ids=repr)
+def test_self_improvement_rows_equal_per_weight_formula(fam):
+    model = fam.epsilon_model()
+    rng = np.random.default_rng(9)
+    for depth in (0, 1, 3, 6):
+        w = _dist_rows(rng, depth)
+        want = []
+        for row in w:
+            weight = LeafWeight(depth, row)
+            avg = weight.average(ROOT)
+            if avg == 0.0:
+                continue
+            base = _norm_dist_oracle(depth, row, fam)
+            lhs = _norm_dist_oracle(depth, row, fam.companion())
+            gap = float(model.eps(max(base / avg, 1.0 + 1e-12)))
+            want.append(lhs / (base * gap))
+        got = self_improvement_check(w, fam)
+        assert len(want) < len(w)  # a zero row has no ratio
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_norm_equivalence_log_bump_corpus():
@@ -541,40 +628,36 @@ def test_norm_equivalence_log_bump_corpus():
         depth = int(rng.integers(1, 7))
         w = LeafWeight(depth, rng.exponential(1.0, 2 ** depth))
         nd = orlicz_norm_def(w, ROOT, fam)
-        nn = orlicz_norm_dist(w, ROOT, fam)
+        nn = orlicz_norm_dist(w.values[None], fam)[0]
         ratios.append(nn / nd)
     assert 1 / 20 < min(ratios) and max(ratios) < 20
 
 
 def test_self_improvement_skip_on_zero():
-    assert self_improvement_check(LeafWeight.constant(2, 0.0), ROOT, log_bump(1.0)) is None
+    assert self_improvement_check(np.zeros((1, 4)), log_bump(1.0)).size == 0
 
 
 def test_self_improvement_scale_invariant():
     fam = log_bump(1.0)
     w = LeafWeight(3, [8, 1, 1, 1, 0.5, 0.5, 0.5, 0.5])
-    r1 = self_improvement_check(w, ROOT, fam)["ratio"]
-    r2 = self_improvement_check(w.scaled(7.0), ROOT, fam)["ratio"]
+    r1, r2 = self_improvement_check(np.stack((w.values, 7.0 * w.values)), fam)
     assert r1 == pytest.approx(r2, rel=1e-9, abs=0)
 
 
 def test_self_improvement_bounded_over_sweep():
     rng = np.random.default_rng(99)
     fam = log_bump(1.0)
-    worst = 0.0
-    for _ in range(200):
-        w = LeafWeight(2, rng.exponential(1.0, 4) + 1e-6)
-        res = self_improvement_check(w, ROOT, fam)
-        worst = max(worst, res["ratio"])
-    assert worst < 20.0
+    ratios = self_improvement_check(rng.exponential(1.0, (200, 4)) + 1e-6, fam)
+    assert ratios.size == 200
+    assert ratios.max() < 20.0
 
 
 def test_self_improvement_tall_leaf_stress():
     fam = log_bump(1.0)
     vals = np.full(16, 1e-3)
     vals[0] = 1e4
-    res = self_improvement_check(LeafWeight(4, vals), ROOT, fam)
-    assert res["ratio"] <= 20.0
+    ratio, = self_improvement_check(vals[None], fam)
+    assert ratio <= 20.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyadicbump import dyadic
 from dyadicbump.dyadic import (MAX_DEPTH, ROOT, CarlesonSequence, DyadicIndex,
                                LeafWeight, StepDistribution, TreeDepthError,
                                dyadic_maximal, l_intensity_levels,
@@ -117,7 +118,8 @@ def test_refine_and_coarsen_roundtrip():
 def test_weight_json_roundtrip(tmp_path):
     w = LeafWeight(3, np.arange(8.0))
     path = tmp_path / "w.json"
-    w.save(path)
+    with open(path, "w") as fh:
+        json.dump(w.to_json(), fh)
     again = LeafWeight.load(path)
     assert again == w
     blob = json.loads(path.read_text())
@@ -416,6 +418,37 @@ def test_of_rejects_a_level_below_the_leaves():
         StepDistribution.of(LeafWeight(1, [1.0, 2.0]), DyadicIndex(2, 0))
 
 
+@pytest.mark.parametrize("depth", range(7))
+def test_step_table_is_the_level_table(depth):
+    # the nodes of a level as the rows of one array, and a row per weight
+    # of a stack of weights, give the level table's arrays bit for bit
+    for seed in range(3):
+        w = _pool_weight(depth, seed)
+        for level in range(depth + 1):
+            table = dyadic._level_table(w, level)
+            rows = dyadic._step_table(w.values.reshape(2 ** level, -1))
+            for got, want in zip(rows, table):
+                assert got.tobytes() == want.tobytes()
+    weights = [_pool_weight(depth, seed) for seed in range(4)]
+    stacked = dyadic._step_table(np.stack([w.values for w in weights]))
+    for i, w in enumerate(weights):
+        dist = StepDistribution.of(w, ROOT)
+        lo, hi = stacked[3][i], stacked[3][i + 1]
+        for got, want in zip(stacked[:3], (dist.thresholds, dist.fractions,
+                                           dist.widths)):
+            assert got[lo:hi].tobytes() == want.tobytes()
+
+
+def test_average_pyramid_of_rows_is_each_row_pyramid():
+    rows = np.stack([_pool_weight(5, seed).values for seed in range(4)])
+    pyramid = dyadic._average_pyramid(rows)
+    for i, row in enumerate(rows):
+        w = LeafWeight(5, row)
+        for level in range(6):
+            assert (pyramid[level][i].tobytes()
+                    == w.node_averages(level).tobytes())
+
+
 def _rejected_by_diff_checks(t, n):
     """StepDistribution's input checks written with np.diff and np.any."""
     t = np.asarray(t, dtype=float)
@@ -558,7 +591,8 @@ def test_carleson_json_roundtrip(tmp_path):
     seq = CarlesonSequence.from_entries(
         2, [(ROOT, 0.5), (DyadicIndex(2, 3), 0.25)])
     path = tmp_path / "seq.json"
-    seq.save(path)
+    with open(path, "w") as fh:
+        json.dump(seq.to_json(), fh)
     again = CarlesonSequence.load(path)
     assert json.loads(path.read_text())["bound"] == 1.0
     assert again.levels[0][0] == 0.5

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from dyadicbump import dyadic
-from dyadicbump.bumps import (log_bump, orlicz_norm_dist, power_bump,
-                              self_improvement_check)
+from dyadicbump.bumps import log_bump, power_bump
 from dyadicbump.bellman import (B1, B2, BellmanNode, DataIntegrityError,
                                 default_budget, master_bellman_eval)
 from dyadicbump.dyadic import (CarlesonSequence, DyadicIndex, LeafWeight,
@@ -376,9 +375,10 @@ def test_level_table_slot_holds_one_level():
     assert len(offsets) == 2 ** 10 + 1 and offsets[-1] <= 2 ** 10
 
     w = LeafWeight(6, np.random.default_rng(0).lognormal(0.0, 1.5, 64))
-    orlicz_norm_dist(w, ROOT, FAM)
+    StepDistribution.of(w, ROOT)
     table = dyadic._LEVEL_SLOT[2]
-    self_improvement_check(w, ROOT, FAM)  # two more root reads
+    StepDistribution.of(w, ROOT)  # two more root reads
+    StepDistribution.of(w, ROOT)
     assert holds(w, 0) and dyadic._LEVEL_SLOT[2] is table
     StepDistribution.of(w, DyadicIndex(1, 0))
     assert holds(w, 1)

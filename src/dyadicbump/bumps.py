@@ -27,6 +27,7 @@ from .dyadic import (_NUMBER, DyadicIndex, LeafWeight, _average_pyramid,
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
+_TINY = np.finfo(float).tiny  # the least normal float
 # the most leaf values one grouped Luxemburg bisection holds: past about
 # this size its temporaries leave the cache and cost more than the calls
 # that grouping saves
@@ -710,11 +711,16 @@ def _luxemburg(stacks, family):
         return sums / counts
 
     a, b = _certified_bracket(constraint, hi)
+    unsure = np.isnan(a)  # the rows whose verdicts all go through Phi
+    if not unsure.any():
+        unsure = None
 
     def feasible(lam, live=None):
         """constraint(lam) <= 1.0, calling Phi only when the verdict of some
         row (of the live ones, if given) is not certified"""
-        doubt = ~((lam <= a) | (lam >= b))
+        doubt = (lam > a) & (lam < b)  # False on a NaN bound
+        if unsure is not None:
+            doubt |= unsure
         if live is not None:
             doubt &= live
         return constraint(lam) <= 1.0 if doubt.any() else lam >= b
@@ -739,23 +745,32 @@ def _luxemburg(stacks, family):
     # alone (a block's live rows are consecutive)
     sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
-    # lo * hi overflows once a bracket passes about 1.3e154; hi only falls
-    # from here, so the rows where it can are known now, and only they
-    # take the product of square roots
+    # lo * hi overflows once a bracket passes about 1.3e154 and underflows
+    # below about 1.5e-154; hi only falls and lo only rises from here, so
+    # the rows where it can are known now, and only they take the product
+    # of square roots
     with np.errstate(over="ignore"):
-        huge = np.flatnonzero(np.isinf(hi * hi))
+        odd = np.flatnonzero(np.isinf(hi * hi) | (lo * lo < _TINY))
+    # each midpoint halves log(hi / lo) to within a few ulp, so no row can
+    # meet the tolerance before step `quiet`: the stop test starts there
+    quiet = int(min(math.log2(np.log(hi / lo).min() / BISECT_TOL) - 3,
+                    BISECT_MAXITER))
+    mid = np.empty(hi.shape)
     run = None  # no mask while every block still bisects
-    for _ in range(BISECT_MAXITER):
-        if huge.size:
+    for step in range(BISECT_MAXITER):
+        if odd.size:
             with np.errstate(over="ignore"):
-                mid = np.sqrt(lo * hi)
-            mid[huge] = np.sqrt(lo[huge]) * np.sqrt(hi[huge])
+                np.multiply(lo, hi, out=mid)
+            np.sqrt(mid, out=mid)
+            mid[odd] = np.sqrt(lo[odd]) * np.sqrt(hi[odd])
         else:
-            mid = np.sqrt(lo * hi)
+            np.sqrt(np.multiply(lo, hi, out=mid), out=mid)
         fits = feasible(mid, run)
         up = fits if run is None else fits & run
         keep = fits if run is None else fits | ~run
         hi, lo = np.where(up, mid, hi), np.where(keep, lo, mid)
+        if step < quiet:
+            continue
         wide = np.logical_or.reduceat(~(hi - lo <= BISECT_TOL * hi), starts)
         if not wide.any():
             break
@@ -818,36 +833,52 @@ def _certified_bracket(constraint, hi):
     return a, b
 
 
-def orlicz_norm_dist(rows: np.ndarray, family: BumpFamily) -> np.ndarray:
+def orlicz_norm_dist(rows: np.ndarray, family: BumpFamily,
+                     table=None) -> np.ndarray:
     """The distribution-function form, sum over steps of N Psi(N) dt, of
     each row of a (rows, n) array of leaves: one Psi call over every row's
-    steps and one dot product per row; 0.0 for a row with no mass."""
-    rows = _leaf_rows(rows)
-    fracs, widths, offsets = _step_table(rows)[1:]
+    steps and one batched dot product per run of rows with the same step
+    count; 0.0 for a row with no mass.  `table` is `_step_table(rows)`,
+    built here unless the caller has it."""
+    if table is None:
+        table = _step_table(_leaf_rows(rows))
+    fracs, widths, offsets = table[1:]
     terms = fracs * family.psi(fracs)
-    out = np.zeros(len(rows))
-    for i in np.flatnonzero(offsets[:-1] < offsets[1:]):
-        lo, hi = offsets[i], offsets[i + 1]
-        out[i] = np.dot(widths[lo:hi], terms[lo:hi])
+    steps = np.diff(offsets)
+    # rows i:j of m steps each own widths[offsets[i]:offsets[j]] as a
+    # (j - i, m) view; a 1 x m by m x 1 matmul is numpy's dot on each
+    firsts = np.flatnonzero(np.diff(steps, prepend=-1))
+    out = np.zeros(len(steps))
+    for i, j in zip(firsts, np.r_[firsts[1:], len(steps)]):
+        m = steps[i]
+        if m:
+            lo, hi = offsets[i], offsets[j]
+            out[i:j] = (widths[lo:hi].reshape(-1, 1, m)
+                        @ terms[lo:hi].reshape(-1, m, 1)).ravel()
     return out
 
 
-def self_improvement_check(rows: np.ndarray,
-                           family: BumpFamily) -> np.ndarray:
+def self_improvement_check(rows: np.ndarray, family: BumpFamily,
+                           norms=None) -> np.ndarray:
     """Measure the constant in ||u||_{Phi_0} <= C ||u||_Phi eps(||u||_Phi / <u>),
     with both norms in distribution form, for each row of a (rows, 2**depth)
     array of leaves: the ratios C of the rows with a positive average, in
-    row order."""
+    row order.  `norms` are the rows' `orlicz_norm_dist` under the family
+    and under its companion, computed here from one step table unless the
+    caller has them."""
     rows = _leaf_rows(rows)
     n = rows.shape[1]
     if n & (n - 1):
         raise ValueError(f"rows must have 2**depth leaves, got {n}")
+    if norms is None:
+        table = _step_table(rows)
+        norms = [orlicz_norm_dist(rows, f, table)
+                 for f in (family, family.companion())]
     avg = _average_pyramid(rows)[0][:, 0]
     live = avg > 0
     avg = avg[live].tolist()
     model = family.epsilon_model()
-    base = orlicz_norm_dist(rows, family)[live].tolist()
-    lhs = orlicz_norm_dist(rows, family.companion())[live].tolist()
+    base, lhs = (x[live].tolist() for x in norms)
     # one scalar eps per row: an array call to logpow's pow can differ in
     # the last bit
     return np.array([l / (b * float(model.eps(max(b / a, 1.0 + 1e-12))))

@@ -27,7 +27,7 @@ from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
                     curv_translate, integrability_phi, log_bump,
                     orlicz_norm_def_batch, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
-from .dyadic import TreeDepthError, check_depth
+from .dyadic import TreeDepthError, _step_table, check_depth
 from .obstruction import (MAX_OBSTRUCTION_DEPTH, b0_probe, band_bundle,
                           growth_row, obstruction_report)
 from .reports import emit_plotdata, make_report, write_report
@@ -102,6 +102,9 @@ EQUIVALENCE_BOUND = 20.0
 # orlicz's, glav's and testing's tree depth; glav's and testing's bump target
 DEPTH = 6
 BUMP_TARGET = 0.01
+# the most leaves of the orlicz corpus drawn and held at once, at least one
+# row: every row's norms and ratios are its own, so no output bit moves
+CORPUS_GROUP = 1 << 20
 # every config field, with its check and what the check asks for
 FIELDS = {
     "family": (lambda x: isinstance(x, (str, dict)),
@@ -194,12 +197,21 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
     depth = int(cfg.get("depth", DEPTH))
     n = int(cfg.get("n_weights", 200))
     check_depth(depth)
-    # one weight per row
-    corpus = np.random.default_rng(seed).lognormal(0.0, 1.5, (n, 2 ** depth))
-    # one block per weight, so each norm is its own orlicz_norm_def
-    bases = orlicz_norm_def_batch(corpus[:, None, :], family)[:, 0]
-    ratios = orlicz_norm_dist(corpus, family) / bases
-    si_ratios = self_improvement_check(corpus, family)
+    rng = np.random.default_rng(seed)
+    per = max(1, CORPUS_GROUP >> depth)
+    ratios, si_ratios = [], []
+    for first in range(0, n, per):
+        # one weight per row; consecutive draws give the bytes of one
+        corpus = rng.lognormal(0.0, 1.5, (min(per, n - first), 2 ** depth))
+        # one block per weight, so each norm is its own orlicz_norm_def
+        bases = orlicz_norm_def_batch(corpus[:, None, :], family)[:, 0]
+        table = _step_table(corpus)
+        norms = [orlicz_norm_dist(corpus, f, table)
+                 for f in (family, family.companion())]
+        ratios.append(norms[0] / bases)
+        si_ratios.append(self_improvement_check(corpus, family, norms))
+        del corpus, table  # before the next group is drawn
+    ratios, si_ratios = np.concatenate(ratios), np.concatenate(si_ratios)
     c_star = float(max(ratios.max(), 1.0 / ratios.min()))
     results = {
         "weights": n,

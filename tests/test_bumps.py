@@ -18,6 +18,7 @@ from dyadicbump.bumps import (LEVEL_GROUP, BumpFamily,
                               orlicz_norm_levels, power_bump, psi_gap_check,
                               quad, self_improvement_check)
 from dyadicbump.dyadic import ROOT, DyadicIndex, LeafWeight, StepDistribution
+from dyadicbump.sparse import bump_condition
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +412,63 @@ def test_luxemburg_certifies_almost_every_verdict(fam):
         assert counted.calls <= 24
 
 
+def _bisection_oracle(block, fam):
+    """Luxemburg norms of a (rows, n) block by the literal bisection, one
+    row and one step at a time: Phi at every verdict, the midpoint
+    math.sqrt(lo * hi), and the block's stop once every row is within
+    BISECT_TOL.  The brackets are `_luxemburg`'s: the larger of the
+    largest leaf and the mean, doubled until feasible, and 1e-6 times the
+    mean, quartered until infeasible."""
+    n = block.shape[1]
+
+    def fits(row, lam):
+        return fam.phi(row / lam).sum() / n <= 1.0
+    live = [row for row in block if row.sum() / n > 0]
+    his, los = [], []
+    for row in live:
+        mean = row.sum() / n
+        hi, lo = max(float(row.max()), float(mean)), float(mean) * 1e-6
+        while not fits(row, hi):
+            hi *= 2.0
+        while fits(row, lo):
+            lo /= 4.0
+        his.append(hi)
+        los.append(lo)
+    for _ in range(bumps.BISECT_MAXITER):
+        for i, row in enumerate(live):
+            mid = math.sqrt(los[i] * his[i])
+            if fits(row, mid):
+                his[i] = mid
+            else:
+                los[i] = mid
+        if all(h - l <= bumps.BISECT_TOL * h for h, l in zip(his, los)):
+            break
+    norms = iter(0.5 * (l + h) for l, h in zip(los, his))
+    return np.array([next(norms) if row.sum() / n > 0 else 0.0
+                     for row in block])
+
+
+@pytest.mark.parametrize("fam", CERTIFIED_FAMILIES, ids=repr)
+def test_luxemburg_equals_the_literal_bisection(fam):
+    # an oracle that shares no code with the loop: a change to the loop
+    # that moves a bit fails here, whichever of its modes it runs
+    rng = np.random.default_rng(21)
+    stacks = _hard_stacks(rng)[:12] + [_blocks(rng, 16)]
+    for stack in stacks:
+        got = bumps._luxemburg([stack], fam)[0]
+        want = np.stack([_bisection_oracle(block, fam) for block in stack])
+        assert got.tobytes() == want.tobytes()
+        # single-row blocks
+        rows = stack.reshape(-1, 1, stack.shape[-1])
+        got = bumps._luxemburg([rows], fam)[0]
+        want = np.stack([_bisection_oracle(block, fam) for block in rows])
+        assert got.tobytes() == want.tobytes()
+    joint = bumps._luxemburg(stacks[1::2], fam)
+    for stack, got in zip(stacks[1::2], joint):
+        want = np.stack([_bisection_oracle(block, fam) for block in stack])
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("leaves", [[-1.0, 2.0], [np.nan, 2.0], [-3.0, 2.0],
                                     [np.inf, 2.0], [2.0, -1e-300]],
                          ids=["negative", "nan", "negative-mean", "inf",
@@ -439,20 +497,44 @@ def test_self_improvement_takes_only_dyadic_rows():
         self_improvement_check(np.ones((2, 3)), log_bump(1.0))
 
 
-@pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
-def test_norm_def_of_huge_constant_rows(c):
-    # the bisection's midpoint sqrt(lo * hi) overflows for brackets past
-    # about 1.3e154; a constant row c has the norm c / Phi^-1(1) = 4c
+def _check_constant_row(c):
+    """A constant row c has the norm c / Phi^-1(1) = 4c under the log bump
+    (sigma = 1), and an ordinary row beside it keeps the bits of its own
+    call."""
     fam = log_bump(1.0)
     norm = orlicz_norm_def_batch(np.full((1, 1, 4), c), fam)[0, 0]
     assert norm == pytest.approx(4.0 * c, rel=1e-11)
-    # an ordinary row beside a huge one keeps the bits of its own call
     w = np.random.default_rng(0).lognormal(0.0, 1.5, (3, 1, 4))
     w[1] = c
     mixed = orlicz_norm_def_batch(w, fam)[:, 0]
     alone = orlicz_norm_def_batch(w[[0, 2]], fam)[:, 0]
     assert mixed[[0, 2]].tobytes() == alone.tobytes()
     assert mixed[1] == norm
+
+
+@pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+def test_norm_def_of_huge_constant_rows(c):
+    # the bisection's midpoint sqrt(lo * hi) overflows for brackets past
+    # about 1.3e154
+    _check_constant_row(c)
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-200, 1e-300])
+def test_norm_def_of_tiny_constant_rows(c):
+    # lo * hi underflows for brackets below about 1.5e-154, and the
+    # midpoint stuck at 0 gave 2c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_constant_row(c)
+        # the bump constants of u = c, v = 1 are 4c, with no warning
+        u, v = LeafWeight.constant(3, c), LeafWeight.constant(3, 1.0)
+        rep = bump_condition(u, v, log_bump(1.0))
+    assert rep["B_uv_left"] == pytest.approx(4.0 * c, rel=1e-11)
+    # a lognormal row scaled by c has c times its norm
+    w = np.random.default_rng(1).lognormal(0.0, 1.5, (1, 1, 64))
+    fam = log_bump(1.0)
+    assert orlicz_norm_def_batch(c * w, fam)[0, 0] == pytest.approx(
+        c * orlicz_norm_def_batch(w, fam)[0, 0], rel=1e-11)
 
 
 def test_norm_def_batch_takes_only_block_stacks():

@@ -92,6 +92,36 @@ class TestCampaigns:
         assert rep["results"]["equivalence"]["C_star"] <= 20
         assert rep["results"]["equivalence"]["bound"] == 20.0
 
+    def test_orlicz_row_groups_move_no_result(self, monkeypatch):
+        # 37 rows of 16 leaves: one group by default, ten groups of at most
+        # 4 rows with a 64-leaf cap, each sorted into one step table
+        from dyadicbump import bumps, cli, dyadic
+        calls = []
+        step_table = dyadic._step_table
+
+        def spy(rows):
+            calls.append(len(rows))
+            return step_table(rows)
+        for module in (cli, bumps, dyadic):
+            monkeypatch.setattr(module, "_step_table", spy)
+        family, cfg = bumps.log_bump(1.0), {"n_weights": 37, "depth": 4}
+        whole = cli.run_orlicz(family, cfg, 5, None)
+        assert calls == [37]
+        monkeypatch.setattr(cli, "CORPUS_GROUP", 64)
+        calls.clear()
+        assert cli.run_orlicz(family, cfg, 5, None) == whole
+        assert calls == [4] * 9 + [1]
+        # a group holds at least one row, however long
+        monkeypatch.setattr(cli, "CORPUS_GROUP", 1)
+        calls.clear()
+        assert cli.run_orlicz(family, cfg, 5, None) == whole
+        assert calls == [1] * 37
+        # consecutive lognormal draws give the bytes of one draw
+        rng = np.random.default_rng(5)
+        parts = [rng.lognormal(0.0, 1.5, (k, 16)) for k in (4, 30, 3)]
+        assert np.concatenate(parts).tobytes() == np.random.default_rng(
+            5).lognormal(0.0, 1.5, (37, 16)).tobytes()
+
     def test_bellman_b1_passes(self, tmp_path):
         code, out = run(tmp_path, "bellman-b1", "--config",
                         self._cfg(tmp_path, {"n_n": 48, "n_a": 48}))

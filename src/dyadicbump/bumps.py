@@ -23,11 +23,10 @@ import math
 import numpy as np
 
 from .dyadic import (_NUMBER, DyadicIndex, LeafWeight, _average_pyramid,
-                     _json_values, _step_table)
+                     _check_leaves, _json_values, _step_table)
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
-_TINY = np.finfo(float).tiny  # the least normal float
 # the most leaf values one grouped Luxemburg bisection holds: past about
 # this size its temporaries leave the cache and cost more than the calls
 # that grouping saves
@@ -45,6 +44,10 @@ QUAD_RTOL = 1e-10
 
 class DivergentIntegralError(ValueError):
     """A required improper integral diverges for this family."""
+
+
+class BracketError(ValueError):
+    """No Luxemburg bracket within BISECT_MAXITER steps for this family."""
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +652,6 @@ def orlicz_norm_levels(values: np.ndarray,
     return out
 
 
-def _check_leaves(values):
-    """ValueError unless every leaf value is finite and nonnegative (a NaN
-    fails both min() >= 0 and max() < inf)."""
-    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
-        raise ValueError("leaf values must be finite and nonnegative")
-
-
 def _luxemburg(stacks, family):
     """Norms of every row of each (blocks, rows, n) stack, one (blocks,
     rows) array per stack, from one bracket-and-bisection loop.  The stacks
@@ -666,25 +662,26 @@ def _luxemburg(stacks, family):
     its place: a mask freezes its brackets, and Phi still runs over its
     values (README's batch-shape convention gives what both cost).  Phi
     runs only on the steps where `_certified_bracket` leaves the verdict
-    of some running row in doubt."""
-    outs, rows, means, sizes = [], [], [], []
+    of some running row in doubt.
+
+    A row whose largest leaf is outside [2^-64, 2^64] is bisected scaled by
+    the power of two that puts that leaf in [1/2, 1), and its norm scaled
+    back: every step commutes with it; brackets stay in [2^-508, 2^264]."""
+    outs, rows, tops, sizes = [], [], [], []
     for stack in stacks:
-        n = stack.shape[-1]
-        m = stack.sum(axis=-1) / n  # bit for bit what mean() gives
-        ok = m > 0
+        top = stack.max(axis=-1)
+        ok = top > 0
         outs.append((np.zeros(ok.shape), ok))
-        rows.append(stack[ok])
-        means.append(m[ok])
         sizes.append(ok.sum(axis=1))  # each block's live rows
-    del m  # each per-row array held past here costs 16 MB at depth 20
-    mean, sizes = np.concatenate(means), np.concatenate(sizes)
-    del means
-    if not mean.size:
+        rows.append(stack[ok])
+        tops.append(top[ok])
+    top, sizes = np.concatenate(tops), np.concatenate(sizes)
+    del tops  # each per-row array held past here costs 16 MB at depth 20
+    if not top.size:
         return [out for out, _ in outs]
+    far = np.flatnonzero((top < 2.0 ** -64) | (top > 2.0 ** 64))
+    top[far], shift = np.frexp(top[far])
     layout = [r.shape for r in rows]
-    hi = np.maximum(np.concatenate([r.max(axis=1) for r in rows]), mean)
-    lo = mean * 1e-6
-    del mean
     # rows of one length keep their (rows, n) shape, lam broadcasts over
     # them and every row sum is divided by the one length; rows of several
     # lengths lie flat, with lam repeated per value and a float length per
@@ -698,59 +695,58 @@ def _luxemburg(stacks, family):
     flat = np.concatenate([r.ravel() for r in rows])
     flat = flat.reshape(-1, layout[0][1] if one_n else 1)
     del rows
-    buf, sums = np.empty(flat.size), np.empty(hi.size)
+    buf, sums = np.empty(flat.size), np.empty(top.size)
     quotients = buf.reshape(flat.shape)
 
-    def constraint(lam):
-        per_row = lam if one_n else np.repeat(lam, repeats)
-        np.divide(flat, per_row[:, None], out=quotients)
-        vals, v, i = family.phi(buf), 0, 0
+    def means(vals):
+        """the row means of values laid out as flat's, bit for bit mean()"""
+        v, i = 0, 0
         for r, n in layout:
             vals[v:v + r * n].reshape(r, n).sum(axis=1, out=sums[i:i + r])
             v, i = v + r * n, i + r
         return sums / counts
 
+    def constraint(lam):
+        per_row = lam if one_n else np.repeat(lam, repeats)
+        np.divide(flat, per_row[:, None], out=quotients)
+        return means(family.phi(buf))
+
+    if far.size:  # the far rows times 2^-shift, in one pass over flat
+        e = np.zeros(top.shape, shift.dtype)
+        e[far] = -shift
+        e = e if one_n else np.repeat(e, repeats)
+        np.ldexp(flat, e[:, None], out=flat)
+        del e
+    mean = means(flat.ravel())
+    hi = np.maximum(top, mean)
+    lo = mean * 1e-6
+    del top, mean
     a, b = _certified_bracket(constraint, hi)
-    unsure = np.isnan(a)  # the rows whose verdicts all go through Phi
-    if not unsure.any():
-        unsure = None
 
     def feasible(lam, live=None):
         """constraint(lam) <= 1.0, calling Phi only when the verdict of some
         row (of the live ones, if given) is not certified"""
-        doubt = (lam > a) & (lam < b)  # False on a NaN bound
-        if unsure is not None:
-            doubt |= unsure
+        doubt = (lam > a) & (lam < b)
         if live is not None:
             doubt &= live
         return constraint(lam) <= 1.0 if doubt.any() else lam >= b
 
+    def widen(lam, factor):
+        """lam times factor, row by row, until feasible iff factor > 1"""
+        for _ in range(BISECT_MAXITER):
+            bad = feasible(lam) == (factor < 1)
+            if not bad.any():
+                return lam
+            lam = np.where(bad, lam * factor, lam)
+        raise BracketError(f"no Luxemburg bracket for {family!r} (x{factor})")
+
     # the brackets move each row on its own, so blocks need no bookkeeping
-    for _ in range(BISECT_MAXITER):
-        bad = ~feasible(hi)
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    else:
-        raise RuntimeError(f"Luxemburg bracket failure (upper); hi={hi}")
-    for _ in range(BISECT_MAXITER):
-        bad = feasible(lo)
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo / 4.0, lo)
-    else:
-        raise RuntimeError(f"Luxemburg bracket failure (lower); lo={lo}")
+    hi, lo = widen(hi, 2.0), widen(lo, 0.25)
     # a block stops once all of its rows meet the tolerance; from then on
     # a mask freezes its brackets, so its norms are those of a call on it
     # alone (a block's live rows are consecutive)
     sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
-    # lo * hi overflows once a bracket passes about 1.3e154 and underflows
-    # below about 1.5e-154; hi only falls and lo only rises from here, so
-    # the rows where it can are known now, and only they take the product
-    # of square roots
-    with np.errstate(over="ignore"):
-        odd = np.flatnonzero(np.isinf(hi * hi) | (lo * lo < _TINY))
     # each midpoint halves log(hi / lo) to within a few ulp, so no row can
     # meet the tolerance before step `quiet`: the stop test starts there
     quiet = int(min(math.log2(np.log(hi / lo).min() / BISECT_TOL) - 3,
@@ -758,13 +754,7 @@ def _luxemburg(stacks, family):
     mid = np.empty(hi.shape)
     run = None  # no mask while every block still bisects
     for step in range(BISECT_MAXITER):
-        if odd.size:
-            with np.errstate(over="ignore"):
-                np.multiply(lo, hi, out=mid)
-            np.sqrt(mid, out=mid)
-            mid[odd] = np.sqrt(lo[odd]) * np.sqrt(hi[odd])
-        else:
-            np.sqrt(np.multiply(lo, hi, out=mid), out=mid)
+        np.sqrt(np.multiply(lo, hi, out=mid), out=mid)
         fits = feasible(mid, run)
         up = fits if run is None else fits & run
         keep = fits if run is None else fits | ~run
@@ -776,16 +766,18 @@ def _luxemburg(stacks, family):
             break
         if not wide.all():
             run = np.repeat(wide, sizes)
+    norms = 0.5 * (lo + hi)
+    norms[far] = np.ldexp(norms[far], shift)
     ends = np.cumsum([np.count_nonzero(ok) for _, ok in outs])
-    for (out, ok), norms in zip(outs, np.split(0.5 * (lo + hi), ends[:-1])):
-        out[ok] = norms
+    for (out, ok), part in zip(outs, np.split(norms, ends[:-1])):
+        out[ok] = part
     return [out for out, _ in outs]
 
 
 def _certified_bracket(constraint, hi):
     """Per row, a < b with the float verdict F(lam) <= 1 of `constraint`
-    known outside (a, b): False for lam <= a, True for lam >= b.  Both are
-    NaN for a row it cannot certify, whose verdicts all go through Phi.
+    known outside (a, b): False for lam <= a, True for lam >= b.  A row it
+    cannot certify gets (-inf, inf), so all its verdicts go through Phi.
 
     A secant on g(x) = log F(e^x), x = log lam, from x = log hi finds the
     root estimate lam^; then a row is certified when F(a) > 1 + M/4 and
@@ -829,7 +821,7 @@ def _certified_bracket(constraint, hi):
         b = np.multiply(x, 1.0 + CERTIFY_MARGIN, out=x)
         doubt = ~(constraint(a) > 1.0 + CERTIFY_MARGIN / 4)
         doubt |= ~(constraint(b) <= 1.0 - CERTIFY_MARGIN / 4)
-    a[doubt] = b[doubt] = np.nan
+    a[doubt], b[doubt] = -np.inf, np.inf
     return a, b
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .bellman import (B1, B2, aux_T_check, b1_property_check,
                       b2_property_check, default_budget, g_positivity)
-from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
-                    curv_translate, integrability_phi, log_bump,
+from .bumps import (BracketError, BumpFamily, DivergentIntegralError,
+                    EpsilonModel, curv_translate, integrability_phi, log_bump,
                     orlicz_norm_def_batch, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
 from .dyadic import TreeDepthError, _step_table, check_depth
@@ -102,9 +102,10 @@ EQUIVALENCE_BOUND = 20.0
 # orlicz's, glav's and testing's tree depth; glav's and testing's bump target
 DEPTH = 6
 BUMP_TARGET = 0.01
-# the most leaves of the orlicz corpus drawn and held at once, at least one
-# row: every row's norms and ratios are its own, so no output bit moves
+# the most leaves of the orlicz corpus drawn and held at once (every row's
+# norms and ratios are its own, so no output bit moves); a row must fit
 CORPUS_GROUP = 1 << 20
+ORLICZ_MAX_DEPTH = CORPUS_GROUP.bit_length() - 1
 # every config field, with its check and what the check asks for
 FIELDS = {
     "family": (lambda x: isinstance(x, (str, dict)),
@@ -196,7 +197,7 @@ def run_orlicz(family: BumpFamily, cfg: dict, seed: int, out: Path):
     _need_companion(family)
     depth = int(cfg.get("depth", DEPTH))
     n = int(cfg.get("n_weights", 200))
-    check_depth(depth)
+    check_depth(depth, ORLICZ_MAX_DEPTH)
     rng = np.random.default_rng(seed)
     per = max(1, CORPUS_GROUP >> depth)
     ratios, si_ratios = [], []
@@ -452,7 +453,8 @@ def main(argv=None) -> int:
         seed = int(cfg["seed"])
         out = Path(cfg["out"])
         results, passed = CAMPAIGNS[args.campaign](family, cfg, seed, out)
-    except (InputError, TreeDepthError, DivergentIntegralError) as exc:
+    except (InputError, TreeDepthError, DivergentIntegralError,
+            BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

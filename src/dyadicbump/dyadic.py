@@ -20,13 +20,13 @@ class TreeDepthError(ValueError):
     """Requested tree depth exceeds the configured resource cap."""
 
 
-def check_depth(depth: int) -> None:
-    """Reject a negative depth, or one above MAX_DEPTH, before any
-    2**depth array is drawn."""
+def check_depth(depth: int, cap: int = MAX_DEPTH) -> None:
+    """Reject a negative depth, or one above cap, before any 2**depth
+    array is drawn."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth > MAX_DEPTH:
-        raise TreeDepthError(f"depth {depth} exceeds cap {MAX_DEPTH}")
+    if depth > cap:
+        raise TreeDepthError(f"depth {depth} exceeds cap {cap}")
 
 
 # the Python types json gives a JSON integer and a JSON number
@@ -41,6 +41,12 @@ def _json_values(values, types: set, what: str) -> list:
         kind = "integers" if types == _INTEGER else "numbers"
         raise ValueError(f"{what}: expected JSON {kind}, got {values!r:.80}")
     return values
+
+
+def _check_leaves(values: np.ndarray) -> None:
+    """ValueError unless all leaves are finite and nonnegative (NaN is not)."""
+    if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+        raise ValueError("leaf values must be finite and nonnegative")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -134,8 +140,7 @@ class LeafWeight:
         arr = np.asarray(values, dtype=float)
         if arr.shape != (2 ** depth,):
             raise ValueError(f"expected {2 ** depth} leaf values, got shape {arr.shape}")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("leaf values must be finite and nonnegative")
+        _check_leaves(arr)
         self.depth = depth
         self.values = _read_only(arr)
         self._pyramid: list[np.ndarray] | None = None

@@ -377,7 +377,7 @@ def _hard_stacks(rng):
 def _without_certificates(monkeypatch):
     """Every row uncertified, so every verdict goes through Phi."""
     def nothing(constraint, hi):
-        return np.full(hi.shape, np.nan), np.full(hi.shape, np.nan)
+        return np.full(hi.shape, -np.inf), np.full(hi.shape, np.inf)
     monkeypatch.setattr(bumps, "_certified_bracket", nothing)
 
 
@@ -535,6 +535,57 @@ def test_norm_def_of_tiny_constant_rows(c):
     fam = log_bump(1.0)
     assert orlicz_norm_def_batch(c * w, fam)[0, 0] == pytest.approx(
         c * orlicz_norm_def_batch(w, fam)[0, 0], rel=1e-11)
+
+
+@pytest.mark.parametrize("c", [1e-318, 5e-324])
+def test_norm_def_of_subnormal_constant_rows(c):
+    # the first lower bracket, 1e-6 times the mean, underflowed to 0, and
+    # every midpoint with it, which gave 2c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_constant_row(c)
+        assert orlicz_norm_def_batch(np.full((1, 1, 4), c),
+                                     log_bump(1.0))[0, 0] == 4.0 * c
+
+
+def test_norm_def_of_a_row_whose_mean_underflows():
+    # the mean is 0.0 but the largest leaf is positive, so the row is live;
+    # under the log bump (sigma = 1) the norm of [x, 0, 0, 0] is x
+    norm = orlicz_norm_def_batch(np.array([[[5e-324, 0.0, 0.0, 0.0]]]),
+                                 log_bump(1.0))[0, 0]
+    assert norm == 5e-324
+
+
+def test_norm_def_of_a_row_whose_sum_overflows():
+    # 8 leaves of 3e307 sum past the float range; the norm is 4 * 3e307
+    norm = orlicz_norm_def_batch(np.full((1, 1, 8), 3e307), log_bump(1.0))
+    assert norm[0, 0] == pytest.approx(1.2e308, rel=1e-11)
+
+
+@pytest.mark.parametrize("fam", CERTIFIED_FAMILIES, ids=repr)
+def test_norms_commute_with_powers_of_two(fam):
+    # a row whose largest leaf is outside [2^-64, 2^64] is bisected as its
+    # copy scaled by a power of two, and every step commutes with that
+    # scale, so 2^k w has exactly 2^k times the norm of w
+    w = np.random.default_rng(4).lognormal(0.0, 1.5, (3, 4, 64))
+    blocks = orlicz_norm_def_batch(w, fam)
+    levels = orlicz_norm_levels(w[:, 0], fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (256, -256, 700, -700, 1000, -1000):
+            scale = math.ldexp(1.0, k)
+            got = orlicz_norm_def_batch(scale * w, fam)
+            assert got.tobytes() == (scale * blocks).tobytes()
+            got = orlicz_norm_levels(scale * w[:, 0], fam)
+            assert all(g.tobytes() == (scale * want).tobytes()
+                       for g, want in zip(got, levels))
+
+
+def test_missing_bracket_is_an_input_error():
+    # Phi(t) >= 61^61 t: the upper bracket needs about 360 doublings
+    with pytest.raises(bumps.BracketError, match=r"bracket .*\(x2\.0\)"):
+        orlicz_norm_def_batch(np.ones((1, 1, 4)), log_bump(60.0))
+    assert issubclass(bumps.BracketError, ValueError)
 
 
 def test_norm_def_batch_takes_only_block_stacks():

@@ -331,7 +331,9 @@ class TestPlumbing:
         ("orlicz", "--depth", "-1"),
         ("glav", "--depth", str(MAX_DEPTH + 1)),
         # a depth-0 tree has no internal node and so no drop constant
-        ("glav", "--depth", "0"), ("full", "--depth", "0")])
+        ("glav", "--depth", "0"), ("full", "--depth", "0"),
+        # one orlicz row must fit in CORPUS_GROUP = 2^20 leaves
+        ("orlicz", "--depth", "21")])
     def test_bad_depth_is_input_error_without_report(self, tmp_path, argv):
         code, out = run(tmp_path, *argv)
         assert code == 2
@@ -457,6 +459,9 @@ class TestPlumbing:
         "no-companion": {"tag": "power", "p": 2},
         # "detla" is not a parameter, so delta would silently stay 0.1
         "misspelt-key": {"tag": "loglog", "sigma": 2.0, "detla": 0.5},
+        # Phi(t) >= 61^61 t, so no Luxemburg upper bracket is found within
+        # BISECT_MAXITER doublings
+        "steep-phi": {"tag": "log", "sigma": 60},
         # a tabulated Phi = t^2: "custom" is not a catalog tag, so every
         # campaign rejects it
         "custom-table": {"tag": "custom", "phi_table": np.column_stack(
@@ -476,7 +481,7 @@ class TestPlumbing:
         ("divergent-J", "bellman-b1"), ("divergent-J", "bellman-b2"),
         ("divergent-J", "glav"),
         ("no-companion", "bump-check"), ("no-companion", "orlicz"),
-        ("misspelt-key", "bellman-b1"),
+        ("misspelt-key", "bellman-b1"), ("steep-phi", "orlicz"),
         ("custom-table", "bellman-b1"), ("custom-table", "glav"),
         ("custom-table", "bellman-b2"), ("custom-table", "testing"),
         ("custom-table", "obstruction"),

@@ -27,6 +27,8 @@ from .dyadic import (_NUMBER, DyadicIndex, LeafWeight, _average_pyramid,
 
 BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
+# the largest Phi(1) of a family: it bounds the Luxemburg bracket doublings
+PHI_ONE_MAX = 2.0 ** 440
 # the most leaf values one grouped Luxemburg bisection holds: past about
 # this size its temporaries leave the cache and cost more than the calls
 # that grouping saves
@@ -44,10 +46,6 @@ QUAD_RTOL = 1e-10
 
 class DivergentIntegralError(ValueError):
     """A required improper integral diverges for this family."""
-
-
-class BracketError(ValueError):
-    """No Luxemburg bracket within BISECT_MAXITER steps for this family."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +391,27 @@ class BumpFamily:
     def __init__(self, tag, *, p=None, sigma=None, delta=None):
         self.tag = tag
         self._psi_one = None  # Psi(1), set by the first call to j
+        # every check is written so that NaN fails it
         if tag == "power":
-            if p is None or p < 1:
+            if p is None or not p >= 1:
                 raise ValueError("power bump needs p >= 1")
             self.p = float(p)
-        elif tag == "log":
-            if sigma is None or sigma <= 0:
-                raise ValueError("log bump needs sigma > 0")
+        elif tag in ("log", "loglog"):
+            if sigma is None or not sigma > 0:
+                raise ValueError(f"{tag} bump needs sigma > 0")
             self.sigma = float(sigma)
-        elif tag == "loglog":
-            if sigma is None or sigma <= 0:
-                raise ValueError("loglog bump needs sigma > 0")
-            self.sigma = float(sigma)
+        else:
+            raise ValueError(f"unknown bump tag {tag!r}")
+        if tag == "loglog":
             self.delta = 0.1 if delta is None else float(delta)
             if not 0 < self.delta < 1:
                 raise ValueError("loglog bump needs delta in (0, 1)")
-        else:
-            raise ValueError(f"unknown bump tag {tag!r}")
+        # Phi(1) = 1, c^c, (e c)^c (power, log, loglog; c = 1 + sigma)
+        c = 1.0 + getattr(self, "sigma", 0.0)
+        log2_phi_one = c * math.log2(c * (math.e if tag == "loglog" else 1.0))
+        if not log2_phi_one <= math.log2(PHI_ONE_MAX):
+            raise ValueError(f"{tag} bump needs Phi(1) <= 2^440, got "
+                             f"2^{log2_phi_one:.1f} at sigma = {sigma}")
 
     def __repr__(self):
         params = "".join(f", {k}={v}" for k, v in self.to_json().items()
@@ -666,7 +668,8 @@ def _luxemburg(stacks, family):
 
     A row whose largest leaf is outside [2^-64, 2^64] is bisected scaled by
     the power of two that puts that leaf in [1/2, 1), and its norm scaled
-    back: every step commutes with it; brackets stay in [2^-508, 2^264]."""
+    back: every step commutes with it.  With n <= 2^24 leaves and Phi(1) <=
+    PHI_ONE_MAX, brackets stay in [2^-108, 2^506] (README)."""
     outs, rows, tops, sizes = [], [], [], []
     for stack in stacks:
         top = stack.max(axis=-1)
@@ -719,7 +722,7 @@ def _luxemburg(stacks, family):
         del e
     mean = means(flat.ravel())
     hi = np.maximum(top, mean)
-    lo = mean * 1e-6
+    lo = mean * 1e-6  # infeasible: <Phi(w/lo)> >= Phi(10^6) by Jensen
     del top, mean
     a, b = _certified_bracket(constraint, hi)
 
@@ -731,17 +734,13 @@ def _luxemburg(stacks, family):
             doubt &= live
         return constraint(lam) <= 1.0 if doubt.any() else lam >= b
 
-    def widen(lam, factor):
-        """lam times factor, row by row, until feasible iff factor > 1"""
-        for _ in range(BISECT_MAXITER):
-            bad = feasible(lam) == (factor < 1)
-            if not bad.any():
-                return lam
-            lam = np.where(bad, lam * factor, lam)
-        raise BracketError(f"no Luxemburg bracket for {family!r} (x{factor})")
-
-    # the brackets move each row on its own, so blocks need no bookkeeping
-    hi, lo = widen(hi, 2.0), widen(lo, 0.25)
+    # Phi(t) <= t Phi(1) on [0, 1], so the constraint at hi = 2^k top is at
+    # most 2^-k Phi(1): feasible by the last doubling, rows on their own
+    for _ in range(math.ceil(math.log2(family.phi(1.0))) + 1):
+        bad = ~feasible(hi)
+        if not bad.any():
+            break
+        hi = np.where(bad, hi * 2.0, hi)
     # a block stops once all of its rows meet the tolerance; from then on
     # a mask freezes its brackets, so its norms are those of a call on it
     # alone (a block's live rows are consecutive)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .bellman import (B1, B2, aux_T_check, b1_property_check,
                       b2_property_check, default_budget, g_positivity)
-from .bumps import (BracketError, BumpFamily, DivergentIntegralError,
-                    EpsilonModel, curv_translate, integrability_phi, log_bump,
+from .bumps import (BumpFamily, DivergentIntegralError, EpsilonModel,
+                    curv_translate, integrability_phi, log_bump,
                     orlicz_norm_def_batch, orlicz_norm_dist, psi_gap_check,
                     self_improvement_check)
 from .dyadic import TreeDepthError, _step_table, check_depth
@@ -75,7 +75,8 @@ def _load_family(descriptor) -> BumpFamily:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """a finite JSON number: json reads NaN and Infinity, JSON has neither"""
+    return type(x) is int or type(x) is float and math.isfinite(x)
 
 
 def _count(least: int):
@@ -453,8 +454,7 @@ def main(argv=None) -> int:
         seed = int(cfg["seed"])
         out = Path(cfg["out"])
         results, passed = CAMPAIGNS[args.campaign](family, cfg, seed, out)
-    except (InputError, TreeDepthError, DivergentIntegralError,
-            BracketError) as exc:
+    except (InputError, TreeDepthError, DivergentIntegralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

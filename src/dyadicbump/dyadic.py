@@ -8,6 +8,7 @@ sum and every midpoint recursion holds to floating-point exactness.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,12 @@ _INTEGER, _NUMBER = {int}, {int, float}
 
 def _json_values(values, types: set, what: str) -> list:
     """values, a list read from JSON, if the type of every entry is in
-    types, else ValueError.  json reads true as a bool and "0.5" as a str,
-    which Python takes as an int and numpy as the float 0.5."""
-    if not isinstance(values, list) or not set(map(type, values)) <= types:
+    types and every float is finite, else ValueError.  json reads true as
+    a bool and "0.5" as a str, which Python takes as an int and numpy as
+    the float 0.5, and NaN and Infinity, which JSON does not have, as
+    floats."""
+    if (not isinstance(values, list) or not set(map(type, values)) <= types
+            or not all(math.isfinite(x) for x in values if type(x) is float)):
         kind = "integers" if types == _INTEGER else "numbers"
         raise ValueError(f"{what}: expected JSON {kind}, got {values!r:.80}")
     return values
@@ -330,7 +334,7 @@ class CarlesonSequence:
             a = np.asarray(arr, dtype=float)
             if a.shape != (2 ** k,):
                 raise ValueError(f"level {k} must have {2 ** k} entries")
-            if np.any(a < 0) or np.any(a > 1):
+            if not np.all((a >= 0) & (a <= 1)):  # NaN fails
                 raise ValueError("coefficients must lie in [0, 1]")
             self.levels.append(_read_only(a))
 

@@ -418,7 +418,8 @@ def _bisection_oracle(block, fam):
     math.sqrt(lo * hi), and the block's stop once every row is within
     BISECT_TOL.  The brackets are `_luxemburg`'s: the larger of the
     largest leaf and the mean, doubled until feasible, and 1e-6 times the
-    mean, quartered until infeasible."""
+    mean, quartered until infeasible (which it already is).  Neither loop
+    has a cap, so a bound on `_luxemburg`'s doublings is checked here."""
     n = block.shape[1]
 
     def fits(row, lam):
@@ -448,7 +449,11 @@ def _bisection_oracle(block, fam):
                      for row in block])
 
 
-@pytest.mark.parametrize("fam", CERTIFIED_FAMILIES, ids=repr)
+# families whose upper brackets may take up to 155, 363 and 280 doublings
+STEEP_FAMILIES = [log_bump(30.0), log_bump(60.0), loglog_bump(40.0)]
+
+
+@pytest.mark.parametrize("fam", CERTIFIED_FAMILIES + STEEP_FAMILIES, ids=repr)
 def test_luxemburg_equals_the_literal_bisection(fam):
     # an oracle that shares no code with the loop: a change to the loop
     # that moves a bit fails here, whichever of its modes it runs
@@ -581,11 +586,18 @@ def test_norms_commute_with_powers_of_two(fam):
                        for g, want in zip(got, levels))
 
 
-def test_missing_bracket_is_an_input_error():
-    # Phi(t) >= 61^61 t: the upper bracket needs about 360 doublings
-    with pytest.raises(bumps.BracketError, match=r"bracket .*\(x2\.0\)"):
-        orlicz_norm_def_batch(np.ones((1, 1, 4)), log_bump(60.0))
-    assert issubclass(bumps.BracketError, ValueError)
+def test_family_past_the_phi_one_cap_is_rejected_when_built():
+    # Phi(1) = 81^81, about 2^514, is past PHI_ONE_MAX = 2^440
+    with pytest.raises(ValueError, match=r"Phi\(1\) <= 2\^440"):
+        log_bump(80.0)
+    log_bump(60.0)  # Phi(1) = 61^61, about 2^362
+
+
+def test_norm_def_of_a_steep_family():
+    # Phi(t) = 61^61 t on [0, 1], so a row of ones has the norm 61^61,
+    # about 2^362 times its largest leaf
+    norm = orlicz_norm_def_batch(np.ones((1, 1, 4)), log_bump(60.0))
+    assert norm[0, 0] == pytest.approx(61.0 ** 61, rel=1e-11)
 
 
 def test_norm_def_batch_takes_only_block_stacks():
@@ -1072,6 +1084,13 @@ def test_family_validation():
         BumpFamily("loglog", sigma=1.0, delta=1.5)
     with pytest.raises(ValueError):
         BumpFamily("custom")  # only the three catalog tags exist
+    for tag, params in [("power", {"p": math.nan}),
+                        ("log", {"sigma": math.nan}),
+                        ("loglog", {"sigma": math.nan}),
+                        ("log", {"sigma": math.inf}),
+                        ("loglog", {"sigma": math.inf})]:
+        with pytest.raises(ValueError):
+            BumpFamily(tag, **params)
 
 
 def test_family_phi_increasing_convex_sampled():

@@ -3,6 +3,7 @@ determinism, config handling, and plot-data emission."""
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -229,6 +230,9 @@ class TestPlumbing:
         ("config", ["power"]),  # neither a path nor an object
         ("file", {"tag": "log", "sigma": True}),  # a bool is not a number
         ("config", {"tag": "loglog", "sigma": True, "delta": 0.5}),
+        # json reads NaN and Infinity, which are no JSON numbers
+        ("file", {"tag": "log", "sigma": math.inf}),
+        ("config", {"tag": "loglog", "sigma": math.nan}),
     ])
     def test_malformed_family_is_input_error(self, tmp_path, where, family):
         if where == "file":
@@ -315,6 +319,17 @@ class TestPlumbing:
         code, out = self._run_bundle(tmp_path, path)
         assert code == 2 and not out.exists()
 
+    def test_bundle_nan_carleson_coefficient_is_input_error(self, tmp_path):
+        # json reads NaN, which is no JSON number; it replaces the root's
+        # coefficient, so no repeated-entry check can catch it
+        path = self._bundle(tmp_path)
+        blob = json.loads((path / "carleson.json").read_text())
+        root, = (e for e in blob["entries"] if e["level"] == 0)
+        root["a"] = math.nan
+        (path / "carleson.json").write_text(json.dumps(blob))
+        code, out = self._run_bundle(tmp_path, path)
+        assert code == 2 and not out.exists()
+
     def test_bundle_repeated_carleson_entry_is_input_error(self, tmp_path):
         # a second entry for one interval, inside the intensity cap, would
         # otherwise overwrite the first
@@ -378,6 +393,10 @@ class TestPlumbing:
         ("testing", {"seed": -1}),
         # an unknown key, here a misspelt n_weights
         ("orlicz", {"n_weigths": 3}),
+        # json reads Infinity, which is no JSON number
+        ("bellman-b2", {"P": math.inf}),
+        ("glav", {"delta": math.inf}),
+        ("glav", {"bump_target": math.inf}),
     ])
     def test_bad_sample_size_is_input_error(self, tmp_path, campaign, field):
         cfg = TestCampaigns._cfg(tmp_path, field)
@@ -459,9 +478,11 @@ class TestPlumbing:
         "no-companion": {"tag": "power", "p": 2},
         # "detla" is not a parameter, so delta would silently stay 0.1
         "misspelt-key": {"tag": "loglog", "sigma": 2.0, "detla": 0.5},
-        # Phi(t) >= 61^61 t, so no Luxemburg upper bracket is found within
-        # BISECT_MAXITER doublings
-        "steep-phi": {"tag": "log", "sigma": 60},
+        # Phi(1) = 81^81, about 2^514, is past the cap PHI_ONE_MAX = 2^440
+        # that keeps every Luxemburg bracket a normal float
+        "steep-phi": {"tag": "log", "sigma": 80},
+        # json reads NaN, which is no JSON number
+        "nan-p": {"tag": "power", "p": math.nan},
         # a tabulated Phi = t^2: "custom" is not a catalog tag, so every
         # campaign rejects it
         "custom-table": {"tag": "custom", "phi_table": np.column_stack(
@@ -484,7 +505,7 @@ class TestPlumbing:
         ("misspelt-key", "bellman-b1"), ("steep-phi", "orlicz"),
         ("custom-table", "bellman-b1"), ("custom-table", "glav"),
         ("custom-table", "bellman-b2"), ("custom-table", "testing"),
-        ("custom-table", "obstruction"),
+        ("custom-table", "obstruction"), ("nan-p", "bellman-b1"),
     ])
     def test_family_the_campaign_cannot_handle_is_input_error(
             self, tmp_path, family, campaign):
@@ -495,6 +516,16 @@ class TestPlumbing:
         code, out = run(tmp_path, campaign, "--config", cfg,
                         "--family", self._family(tmp_path, family))
         assert code == 2 and not out.exists()
+
+    def test_steep_family_runs_orlicz(self, tmp_path):
+        # Phi(1) = 61^61, about 2^362: an upper bracket may take up to 363
+        # doublings
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps({"tag": "log", "sigma": 60}))
+        code, out = run(tmp_path, "orlicz", "--family", str(p), "--config",
+                        TestCampaigns._cfg(tmp_path, {"n_weights": 5}))
+        assert code in (0, 1)
+        assert (out / "report.json").exists()
 
     def test_divergent_w_family_runs_bellman_b1(self, tmp_path):
         # B1 needs only J; the tail mass W (and so B2's c2) diverges here

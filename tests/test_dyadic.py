@@ -228,6 +228,13 @@ def test_constructors_copy_what_another_name_can_write():
         assert all(not a.flags.writeable for a in seq.levels)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan],
+                         ids=["negative", "above-one", "nan"])
+def test_carleson_coefficients_outside_unit_interval_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        CarlesonSequence(1, [np.array([bad]), np.zeros(2)])
+
+
 def test_constructors_keep_a_read_only_array_they_alone_hold():
     # what from_json and from_entries hand over is built once, not copied
     arr = np.arange(4.0)

@@ -668,7 +668,8 @@ def _luxemburg(stacks, family):
 
     A row whose largest leaf is outside [2^-64, 2^64] is bisected scaled by
     the power of two that puts that leaf in [1/2, 1), and its norm scaled
-    back: every step commutes with it.  With n <= 2^24 leaves and Phi(1) <=
+    back: every step commutes with it, and a norm that overflows in the
+    scaling back is a ValueError.  With n <= 2^24 leaves and Phi(1) <=
     PHI_ONE_MAX, brackets stay in [2^-108, 2^506] (README)."""
     outs, rows, tops, sizes = [], [], [], []
     for stack in stacks:
@@ -766,7 +767,10 @@ def _luxemburg(stacks, family):
         if not wide.all():
             run = np.repeat(wide, sizes)
     norms = 0.5 * (lo + hi)
-    norms[far] = np.ldexp(norms[far], shift)
+    with np.errstate(over="ignore"):  # an overflow is raised just below
+        norms[far] = np.ldexp(norms[far], shift)
+    if np.isinf(norms).any():
+        raise ValueError("a Luxemburg norm overflows the float range")
     ends = np.cumsum([np.count_nonzero(ok) for _, ok in outs])
     for (out, ok), part in zip(outs, np.split(norms, ends[:-1])):
         out[ok] = part

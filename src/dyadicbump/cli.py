@@ -93,8 +93,10 @@ COUNTS = {
     "depth": _count(0),
     "refine_depth": _count(0),
     **dict.fromkeys(("n_points", "n_points_T", "n_quad", "g_points",
-                     "n_weights", "n_instances", "n_n", "n_a"), _count(1)),
-    "probe_points": _count(2),
+                     "n_weights", "n_instances"), _count(1)),
+    # the probe pins both ends of its region, and b1's N and A grids hold
+    # a point with N > 0 only from 2 points each
+    **dict.fromkeys(("probe_points", "n_n", "n_a"), _count(2)),
 }
 BUDGET_FIELDS = ("delta", "P", "c_drop", "delta1", "derivative_floor")
 # the pass bounds of bump-check's Psi gap and orlicz's C*; no config moves them
@@ -331,17 +333,20 @@ def run_glav(family: BumpFamily, cfg: dict, seed: int, out: Path):
         stability.append({"seed": s, "fine": full, "coarse": part,
                           "rel_change": abs(full - part) / max(full, 1e-300)})
     stable = all(row["rel_change"] <= 0.10 for row in stability)
+    # an instance whose every a_J u_J L_J |J| underflows has no drop node
+    drops = [r["min_drop_constant"] for r in per
+             if r["min_drop_constant"] is not None]
     results = {
         "instances": n,
         "depth": depth,
         "per_instance": per,
-        "min_drop_constant": float(min(r["min_drop_constant"] for r in per)),
+        "min_drop_constant": float(min(drops)) if drops else None,
         "worst_telescoping": float(max(r["telescoping_residual"] for r in per)),
         "stability": stability,
         "stability_pass": stable,
     }
     passed = stable and all(r["pass"] for r in per) \
-        and results["min_drop_constant"] > 0
+        and bool(drops) and results["min_drop_constant"] > 0
     return results, passed
 
 
@@ -360,12 +365,17 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
             bump_target=float(cfg.get("bump_target", BUMP_TARGET)))
     u, v, T = inst["u"], inst["v"], inst["T"]
     tc = testing_condition(T, u, v)
+    try:
+        bump = bump_condition(u, v, family)
+    except ValueError as exc:  # a Luxemburg norm past the float range
+        raise InputError(f"no bump constants for these weights: {exc}") \
+            from exc
     results = {
         "testing": {"u_to_v_sup": tc["u_to_v"]["sup"],
                     "v_to_u_sup": tc["v_to_u"]["sup"],
                     "sup": tc["sup"]},
         "vavo": vavo_L_bound(u, v, T, **_given(cfg, P="P")),
-        "bump": bump_condition(u, v, family),
+        "bump": bump,
     }
     return results, results["vavo"]["pass"]
 
@@ -384,8 +394,11 @@ def run_obstruction(family: BumpFamily, cfg: dict, seed: int, out: Path):
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     probe_kw = {"seed": seed, **_given(cfg, delta="delta", P="P",
                                        n_points="probe_points")}
-    probe = b0_probe(family.b2_model(), **probe_kw)
-    probe_const = b0_probe(EpsilonModel("const"), **probe_kw)
+    try:
+        probe = b0_probe(family.b2_model(), **probe_kw)
+        probe_const = b0_probe(EpsilonModel("const"), **probe_kw)
+    except ValueError as exc:  # a uv range the budget leaves empty
+        raise InputError(f"no B0 probe for this budget: {exc}") from exc
     results = {
         "depth": depth,
         "construction": {k: rep[k] for k in

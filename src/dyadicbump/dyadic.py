@@ -226,10 +226,15 @@ class StepDistribution:
         self.widths[1:] -= t[:-1]
 
     @classmethod
-    def of(cls, w: LeafWeight, index: DyadicIndex = ROOT) -> "StepDistribution":
-        """N of w on index: three read-only slices of the level table of w
-        at index's level, which satisfy __init__'s checks by construction."""
-        thresholds, fractions, widths, offsets = _level_table(w, index.level)
+    def of(cls, w: LeafWeight, index: DyadicIndex = ROOT,
+           table: tuple | None = None) -> "StepDistribution":
+        """N of w on index: three read-only slices of table, the
+        `_step_table` of w's nodes at index's level (built here when not
+        given), which satisfy __init__'s checks by construction."""
+        if table is None:
+            index.leaf_range(w.depth)  # ValueError below the leaves
+            table = _step_table(w.values.reshape(1 << index.level, -1))
+        thresholds, fractions, widths, offsets = table
         lo, hi = offsets[index.pos], offsets[index.pos + 1]
         out = cls.__new__(cls)
         out.thresholds = thresholds[lo:hi]
@@ -262,26 +267,6 @@ class StepDistribution:
             return StepDistribution([], [])
         mixed = np.array([(a.eval(x) + b.eval(x)) / 2.0 for x in t])
         return StepDistribution(t, mixed)
-
-
-# The level table last read by StepDistribution.of: (weight, level, table),
-# matched by identity and holding the weight, so green_induction sorts each
-# level once and a weight read several times at its root sorts once.  One
-# slot keeps at most one level's table alive.
-_LEVEL_SLOT: tuple | None = None
-
-
-def _level_table(w: LeafWeight, level: int) -> tuple:
-    """The `_step_table` of the nodes of w at the level, kept in the slot."""
-    global _LEVEL_SLOT
-    slot = _LEVEL_SLOT
-    if slot is not None and slot[0] is w and slot[1] == level:
-        return slot[2]
-    if level > w.depth:
-        raise ValueError(f"interval at level {level} has no leaves at depth {w.depth}")
-    table = _step_table(w.values.reshape(1 << level, -1))
-    _LEVEL_SLOT = (w, level, table)
-    return table
 
 
 def _step_table(rows: np.ndarray) -> tuple:

@@ -471,6 +471,9 @@ def b0_probe(model: EpsilonModel, delta: float = ConstantBudget.delta,
             t_min = 1e-3 * delta_used
         else:
             t_min = 10.0 * (2.0 * y_floor / P) ** 2
+        if t_min > delta_used:
+            raise ValueError(f"empty B0 probe region: uv from {t_min:.3g} "
+                             f"up to {delta_used:.3g}")
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(t_min), math.log(delta_used), n_points))
         uu = 10.0 ** rng.uniform(-1.0, 1.0, n_points)

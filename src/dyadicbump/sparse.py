@@ -13,8 +13,8 @@ import numpy as np
 from .bellman import B1, B2, BellmanNode, ConstantBudget, master_bellman_eval
 from .bumps import BumpFamily, orlicz_norm_levels
 from .dyadic import (CarlesonSequence, DyadicIndex, LeafWeight, ROOT,
-                     StepDistribution, check_depth, l_intensity_levels,
-                     upward_levels)
+                     StepDistribution, _step_table, check_depth,
+                     l_intensity_levels, upward_levels)
 
 
 class SparseOperator:
@@ -208,15 +208,18 @@ def green_induction(u: LeafWeight, v: LeafWeight, T: SparseOperator,
     L = l_intensity_levels(u, v, T.coeffs)
     A = T.coeffs.intensity_levels()
 
-    # one distribution function and one master evaluation per node; all the
-    # other bookkeeping works on whole levels
-    values = [np.array([
-        master_bellman_eval(BellmanNode(
-            uu, vv, ll, aa, StepDistribution.of(u, DyadicIndex(k, pos))),
-            b1, b2)
-        for pos, (uu, vv, ll, aa) in enumerate(zip(
-            us[k].tolist(), vs[k].tolist(), L[k].tolist(), A[k].tolist()))])
-        for k in range(T.depth + 1)]
+    # one distribution function, sliced from its level's step table, and one
+    # master evaluation per node; all the other bookkeeping works on levels
+    values = []
+    for k in range(T.depth + 1):
+        table = _step_table(u.values.reshape(1 << k, -1))
+        values.append(np.array([
+            master_bellman_eval(BellmanNode(
+                uu, vv, ll, aa,
+                StepDistribution.of(u, DyadicIndex(k, pos), table)), b1, b2)
+            for pos, (uu, vv, ll, aa) in enumerate(zip(
+                us[k].tolist(), vs[k].tolist(), L[k].tolist(),
+                A[k].tolist()))]))
     lengths = [2.0 ** (-k) for k in range(T.depth + 1)]
     u_root = float(us[0][0])
 

@@ -600,6 +600,19 @@ def test_norm_def_of_a_steep_family():
     assert norm[0, 0] == pytest.approx(61.0 ** 61, rel=1e-11)
 
 
+def test_norm_past_the_float_range_is_an_error():
+    # Phi(t) = 31^31 t on [0, 1] for log sigma = 30, so a row of 1e300 has
+    # the norm 31^31 1e300, past the float range: an error, not a warning
+    # and inf
+    rows = np.full((1, 4), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            orlicz_norm_def_batch(rows[None], log_bump(30.0))
+        with pytest.raises(ValueError, match="overflows"):
+            orlicz_norm_levels(rows, log_bump(30.0))
+
+
 def test_norm_def_batch_takes_only_block_stacks():
     with pytest.raises(ValueError):
         orlicz_norm_def_batch(np.ones((3, 4)), log_bump(1.0))

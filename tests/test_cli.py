@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from dyadicbump.cli import FIELDS, main
-from dyadicbump.dyadic import MAX_DEPTH, CarlesonSequence
+from dyadicbump.dyadic import MAX_DEPTH, CarlesonSequence, LeafWeight
 from dyadicbump.obstruction import (ALPHA, MAX_OBSTRUCTION_DEPTH,
                                     build_hierarchy, build_u, build_v)
-from dyadicbump.sparse import load_instance, random_instance, save_instance
+from dyadicbump.sparse import (SparseOperator, load_instance, random_instance,
+                               save_instance)
 from dyadicbump.reports import (canonical, config_hash, emit_plotdata,
                                 make_report, write_report)
 
@@ -330,6 +331,19 @@ class TestPlumbing:
         code, out = self._run_bundle(tmp_path, path)
         assert code == 2 and not out.exists()
 
+    def test_bundle_overflowing_norm_is_input_error(self, tmp_path):
+        # ||u||_Phi for u = 1e300 and log sigma = 30 is past the float range
+        path = tmp_path / "bundle"
+        save_instance(path, LeafWeight.constant(1, 1e300),
+                      LeafWeight.constant(1, 1e-300),
+                      SparseOperator(CarlesonSequence.from_entries(1, [])))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"tag": "log", "sigma": 30}))
+        cfg = TestCampaigns._cfg(tmp_path, {"instance": str(path)})
+        code, out = run(tmp_path, "testing", "--config", cfg,
+                        "--family", str(family))
+        assert code == 2 and not out.exists()
+
     def test_bundle_repeated_carleson_entry_is_input_error(self, tmp_path):
         # a second entry for one interval, inside the intensity cap, would
         # otherwise overwrite the first
@@ -397,6 +411,9 @@ class TestPlumbing:
         ("bellman-b2", {"P": math.inf}),
         ("glav", {"delta": math.inf}),
         ("glav", {"bump_target": math.inf}),
+        # a grid of one N or one A holds no point with N > 0
+        ("bellman-b1", {"n_n": 1}),
+        ("bellman-b1", {"n_a": 1}),
     ])
     def test_bad_sample_size_is_input_error(self, tmp_path, campaign, field):
         cfg = TestCampaigns._cfg(tmp_path, field)
@@ -430,6 +447,33 @@ class TestPlumbing:
             timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 2 and not out.exists()
         assert "rate" in done.stderr
+
+    @pytest.mark.parametrize("campaign, field", [
+        # the no-gap probe's uv starts at 10 (2 y_floor / P)^2, which these
+        # budgets put above delta
+        ("obstruction", {"P": 1e-4}),
+        ("obstruction", {"delta": 1e-15}),
+        ("full", {"delta": 1e-15}),
+    ])
+    def test_empty_b0_probe_region_is_input_error(self, tmp_path, capsys,
+                                                  campaign, field):
+        cfg = TestCampaigns._cfg(tmp_path, field)
+        code, out = run(tmp_path, campaign, "--config", cfg)
+        assert code == 2 and not out.exists()
+        assert "B0 probe region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [{"bump_target": 1e-300},
+                                       {"delta": 1e-300}])
+    def test_glav_without_drop_node_reports_null(self, tmp_path, field):
+        # every a_J u_J L_J |J| underflows to 0, so no node measures a drop
+        # constant and the campaign cannot pass
+        cfg = TestCampaigns._cfg(tmp_path, {
+            **field, "n_instances": 1, "depth": 1, "refine_depth": 1})
+        code, out = run(tmp_path, "glav", "--config", cfg)
+        assert code == 1
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["min_drop_constant"] is None
+        assert res["per_instance"][0]["min_drop_constant"] is None
 
     def test_small_omega2_slab_still_runs(self, tmp_path):
         # at P = 0.01 the slab is empty only above uv = 1e-4

@@ -425,24 +425,34 @@ def test_of_rejects_a_level_below_the_leaves():
         StepDistribution.of(LeafWeight(1, [1.0, 2.0]), DyadicIndex(2, 0))
 
 
+def _dist_arrays(dist):
+    return dist.thresholds, dist.fractions, dist.widths
+
+
 @pytest.mark.parametrize("depth", range(7))
 def test_step_table_is_the_level_table(depth):
     # the nodes of a level as the rows of one array, and a row per weight
-    # of a stack of weights, give the level table's arrays bit for bit
+    # of a stack of weights, give each node's distribution bit for bit,
+    # and of slices a table it is given as it slices the one it builds
     for seed in range(3):
         w = _pool_weight(depth, seed)
         for level in range(depth + 1):
-            table = dyadic._level_table(w, level)
-            rows = dyadic._step_table(w.values.reshape(2 ** level, -1))
-            for got, want in zip(rows, table):
-                assert got.tobytes() == want.tobytes()
+            table = dyadic._step_table(w.values.reshape(2 ** level, -1))
+            offsets = table[3]
+            for pos in range(2 ** level):
+                idx = DyadicIndex(level, pos)
+                lo, hi = offsets[pos], offsets[pos + 1]
+                built = _dist_arrays(StepDistribution.of(w, idx))
+                given = _dist_arrays(StepDistribution.of(w, idx, table))
+                for row, got, want in zip(table[:3], given, built):
+                    assert row[lo:hi].tobytes() == want.tobytes()
+                    assert got.tobytes() == want.tobytes()
     weights = [_pool_weight(depth, seed) for seed in range(4)]
     stacked = dyadic._step_table(np.stack([w.values for w in weights]))
     for i, w in enumerate(weights):
-        dist = StepDistribution.of(w, ROOT)
         lo, hi = stacked[3][i], stacked[3][i + 1]
-        for got, want in zip(stacked[:3], (dist.thresholds, dist.fractions,
-                                           dist.widths)):
+        for got, want in zip(stacked[:3],
+                             _dist_arrays(StepDistribution.of(w, ROOT))):
             assert got[lo:hi].tobytes() == want.tobytes()
 
 

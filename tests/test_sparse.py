@@ -1,14 +1,15 @@
 """Tests for the dyadic sparse operator, testing/bump conditions, the
 (glav) recursion, and the Green's-formula induction."""
 
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dyadicbump import dyadic
 from dyadicbump.bumps import log_bump, power_bump
 from dyadicbump.bellman import (B1, B2, BellmanNode, DataIntegrityError,
                                 default_budget, master_bellman_eval)
@@ -358,33 +359,17 @@ def test_green_telescoping_is_exact():
     assert rep["excluded_nodes"] == []
 
 
-def test_level_table_slot_holds_one_level():
-    # StepDistribution.of keeps the table of one (weight, level) only: the
-    # induction leaves its deepest level there, repeated root reads of one
-    # weight sort once, and a new level or weight replaces the entry
-    def holds(weight, level):
-        slot = dyadic._LEVEL_SLOT
-        return len(slot) == 3 and slot[0] is weight and slot[1] == level
-
+def test_green_induction_keeps_no_weight_alive():
+    # each level's step table is a local of the induction, so the weight
+    # dies with the caller's last reference
     budget = default_budget(FAM)
-    inst = random_instance(10, 0, family=FAM, bump_target=0.01,
+    inst = random_instance(6, 0, family=FAM, bump_target=0.01,
                            omega2_delta=1e-3)
     green_induction(inst["u"], inst["v"], inst["T"], FAM, budget)
-    assert holds(inst["u"], 10)
-    offsets = dyadic._LEVEL_SLOT[2][3]
-    assert len(offsets) == 2 ** 10 + 1 and offsets[-1] <= 2 ** 10
-
-    w = LeafWeight(6, np.random.default_rng(0).lognormal(0.0, 1.5, 64))
-    StepDistribution.of(w, ROOT)
-    table = dyadic._LEVEL_SLOT[2]
-    StepDistribution.of(w, ROOT)  # two more root reads
-    StepDistribution.of(w, ROOT)
-    assert holds(w, 0) and dyadic._LEVEL_SLOT[2] is table
-    StepDistribution.of(w, DyadicIndex(1, 0))
-    assert holds(w, 1)
-    twin = LeafWeight(6, w.values)  # equal to w, but another weight
-    StepDistribution.of(twin, DyadicIndex(1, 1))
-    assert holds(twin, 1)
+    ref = weakref.ref(inst["u"])
+    del inst
+    gc.collect()
+    assert ref() is None
 
 
 def test_green_random_suite_positive_drop():

@@ -356,8 +356,10 @@ def b1_property_check(family: BumpFamily, budget: ConstantBudget,
                      (np.maximum(a_mid - da, a_min) + np.minimum(a_mid + da, 1.0)) / 2)
     seam_margin = m_val - (p_val + q_val) / 2.0
 
-    # the A -> 0 breakdown: B1 < 0 once J(N/A) > C, i.e. A < N exp(-(C - J(1)) Psi0(1))
-    x_star = math.exp((budget.c1 - float(b1.j(1.0))) * float(b1.psi0(1.0)))
+    # the A -> 0 breakdown: B1 < 0 once J(N/A) > C, i.e. A < N exp(-(C - J(1)) Psi0(1));
+    # an x* past the float range (log sigma >= 7) is reported null, 1/x* still
+    power = (budget.c1 - float(b1.j(1.0))) * float(b1.psi0(1.0))
+    x_star = math.exp(power) if power <= math.log(np.finfo(float).max) else None
     report = {
         "points": int(NN.size),
         "bound_upper": _worst(upper_margin),
@@ -369,7 +371,7 @@ def b1_property_check(family: BumpFamily, budget: ConstantBudget,
         "violation_region": {
             "description": "B1 < 0 when A < N / x*, i.e. J(N/A) exceeds C",
             "x_star": x_star,
-            "a_boundary_at_N1": 1.0 / x_star,
+            "a_boundary_at_N1": math.exp(-power) if x_star is None else 1.0 / x_star,
         },
     }
     report["pass"] = all(report[k]["pass"] for k in

@@ -36,7 +36,7 @@ LEVEL_GROUP = 1 << 14
 # The half-width M, relative to a row's root estimate lam^, of the window
 # (a, b) = lam^ (1 -+ M) outside which `_certified_bracket` settles the
 # bisection's verdicts without Phi, and the most secant steps it takes.
-CERTIFY_MARGIN = 1e-11
+CERTIFY_MARGIN = 1e-12
 SECANT_MAXITER = 8
 QUAD_NODES = 20
 # a quadrature oracle whose error bound exceeds this share of its value is
@@ -412,6 +412,10 @@ class BumpFamily:
         if not log2_phi_one <= math.log2(PHI_ONE_MAX):
             raise ValueError(f"{tag} bump needs Phi(1) <= 2^440, got "
                              f"2^{log2_phi_one:.1f} at sigma = {sigma}")
+        # Phi(t) = Phi(1) t for 0 <= t <= linear_up_to: 1 for the log and
+        # loglog bumps, every t for t^1, and 0 for t^p, p > 1
+        self.linear_up_to = (1.0 if tag != "power" else
+                             math.inf if self.p == 1.0 else 0.0)
 
     def __repr__(self):
         params = "".join(f", {k}={v}" for k, v in self.to_json().items()
@@ -658,13 +662,11 @@ def _luxemburg(stacks, family):
     """Norms of every row of each (blocks, rows, n) stack, one (blocks,
     rows) array per stack, from one bracket-and-bisection loop.  The stacks
     may differ in n: the values of every live row are copied once into one
-    flat array beside the rows' lengths, Phi is one call over all of them,
-    and each stack's row sums keep its (rows, n) layout, so every row has
-    the bits of a call on its own stack.  A block that has stopped keeps
-    its place: a mask freezes its brackets, and Phi still runs over its
-    values (README's batch-shape convention gives what both cost).  Phi
-    runs only on the steps where `_certified_bracket` leaves the verdict
-    of some running row in doubt.
+    flat array, and each stack's row sums keep its (rows, n) layout, so
+    every row has the bits of a call on its own stack.  A block that has
+    stopped keeps its place: a mask freezes its brackets.  Phi runs only on
+    the running rows whose verdict at a step `_certified_bracket` leaves in
+    doubt, one call per stack on their quotients in one reused buffer.
 
     A row whose largest leaf is outside [2^-64, 2^64] is bisected scaled by
     the power of two that puts that leaf in [1/2, 1), and its norm scaled
@@ -686,58 +688,66 @@ def _luxemburg(stacks, family):
     far = np.flatnonzero((top < 2.0 ** -64) | (top > 2.0 ** 64))
     top[far], shift = np.frexp(top[far])
     layout = [r.shape for r in rows]
-    # rows of one length keep their (rows, n) shape, lam broadcasts over
-    # them and every row sum is divided by the one length; rows of several
-    # lengths lie flat, with lam repeated per value and a float length per
-    # row, so the row means cast nothing
-    one_n = len({n for _, n in layout}) == 1
-    if one_n:
-        counts = float(layout[0][1])
-    else:
-        repeats = np.repeat([n for _, n in layout], [r for r, _ in layout])
-        counts = repeats.astype(float)
     flat = np.concatenate([r.ravel() for r in rows])
-    flat = flat.reshape(-1, layout[0][1] if one_n else 1)
     del rows
-    buf, sums = np.empty(flat.size), np.empty(top.size)
-    quotients = buf.reshape(flat.shape)
+    views, v = [], 0  # each stack's (rows, n) view of flat
+    for r, n in layout:
+        views.append(flat[v:v + r * n].reshape(r, n))
+        v += r * n
+    stack_ends = np.cumsum([r for r, _ in layout])  # last row + 1
+    # the quotients w/lam of one stack's rows: a fresh array per Phi pass
+    # took 10-40% more time where every row is in doubt (t^p, p > 1)
+    buf = np.empty(max(view.size for view in views))
 
-    def means(vals):
-        """the row means of values laid out as flat's, bit for bit mean()"""
-        v, i = 0, 0
-        for r, n in layout:
-            vals[v:v + r * n].reshape(r, n).sum(axis=1, out=sums[i:i + r])
-            v, i = v + r * n, i + r
-        return sums / counts
+    def constraint(lam, rows):
+        """<Phi(w/lam)> of the rows at the sorted indices `rows`, lam
+        holding theirs: their quotients lie (k, n) per stack, as in the
+        stack's (rows, n) view, so each row sum has the bits of a call on
+        its own stack"""
+        out, i = np.empty(rows.size), 0
+        for view, end, j in zip(views, stack_ends,
+                                np.searchsorted(rows, stack_ends)):
+            if j > i:
+                pick = (slice(None) if j - i == len(view)  # all: no copy
+                        else rows[i:j] - (end - len(view)))
+                vals = buf[:(j - i) * view.shape[1]].reshape(j - i, -1)
+                np.divide(view[pick], lam[i:j, None], out=vals)
+                family.phi(vals).sum(axis=1, out=out[i:j])
+                out[i:j] /= float(view.shape[1])
+            i = j
+        return out
 
-    def constraint(lam):
-        per_row = lam if one_n else np.repeat(lam, repeats)
-        np.divide(flat, per_row[:, None], out=quotients)
-        return means(family.phi(buf))
-
-    if far.size:  # the far rows times 2^-shift, in one pass over flat
+    if far.size:  # the far rows times 2^-shift, in place in flat
         e = np.zeros(top.shape, shift.dtype)
         e[far] = -shift
-        e = e if one_n else np.repeat(e, repeats)
-        np.ldexp(flat, e[:, None], out=flat)
+        for view, end in zip(views, stack_ends):
+            np.ldexp(view, e[end - len(view):end, None], out=view)
         del e
-    mean = means(flat.ravel())
+    # the row means, bit for bit mean()
+    mean = np.concatenate([view.sum(axis=1) / float(view.shape[1])
+                           for view in views])
     hi = np.maximum(top, mean)
     lo = mean * 1e-6  # infeasible: <Phi(w/lo)> >= Phi(10^6) by Jensen
+    phi_one = float(family.phi(1.0))
+    a, b = _certified_bracket(constraint, hi, top, mean, phi_one,
+                              family.linear_up_to)
     del top, mean
-    a, b = _certified_bracket(constraint, hi)
 
     def feasible(lam, live=None):
-        """constraint(lam) <= 1.0, calling Phi only when the verdict of some
-        row (of the live ones, if given) is not certified"""
+        """constraint(lam) <= 1.0, calling Phi only on the rows (of the
+        live ones, if given) whose verdict is not certified"""
         doubt = (lam > a) & (lam < b)
         if live is not None:
             doubt &= live
-        return constraint(lam) <= 1.0 if doubt.any() else lam >= b
+        fits = lam >= b
+        rows = doubt.nonzero()[0]
+        if rows.size:
+            fits[rows] = constraint(lam[rows], rows) <= 1.0
+        return fits
 
     # Phi(t) <= t Phi(1) on [0, 1], so the constraint at hi = 2^k top is at
     # most 2^-k Phi(1): feasible by the last doubling, rows on their own
-    for _ in range(math.ceil(math.log2(family.phi(1.0))) + 1):
+    for _ in range(math.ceil(math.log2(phi_one)) + 1):
         bad = ~feasible(hi)
         if not bad.any():
             break
@@ -771,46 +781,68 @@ def _luxemburg(stacks, family):
         norms[far] = np.ldexp(norms[far], shift)
     if np.isinf(norms).any():
         raise ValueError("a Luxemburg norm overflows the float range")
-    ends = np.cumsum([np.count_nonzero(ok) for _, ok in outs])
-    for (out, ok), part in zip(outs, np.split(norms, ends[:-1])):
+    for (out, ok), part in zip(outs, np.split(norms, stack_ends[:-1])):
         out[ok] = part
     return [out for out, _ in outs]
 
 
-def _certified_bracket(constraint, hi):
+def _certified_bracket(constraint, hi, top, mean, phi_one, linear_up_to):
     """Per row, a < b with the float verdict F(lam) <= 1 of `constraint`
     known outside (a, b): False for lam <= a, True for lam >= b.  A row it
     cannot certify gets (-inf, inf), so all its verdicts go through Phi.
+    `top` and `mean` are each row's largest leaf and mean, and Phi(t) =
+    Phi(1) t = phi_one t for 0 <= t <= linear_up_to.
 
-    A secant on g(x) = log F(e^x), x = log lam, from x = log hi finds the
-    root estimate lam^; then a row is certified when F(a) > 1 + M/4 and
-    F(b) <= 1 - M/4 at a, b = lam^ (1 -+ M), M = CERTIFY_MARGIN.  Why that
-    settles every verdict: C(lam) = <Phi(w/lam)> is decreasing, and the
-    float F is within eps_f (relative) of it at every lam, so for lam <= a
-    F(lam) >= (1 - eps_f) C(a) >= F(a) (1 - eps_f)/(1 + eps_f) > 1 once
-    M/4 >= 3 eps_f, and the mirror holds for lam >= b.  The eps_f budget,
-    in units of 2^-53: 1 for w/lam, times c = max t Phi'(t)/Phi(t) (p for
-    t^p, at most 2 for the log and loglog bumps); a few for Phi's own log,
-    pow and products; at most 16 + log2 n for numpy's pairwise row sum of
-    n nonnegative terms; 1 for the division by n.  For c <= 3 and
-    n <= 2^20 that is under 50 units, 5.6e-15, and M/4 = 2.5e-12 is over
-    400 times it.
+    Why a window (a, b) settles every verdict: C(lam) = <Phi(w/lam)> is
+    decreasing, and the float F is within eps_f (relative) of it at every
+    lam, so F(lam) > 1 for every lam <= a once (1 - eps_f) C(a) > 1, and
+    F(lam) <= 1 for every lam >= b once (1 + eps_f) C(b) <= 1.  The eps_f
+    budget, in units of 2^-53: 1 for w/lam, times c = max t Phi'(t)/Phi(t)
+    (p for t^p, at most 2 for the log and loglog bumps); a few for Phi's
+    own log, pow and products; at most 16 + log2 n for numpy's pairwise
+    row sum of n nonnegative terms; 1 for the division by n.  For c <= 3
+    and n <= 2^20 that is under 50 units, 5.6e-15.  Each window is lam^ (1
+    -+ M) about a root estimate lam^, M = CERTIFY_MARGIN, found one of two
+    ways.
 
-    Phi(t)/t is nondecreasing for a convex Phi with Phi(0) = 0, so g has
-    slope <= -1: a secant slope is clamped to at most -1, which bounds a
-    step by |g|, and each step is clipped to +-1.  The secant stops when
-    every |g| <= M/16, which puts lam^ within about M/16 of the root."""
+    By proof, with no Phi pass, when linear_up_to >= 1: Phi(t)/t is
+    nondecreasing, so C(lam) >= lam*/lam for every lam, where lam* =
+    Phi(1)<w>, with equality once top/lam <= linear_up_to.  lam^ = Phi(1)
+    * mean in floats is lam* (1 + d), |d| <= delta: 16 + log2 n units for
+    the row sum, and a few for the division by n, Phi(1) and the product.
+    A row with top <= a linear_up_to, a = lam^ (1 - M), then has C(a) >=
+    1/((1 + delta)(1 - M)) and C(lam) = lam*/lam <= 1/((1 - delta)(1 + M))
+    for lam >= b, which settle it once M > eps_f + delta, under 1e-14 for
+    n <= 2^20.  The power bump t^1 certifies every row so; on [0, 1] alone
+    it would certify none, as no row's top is below its mean.  Where
+    linear_up_to = 0 (t^p, p > 1) no row passes the test, as every row's
+    top is positive, and the secant gets them all.
+
+    By measure, for the rows the proof leaves: a secant on g(x) = log
+    F(e^x), x = log lam, from x = log hi finds lam^; then a row is
+    certified when F(a) > 1 + M/4 and F(b) <= 1 - M/4, since (1 - eps_f)
+    C(a) >= F(a) (1 - eps_f)/(1 + eps_f) > 1 once M/4 >= 3 eps_f, and the
+    mirror holds at b: M/4 = 2.5e-13 is 45 times eps_f.  Phi(t)/t is
+    nondecreasing, so g has slope <= -1: a secant slope is clamped to at
+    most -1, which bounds a step by |g|, and each step is clipped to +-1.
+    The secant stops when every |g| <= M/16, which puts lam^ within about
+    M/16 of the root."""
+    lam = mean * phi_one
+    a = lam * (1.0 - CERTIFY_MARGIN)
+    b = np.multiply(lam, 1.0 + CERTIFY_MARGIN, out=lam)
+    rows = np.flatnonzero(~(top <= a * linear_up_to))  # left to the secant
+    hi = hi[rows]
     with np.errstate(all="ignore"):  # a failed row ends up NaN, not raised
         # in place where it can be: at depth 20 a row array is 16 MB
         x = np.log(hi)
-        g = np.log(constraint(hi))
+        g = np.log(constraint(hi, rows))
         step = np.clip(g, -1.0, 1.0)
         for _ in range(SECANT_MAXITER):
             if not ((g > CERTIFY_MARGIN / 16).any()
                     or (g < -CERTIFY_MARGIN / 16).any()):
                 break
             x += step
-            g_new = constraint(np.exp(x))
+            g_new = constraint(np.exp(x), rows)
             np.log(g_new, out=g_new)
             g -= g_new
             g /= step  # minus the secant slope; NaN where step was 0
@@ -820,11 +852,12 @@ def _certified_bracket(constraint, hi):
             g = g_new
         del g, step
         np.exp(x, out=x)
-        a = x * (1.0 - CERTIFY_MARGIN)
-        b = np.multiply(x, 1.0 + CERTIFY_MARGIN, out=x)
-        doubt = ~(constraint(a) > 1.0 + CERTIFY_MARGIN / 4)
-        doubt |= ~(constraint(b) <= 1.0 - CERTIFY_MARGIN / 4)
-    a[doubt], b[doubt] = -np.inf, np.inf
+        lo = x * (1.0 - CERTIFY_MARGIN)
+        up = np.multiply(x, 1.0 + CERTIFY_MARGIN, out=x)
+        doubt = ~(constraint(lo, rows) > 1.0 + CERTIFY_MARGIN / 4)
+        doubt |= ~(constraint(up, rows) <= 1.0 - CERTIFY_MARGIN / 4)
+    lo[doubt], up[doubt] = -np.inf, np.inf
+    a[rows], b[rows] = lo, up
     return a, b
 
 

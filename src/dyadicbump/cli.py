@@ -364,7 +364,10 @@ def run_testing(family: BumpFamily, cfg: dict, seed: int, out: Path):
             int(cfg.get("depth", DEPTH)), seed, family=family,
             bump_target=float(cfg.get("bump_target", BUMP_TARGET)))
     u, v, T = inst["u"], inst["v"], inst["T"]
-    tc = testing_condition(T, u, v)
+    try:
+        tc = testing_condition(T, u, v)
+    except ValueError as exc:  # a testing ratio past the float range
+        raise InputError(f"no testing sup for these weights: {exc}") from exc
     try:
         bump = bump_condition(u, v, family)
     except ValueError as exc:  # a Luxemburg norm past the float range

@@ -84,18 +84,22 @@ def _one_sided_testing(T: SparseOperator, u: LeafWeight,
         above.append(np.repeat(above[k] + a[k] * 2.0 ** k, 2))
     S = np.zeros(2 ** u.depth)
     per_level, kept = [None] * (T.depth + 1), [None] * (T.depth + 1)
-    for k in range(T.depth, -1, -1):
-        S += np.repeat(a[k] * u.node_averages(k), 2 ** (u.depth - k))
-        Sv = S * v.values
-        mass = u.node_averages(k) * 2.0 ** -k  # u(J)
-        c = mass * above[k]
-        num = ((S * Sv).reshape(2 ** k, -1).sum(axis=1)
-               + 2.0 * c * Sv.reshape(2 ** k, -1).sum(axis=1)
-               + c * c * (v.node_averages(k) * 2.0 ** (v.depth - k))
-               ) / 2 ** u.depth
-        live = mass > 0
-        per_level[k] = np.divide(num, mass, out=np.zeros_like(num), where=live)
-        kept[k] = np.flatnonzero(live)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(T.depth, -1, -1):
+            S += np.repeat(a[k] * u.node_averages(k), 2 ** (u.depth - k))
+            Sv = S * v.values
+            mass = u.node_averages(k) * 2.0 ** -k  # u(J)
+            c = mass * above[k]
+            num = ((S * Sv).reshape(2 ** k, -1).sum(axis=1)
+                   + 2.0 * c * Sv.reshape(2 ** k, -1).sum(axis=1)
+                   + c * c * (v.node_averages(k) * 2.0 ** (v.depth - k))
+                   ) / 2 ** u.depth
+            live = mass > 0
+            per_level[k] = np.divide(num, mass, out=np.zeros_like(num),
+                                     where=live)
+            if not np.isfinite(per_level[k]).all():
+                raise ValueError("a testing ratio overflows the float range")
+            kept[k] = np.flatnonzero(live)
     ratios = list(zip(
         [(k, p) for k, pos in enumerate(kept) for p in pos.tolist()],
         np.concatenate([r[pos] for r, pos in zip(per_level, kept)]).tolist()))

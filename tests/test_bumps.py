@@ -322,13 +322,16 @@ def test_norm_def_blocks_stop_at_their_own_step(fam):
 
 
 class _CountedPhi:
-    """A bump that counts its Phi calls, all `_luxemburg` reads of it."""
+    """A bump that counts its Phi calls and the values handed to them;
+    `phi` and `linear_up_to` are all `_luxemburg` reads of it."""
 
     def __init__(self, family):
-        self.family, self.calls = family, 0
+        self.family, self.calls, self.values = family, 0, 0
+        self.linear_up_to = family.linear_up_to
 
     def phi(self, t):
         self.calls += 1
+        self.values += np.size(t)
         return self.family.phi(t)
 
 
@@ -376,7 +379,7 @@ def _hard_stacks(rng):
 
 def _without_certificates(monkeypatch):
     """Every row uncertified, so every verdict goes through Phi."""
-    def nothing(constraint, hi):
+    def nothing(constraint, hi, *proof):
         return np.full(hi.shape, -np.inf), np.full(hi.shape, np.inf)
     monkeypatch.setattr(bumps, "_certified_bracket", nothing)
 
@@ -472,6 +475,79 @@ def test_luxemburg_equals_the_literal_bisection(fam):
     for stack, got in zip(stacks[1::2], joint):
         want = np.stack([_bisection_oracle(block, fam) for block in stack])
         assert got.tobytes() == want.tobytes()
+
+
+# families with Phi(t) = Phi(1) t on [0, 1] (on [0, inf) for t^1)
+LINEAR_FAMILIES = [log_bump(0.5), log_bump(1.0), log_bump(30.0),
+                   loglog_bump(2.0), power_bump(1)]
+
+
+@pytest.mark.parametrize("fam", LINEAR_FAMILIES, ids=repr)
+def test_linear_piece_certificates_hold(monkeypatch, fam):
+    # every window the proof gives, with no Phi pass, must hold in floats:
+    # F(a) > 1 and F(b) <= 1, recomputed here row by row on the values the
+    # bisection sees (a far row's scaled by its power of two)
+    seen = []
+    real = bumps._certified_bracket
+
+    def spy(constraint, hi, top, mean, *proof):
+        measured = set()
+
+        def asked(lam, rows):
+            measured.update(rows.tolist())
+            return constraint(lam, rows)
+        a, b = real(asked, hi, top, mean, *proof)
+        seen.append((top.copy(), a, b, measured))
+        return a, b
+    monkeypatch.setattr(bumps, "_certified_bracket", spy)
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 64, 1024):
+        rows = np.concatenate((rng.uniform(0.5, 1.5, (3, n)),
+                               rng.uniform(0.2, 1.8, (3, n)),
+                               rng.lognormal(0.0, 1.0, (6, n))))
+        rows[3:9, 1::3] = 0.0  # a third zero, in rows of both kinds
+        for scale in (1.0, 1e-200, 1e200):
+            seen.clear()
+            w = rows * scale
+            bumps._luxemburg([w.reshape(3, 4, n)], fam)
+            (top, a, b, measured), = seen
+            for i in set(range(len(w))) - measured:
+                assert np.isfinite(a[i]) and np.isfinite(b[i])
+                # top / w.max() is the exact power of two of a far row
+                row = w[i] * (top[i] / w[i].max())
+                assert fam.phi(row / a[i]).sum() / n > 1.0
+                assert fam.phi(row / b[i]).sum() / n <= 1.0
+            # in the rows of leaves in [0.5, 1.5], top/mean is at most about
+            # 1.6, below Phi(1) for each family here but t^1, which needs none
+            assert measured.isdisjoint(range(3))
+            if fam.tag == "power":
+                assert not measured  # t^1 is linear on all of [0, inf)
+
+
+def test_phi_sees_only_the_rows_in_doubt():
+    # a depth-10 pair of log sigma = 1 leaves in [0.2, 1.8]: every node is
+    # on Phi's linear piece, so the certificate asks Phi nothing, and only
+    # the rows in doubt at a step reach it.  A loop that ran Phi over every
+    # value whenever some row was in doubt handed it 436,226 values here.
+    fam = log_bump(1.0)
+    values = np.random.default_rng(0).uniform(0.2, 1.8, (2, 1024))
+    counted = _CountedPhi(fam)
+    real = bumps._certified_bracket
+    before = []
+
+    def spy(*args):
+        before.append(counted.values)
+        a, b = real(*args)
+        assert counted.values == before[-1]  # no Phi pass to certify
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        return a, b
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bumps, "_certified_bracket", spy)
+        got = orlicz_norm_levels(values, counted)
+    assert len(before) == 2  # levels 0-7 and 8-10 in LEVEL_GROUP groups
+    assert all(g.tobytes() == w.tobytes()
+               for g, w in zip(got, orlicz_norm_levels(values, fam)))
+    assert counted.values <= 436_226 // 5
 
 
 @pytest.mark.parametrize("leaves", [[-1.0, 2.0], [np.nan, 2.0], [-3.0, 2.0],

@@ -475,6 +475,46 @@ class TestPlumbing:
         assert res["min_drop_constant"] is None
         assert res["per_instance"][0]["min_drop_constant"] is None
 
+    @staticmethod
+    def _strict_json(path):
+        """The report, with Infinity and NaN (not JSON) raised as errors."""
+        def reject(name):
+            raise ValueError(f"{name} in {path}")
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("sigma", [7.0, 70.0])
+    def test_bellman_b1_reports_an_x_star_past_the_float_range_as_null(
+            self, tmp_path, sigma):
+        # x* = exp((C - J(1)) Psi0(1)) overflows a float from log sigma = 7
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"tag": "log", "sigma": sigma}))
+        cfg = TestCampaigns._cfg(tmp_path, {"n_n": 16, "n_a": 16})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "bellman-b1", "--config", cfg,
+                            "--family", str(family))
+        assert code in (0, 1)
+        region = self._strict_json(out / "report.json")["results"][
+            "violation_region"]
+        assert region["x_star"] is None
+        assert 0.0 <= region["a_boundary_at_N1"] < 1e-300
+
+    def test_testing_sup_past_the_float_range_is_input_error(self, tmp_path,
+                                                              capsys):
+        # weights scaled to a bump constant of 1e300 square past the float
+        # range in the testing numerators; 1e200 still runs
+        for target, want in ((1e300, 2), (1e200, 0)):
+            cfg = TestCampaigns._cfg(tmp_path, {"bump_target": target})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out = run(tmp_path / str(want), "testing", "--depth",
+                                "5", "--config", cfg)
+            assert code == want
+        assert not (tmp_path / "2" / "out").exists()
+        assert "testing sup" in capsys.readouterr().err
+        res = self._strict_json(out / "report.json")["results"]
+        assert 0 < res["testing"]["sup"] < math.inf
+
     def test_small_omega2_slab_still_runs(self, tmp_path):
         # at P = 0.01 the slab is empty only above uv = 1e-4
         cfg = TestCampaigns._cfg(tmp_path, {"P": 0.01, "n_points": 500,

@@ -29,14 +29,17 @@ BISECT_TOL = 1e-12
 BISECT_MAXITER = 200
 # the largest Phi(1) of a family: it bounds the Luxemburg bracket doublings
 PHI_ONE_MAX = 2.0 ** 440
-# the most leaf values one grouped Luxemburg bisection holds: past about
-# this size its temporaries leave the cache and cost more than the calls
-# that grouping saves
-LEVEL_GROUP = 1 << 14
+# the most leaf values one grouped Luxemburg bisection holds: of 2^14 to
+# 2^17, the fastest size at depths 10-14 that keeps the peak RSS (2^17
+# raised it by 4% at depth 14; README)
+LEVEL_GROUP = 1 << 16
 # The half-width M, relative to a row's root estimate lam^, of the window
 # (a, b) = lam^ (1 -+ M) outside which `_certified_bracket` settles the
-# bisection's verdicts without Phi, and the most secant steps it takes.
+# bisection's verdicts without Phi: CERTIFY_MARGIN for a window the secant
+# measures, PROOF_MARGIN (512 units of 2^-53) for one certified by proof,
+# and the most secant steps it takes.
 CERTIFY_MARGIN = 1e-12
+PROOF_MARGIN = 2.0 ** -44
 SECANT_MAXITER = 8
 QUAD_NODES = 20
 # a quadrature oracle whose error bound exceeds this share of its value is
@@ -393,8 +396,9 @@ class BumpFamily:
         self._psi_one = None  # Psi(1), set by the first call to j
         # every check is written so that NaN fails it
         if tag == "power":
-            if p is None or not p >= 1:
-                raise ValueError("power bump needs p >= 1")
+            # p <= 512 keeps eps_f under M/12 in `_certified_bracket`
+            if p is None or not 1 <= p <= 512:
+                raise ValueError("power bump needs 1 <= p <= 512")
             self.p = float(p)
         elif tag in ("log", "loglog"):
             if sigma is None or not sigma > 0:
@@ -644,7 +648,8 @@ def orlicz_norm_levels(values: np.ndarray,
     of leaf values: one (blocks, 2**k) array per level k = 0..depth.  Each
     (block, level) pair is one block of `orlicz_norm_def_batch`, with the
     norms of a separate call on it.  The levels share bisections in groups
-    of at most LEVEL_GROUP values (at least one level each)."""
+    of at most LEVEL_GROUP values (at least one level each): for a u, v
+    pair, depth <= 11 is one group and depth 12 two (8 + 5 levels)."""
     values = np.ascontiguousarray(values, dtype=float)  # levels are views
     depth = values.shape[-1].bit_length() - 1 if values.ndim == 2 else -1
     if depth < 0 or values.shape[1] != 2 ** depth or not len(values):
@@ -665,8 +670,9 @@ def _luxemburg(stacks, family):
     flat array, and each stack's row sums keep its (rows, n) layout, so
     every row has the bits of a call on its own stack.  A block that has
     stopped keeps its place: a mask freezes its brackets.  Phi runs only on
-    the running rows whose verdict at a step `_certified_bracket` leaves in
-    doubt, one call per stack on their quotients in one reused buffer.
+    the running rows whose lam is inside the window `_certified_bracket`
+    gives them (half-width 2^-44 by proof, 1e-12 by measure), one call per
+    stack on their quotients in one reused buffer.
 
     A row whose largest leaf is outside [2^-64, 2^64] is bisected scaled by
     the power of two that puts that leaf in [1/2, 1), and its norm scaled
@@ -799,37 +805,42 @@ def _certified_bracket(constraint, hi, top, mean, phi_one, linear_up_to):
     F(lam) <= 1 for every lam >= b once (1 + eps_f) C(b) <= 1.  The eps_f
     budget, in units of 2^-53: 1 for w/lam, times c = max t Phi'(t)/Phi(t)
     (p for t^p, at most 2 for the log and loglog bumps); a few for Phi's
-    own log, pow and products; at most 16 + log2 n for numpy's pairwise
-    row sum of n nonnegative terms; 1 for the division by n.  For c <= 3
-    and n <= 2^20 that is under 50 units, 5.6e-15.  Each window is lam^ (1
-    -+ M) about a root estimate lam^, M = CERTIFY_MARGIN, found one of two
-    ways.
+    own log and products, and up to 1 + sigma for the power in a log or
+    loglog bump beyond t = 1; at most 16 + log2 n for numpy's pairwise row
+    sum of n nonnegative terms; 1 for the division by n.  Each window is
+    lam^ (1 -+ M) about a root estimate lam^, found one of two ways.
 
-    By proof, with no Phi pass, when linear_up_to >= 1: Phi(t)/t is
-    nondecreasing, so C(lam) >= lam*/lam for every lam, where lam* =
-    Phi(1)<w>, with equality once top/lam <= linear_up_to.  lam^ = Phi(1)
-    * mean in floats is lam* (1 + d), |d| <= delta: 16 + log2 n units for
-    the row sum, and a few for the division by n, Phi(1) and the product.
-    A row with top <= a linear_up_to, a = lam^ (1 - M), then has C(a) >=
-    1/((1 + delta)(1 - M)) and C(lam) = lam*/lam <= 1/((1 - delta)(1 + M))
-    for lam >= b, which settle it once M > eps_f + delta, under 1e-14 for
-    n <= 2^20.  The power bump t^1 certifies every row so; on [0, 1] alone
-    it would certify none, as no row's top is below its mean.  Where
-    linear_up_to = 0 (t^p, p > 1) no row passes the test, as every row's
-    top is positive, and the secant gets them all.
+    By proof, with no Phi pass, when linear_up_to >= 1, and M =
+    PROOF_MARGIN = 2^-44: Phi(t)/t is nondecreasing, so C(lam) >= lam*/lam
+    for every lam, where lam* = Phi(1)<w>, with equality once top/lam <=
+    linear_up_to.  lam^ = Phi(1) * mean in floats is lam* (1 + d), |d| <=
+    delta: 16 + log2 n units for the row sum, and a few for the division
+    by n, Phi(1) and the product.  A row with top <= a linear_up_to, a =
+    lam^ (1 - M), then has C(a) >= 1/((1 + delta)(1 - M)) and C(lam) =
+    lam*/lam <= 1/((1 - delta)(1 + M)) for lam >= b, which settle it once
+    M > eps_f + delta.  On the linear piece c = 1, so for n <= 2^24 that
+    is at most about 90 units (eps_f 1 + 3 + 40 + 1, delta 40 + 3), and M
+    is 512: also below a, where a leaf may pass t = 1 and eps_f gains at
+    most 1 + 72 more (c = 2, and the power of a log bump).  The power
+    bump t^1 certifies every row so; on [0, 1] alone it would certify
+    none, as no row's top is below its mean.  Where linear_up_to = 0 (t^p,
+    p > 1) no row passes the test, as every row's top is positive, and the
+    secant gets them all.
 
-    By measure, for the rows the proof leaves: a secant on g(x) = log
-    F(e^x), x = log lam, from x = log hi finds lam^; then a row is
-    certified when F(a) > 1 + M/4 and F(b) <= 1 - M/4, since (1 - eps_f)
-    C(a) >= F(a) (1 - eps_f)/(1 + eps_f) > 1 once M/4 >= 3 eps_f, and the
-    mirror holds at b: M/4 = 2.5e-13 is 45 times eps_f.  Phi(t)/t is
-    nondecreasing, so g has slope <= -1: a secant slope is clamped to at
-    most -1, which bounds a step by |g|, and each step is clipped to +-1.
-    The secant stops when every |g| <= M/16, which puts lam^ within about
-    M/16 of the root."""
+    By measure, for the rows the proof leaves, with M = CERTIFY_MARGIN =
+    1e-12: a secant on g(x) = log F(e^x), x = log lam, from x = log hi
+    finds lam^; then a row is certified when F(a) > 1 + M/4 and F(b) <= 1
+    - M/4, since (1 - eps_f) C(a) >= F(a) (1 - eps_f)/(1 + eps_f) > 1 once
+    M/4 >= 3 eps_f, and the mirror holds at b.  M/4 is 2,252 units; for n
+    <= 2^24, eps_f is at most about p + 44 for t^p, p <= 512 (`BumpFamily`),
+    and 118 for a log or loglog bump.  Phi(t)/t is nondecreasing, so g has
+    slope <= -1: a secant slope is clamped to at most -1, which bounds a
+    step by |g|, and each step is clipped to +-1.  The secant stops when
+    every |g| <= M/16, which puts lam^ within about M/16 of the root; it
+    cannot resolve |g| far below 1e-14, hence the wider M."""
     lam = mean * phi_one
-    a = lam * (1.0 - CERTIFY_MARGIN)
-    b = np.multiply(lam, 1.0 + CERTIFY_MARGIN, out=lam)
+    a = lam * (1.0 - PROOF_MARGIN)
+    b = np.multiply(lam, 1.0 + PROOF_MARGIN, out=lam)
     rows = np.flatnonzero(~(top <= a * linear_up_to))  # left to the secant
     hi = hi[rows]
     with np.errstate(all="ignore"):  # a failed row ends up NaN, not raised

@@ -482,11 +482,11 @@ LINEAR_FAMILIES = [log_bump(0.5), log_bump(1.0), log_bump(30.0),
                    loglog_bump(2.0), power_bump(1)]
 
 
-@pytest.mark.parametrize("fam", LINEAR_FAMILIES, ids=repr)
-def test_linear_piece_certificates_hold(monkeypatch, fam):
-    # every window the proof gives, with no Phi pass, must hold in floats:
-    # F(a) > 1 and F(b) <= 1, recomputed here row by row on the values the
-    # bisection sees (a far row's scaled by its power of two)
+def _assert_proof_windows_hold(w, fam):
+    """Every window the proof gives the rows of a (blocks, rows, n) stack w,
+    with no Phi pass, must hold in floats: F(a) > 1 and F(b) <= 1,
+    recomputed here row by row on the values the bisection sees (a far
+    row's scaled by its power of two).  Returns the rows Phi measured."""
     seen = []
     real = bumps._certified_bracket
 
@@ -499,24 +499,31 @@ def test_linear_piece_certificates_hold(monkeypatch, fam):
         a, b = real(asked, hi, top, mean, *proof)
         seen.append((top.copy(), a, b, measured))
         return a, b
-    monkeypatch.setattr(bumps, "_certified_bracket", spy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bumps, "_certified_bracket", spy)
+        bumps._luxemburg([w], fam)
+    (top, a, b, measured), = seen
+    rows = w.reshape(-1, w.shape[-1])
+    for i in set(range(len(rows))) - measured:
+        assert np.isfinite(a[i]) and np.isfinite(b[i])
+        # top / w.max() is the exact power of two of a far row
+        row = rows[i] * (top[i] / rows[i].max())
+        assert fam.phi(row / a[i]).sum() / len(row) > 1.0
+        assert fam.phi(row / b[i]).sum() / len(row) <= 1.0
+    return measured
+
+
+@pytest.mark.parametrize("fam", LINEAR_FAMILIES, ids=repr)
+def test_linear_piece_certificates_hold(fam):
     rng = np.random.default_rng(31)
-    for n in (1, 2, 64, 1024):
+    for n in (1, 2, 64, 1024, 2 ** 16):
         rows = np.concatenate((rng.uniform(0.5, 1.5, (3, n)),
                                rng.uniform(0.2, 1.8, (3, n)),
                                rng.lognormal(0.0, 1.0, (6, n))))
         rows[3:9, 1::3] = 0.0  # a third zero, in rows of both kinds
         for scale in (1.0, 1e-200, 1e200):
-            seen.clear()
-            w = rows * scale
-            bumps._luxemburg([w.reshape(3, 4, n)], fam)
-            (top, a, b, measured), = seen
-            for i in set(range(len(w))) - measured:
-                assert np.isfinite(a[i]) and np.isfinite(b[i])
-                # top / w.max() is the exact power of two of a far row
-                row = w[i] * (top[i] / w[i].max())
-                assert fam.phi(row / a[i]).sum() / n > 1.0
-                assert fam.phi(row / b[i]).sum() / n <= 1.0
+            measured = _assert_proof_windows_hold(
+                (rows * scale).reshape(3, 4, n), fam)
             # in the rows of leaves in [0.5, 1.5], top/mean is at most about
             # 1.6, below Phi(1) for each family here but t^1, which needs none
             assert measured.isdisjoint(range(3))
@@ -524,11 +531,35 @@ def test_linear_piece_certificates_hold(monkeypatch, fam):
                 assert not measured  # t^1 is linear on all of [0, inf)
 
 
+@given(st.sampled_from(LINEAR_FAMILIES), st.integers(1, 4096),
+       st.floats(0.0, 0.99), st.floats(-50.0, 50.0),
+       st.one_of(st.none(), st.just(1.0 - 2.0 ** -40), st.floats(0.5, 2.0)),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_linear_piece_windows_hold_on_random_rows(fam, n, spread, exponent,
+                                                  reach, seed):
+    # four rows of leaves in [1 - spread, 1] times 10^exponent; given a
+    # reach, where n allows, each row's first leaf is set so that max/mean
+    # is Phi(1) reach: just inside the proof's reach at 1 - 2^-40, and off
+    # Phi's linear piece (where the proof must leave the row) past 1
+    w = np.random.default_rng(seed).uniform(1.0 - spread, 1.0, (4, n))
+    phi_one = float(fam.phi(1.0))
+    if reach is not None and n > max(1.0, phi_one * reach):
+        ratio = phi_one * reach
+        w[:, 0] = ratio * w[:, 1:].sum(axis=1) / (n - ratio)
+    w *= 10.0 ** exponent
+    measured = _assert_proof_windows_hold(w[None], fam)
+    # a row within 2^-42 of Phi(1) is inside the 2^-44 windows' reach
+    inside = w.max(axis=1) <= phi_one * (1.0 - 2.0 ** -42) * w.mean(axis=1)
+    assert measured.isdisjoint(np.flatnonzero(inside).tolist())
+
+
 def test_phi_sees_only_the_rows_in_doubt():
     # a depth-10 pair of log sigma = 1 leaves in [0.2, 1.8]: every node is
     # on Phi's linear piece, so the certificate asks Phi nothing, and only
     # the rows in doubt at a step reach it.  A loop that ran Phi over every
-    # value whenever some row was in doubt handed it 436,226 values here.
+    # value whenever some row was in doubt handed it 436,226 values here,
+    # and proof windows as wide as the secant's (1e-12) 47,444.
     fam = log_bump(1.0)
     values = np.random.default_rng(0).uniform(0.2, 1.8, (2, 1024))
     counted = _CountedPhi(fam)
@@ -544,10 +575,10 @@ def test_phi_sees_only_the_rows_in_doubt():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bumps, "_certified_bracket", spy)
         got = orlicz_norm_levels(values, counted)
-    assert len(before) == 2  # levels 0-7 and 8-10 in LEVEL_GROUP groups
+    assert len(before) == 1  # levels 0-10 in one LEVEL_GROUP group
     assert all(g.tobytes() == w.tobytes()
                for g, w in zip(got, orlicz_norm_levels(values, fam)))
-    assert counted.values <= 436_226 // 5
+    assert counted.values <= 8_000
 
 
 @pytest.mark.parametrize("leaves", [[-1.0, 2.0], [np.nan, 2.0], [-3.0, 2.0],
@@ -662,6 +693,14 @@ def test_norms_commute_with_powers_of_two(fam):
                        for g, want in zip(got, levels))
 
 
+def test_power_past_the_secant_budget_is_rejected_when_built():
+    # for t^p, c = max t Phi'/Phi = p: p <= 512 keeps the secant's eps_f,
+    # about p + 44 units of 2^-53, under M/12 = 750 units
+    with pytest.raises(ValueError, match=r"1 <= p <= 512"):
+        power_bump(513)
+    assert power_bump(512).p == 512.0
+
+
 def test_family_past_the_phi_one_cap_is_rejected_when_built():
     # Phi(1) = 81^81, about 2^514, is past PHI_ONE_MAX = 2^440
     with pytest.raises(ValueError, match=r"Phi\(1\) <= 2\^440"):
@@ -728,11 +767,12 @@ def _level_weights(rng, depth):
 
 
 @pytest.mark.parametrize("fam", BITWISE_FAMILIES, ids=lambda f: f.tag)
-@pytest.mark.parametrize("depth", [0, 1, 4, 9, 11])
+@pytest.mark.parametrize("depth", [0, 1, 4, 9, 11, 13])
 def test_norm_levels_equal_per_level_batches(fam, depth):
     # each (weight, level) block keeps the bits of its own batch call, also
-    # where the levels share a bisection: up to depth 4 all of them do, and
-    # at depth 11 they go two levels to a bisection
+    # where the levels share a bisection: up to depth 9 all of them do, at
+    # depth 11 they go ten levels and two to a bisection, and at depth 13
+    # two levels to a bisection
     values = _level_weights(np.random.default_rng(depth), depth)
     levels = orlicz_norm_levels(values, fam)
     assert len(levels) == depth + 1
@@ -744,11 +784,12 @@ def test_norm_levels_equal_per_level_batches(fam, depth):
 
 
 @pytest.mark.parametrize("depth, sizes", [
-    (0, [1]), (9, [10]), (10, [8, 3]), (12, [2] * 6 + [1]), (14, [1] * 15)])
+    (0, [1]), (9, [10]), (10, [11]), (12, [8, 5]), (14, [2] * 7 + [1]),
+    (15, [1] * 16)])
 def test_norm_levels_group_at_most_level_group_values(monkeypatch, depth,
                                                       sizes):
-    # u and v, as bump_condition passes them: a tree of depth <= 9 is one
-    # bisection, and from depth 13 on each level has its own
+    # u and v, as bump_condition passes them: a tree of depth <= 11 is one
+    # bisection, and from depth 15 on each level has its own
     calls = []
 
     def spy(stacks, family):

@@ -601,6 +601,15 @@ class TestPlumbing:
                         "--family", self._family(tmp_path, family))
         assert code == 2 and not out.exists()
 
+    def test_power_past_the_secant_budget_is_input_error(self, tmp_path,
+                                                         capsys):
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps({"tag": "power", "p": 1000}))
+        code, out = run(tmp_path, "testing", "--depth", "3", "--family",
+                        str(p))
+        assert code == 2 and not out.exists()
+        assert "1 <= p <= 512" in capsys.readouterr().err
+
     def test_steep_family_runs_orlicz(self, tmp_path):
         # Phi(1) = 61^61, about 2^362: an upper bracket may take up to 363
         # doublings

@@ -18,6 +18,7 @@ log bump, so that Psi stays decreasing and s*Psi(s) increasing on all of
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +46,8 @@ QUAD_NODES = 20
 # a quadrature oracle whose error bound exceeds this share of its value is
 # flagged uncertified
 QUAD_RTOL = 1e-10
+# the most intervals whose grid `quad` keeps (one per tail-mass model)
+QUAD_GRIDS = 16
 
 
 class DivergentIntegralError(ValueError):
@@ -62,6 +65,17 @@ _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES)[1]
 _GL_WEIGHTS_LO = np.polynomial.legendre.leggauss(QUAD_NODES // 2)[1]
 
 
+@functools.lru_cache(maxsize=QUAD_GRIDS)
+def _gl_grid(a: float, b: float) -> tuple[int, float, np.ndarray]:
+    """quad's panel count, half panel width and read-only nodes on [a, b]."""
+    panels = max(1, math.ceil(abs(b - a)))
+    half = 0.5 * (b - a) / panels
+    mids = a + half * (2.0 * np.arange(panels) + 1.0)
+    nodes = (mids[:, None] + half * _GL_NODES).ravel()
+    nodes.setflags(write=False)
+    return panels, half, nodes
+
+
 def quad(f, a: float, b: float) -> tuple[float, float]:
     """Composite Gauss-Legendre integral of a vectorised f over [a, b].
 
@@ -70,14 +84,12 @@ def quad(f, a: float, b: float) -> tuple[float, float]:
     value; the rule with half the nodes on the same panels gives the error
     estimate, the sum over panels of the two rules' difference, which
     bounds the lower rule's error and so, once the rules converge, the
-    value's.  f is called once, on every node of both rules.  Returns
+    value's.  f is called once, on every node of both rules, which each
+    interval builds once, read-only, in a cache of QUAD_GRIDS.  Returns
     (value, error).
     """
-    panels = max(1, math.ceil(abs(b - a)))
-    half = 0.5 * (b - a) / panels
-    mids = a + half * (2.0 * np.arange(panels) + 1.0)
-    vals = np.asarray(f((mids[:, None] + half * _GL_NODES).ravel()),
-                      dtype=float).reshape(panels, -1)
+    panels, half, nodes = _gl_grid(a, b)
+    vals = np.asarray(f(nodes), dtype=float).reshape(panels, -1)
     hi = half * (vals[:, :QUAD_NODES] @ _GL_WEIGHTS)
     lo = half * (vals[:, QUAD_NODES:] @ _GL_WEIGHTS_LO)
     return float(hi.sum()), float(np.abs(hi - lo).sum())
@@ -129,6 +141,8 @@ class EpsilonModel:
         self.beta = beta
         self.kappa = kappa
         self.coeff = float(coeff)
+        self._log_coeff = math.log(self.coeff)
+        self._power_tail = None  # set by tail_mass: only W may overflow
 
     def to_json(self) -> dict:
         """The kind and the parameters that kind uses."""
@@ -227,10 +241,11 @@ class EpsilonModel:
         whose W diverges, never comes here."""
         log_y = np.asarray(log_y, dtype=float)
         if self.kind == "power":
-            ell = -(math.log(self.coeff) + log_y) / (1.0 - self.beta)
-            return ell, math.log(self.coeff) - self.beta * ell
+            # -(x) / (1 - beta) bit for bit, in one pass fewer
+            ell = (self._log_coeff + log_y) / (self.beta - 1.0)
+            return ell, self._log_coeff - self.beta * ell
         ell = self._logpow_ell(log_y)
-        return ell, math.log(self.coeff) - self.kappa * np.log(ell)
+        return ell, self._log_coeff - self.kappa * np.log(ell)
 
     def _logpow_ell(self, log_y):
         # phi(e^-l) = y  <=>  h(l) = l - kappa log l - T = 0, T = -log(coeff y);
@@ -239,7 +254,7 @@ class EpsilonModel:
         # Each point stops at its own step, so its l does not depend on the
         # other points of the batch
         k = self.kappa
-        target = -math.log(self.coeff) - log_y
+        target = -self._log_coeff - log_y
         lo = np.full_like(target, k + 1.0)
         hi = np.maximum(target, k + 1.0)
         for _ in range(BISECT_MAXITER):
@@ -268,9 +283,11 @@ class EpsilonModel:
         """W(z) = integral_0^z f(y) / y^2 dy, finite iff eps/t is integrable."""
         z = np.asarray(z, dtype=float)
         if self.kind == "power":
-            b = self.beta
-            return ((1.0 - b) / b) * self.coeff ** (1.0 / (1.0 - b)) \
-                * z ** (b / (1.0 - b))
+            if self._power_tail is None:  # the product runs left to right
+                b = self.beta
+                self._power_tail = ((1.0 - b) / b * self.coeff
+                                    ** (1.0 / (1.0 - b)), b / (1.0 - b))
+            return self._power_tail[0] * z ** self._power_tail[1]
         self._check_tail_mass()
         # one vector solve for every positive point; each point's Newton
         # stops at its own step, so each value is its scalar one

@@ -99,6 +99,9 @@ COUNTS = {
     **dict.fromkeys(("probe_points", "n_n", "n_a"), _count(2)),
 }
 BUDGET_FIELDS = ("delta", "P", "c_drop", "delta1", "derivative_floor")
+# the largest P: B2's Hessian grows like P^(2 + beta/(1 - beta)) <= P^3
+# and its check cubes it, so log sigma = 70 overflows near P = 2e34
+P_MAX = 1e30
 # the pass bounds of bump-check's Psi gap and orlicz's C*; no config moves them
 PSI_GAP_BOUND = 4.0
 EQUIVALENCE_BOUND = 20.0
@@ -117,6 +120,8 @@ FIELDS = {
     "instance": _PATH,
     **COUNTS,
     **dict.fromkeys((*BUDGET_FIELDS, "bump_target"), _POSITIVE),
+    "P": (lambda x: _is_number(x) and 0 < x <= P_MAX,
+          f"a number in (0, {P_MAX:g}]"),
     # the seam sample draws A from [max(2 a_min, 0.05), 1]
     "a_min": (lambda x: _is_number(x) and 0 <= x <= 0.5,
               "a number in [0, 0.5]"),

@@ -204,6 +204,84 @@ def test_quad_error_bounds_true_error(f, a, b, exact):
     assert abs(value - exact) <= error
 
 
+def quad_uncached(f, a, b):
+    """quad with its grid built on every call: the oracle for the cache."""
+    panels = max(1, math.ceil(abs(b - a)))
+    half = 0.5 * (b - a) / panels
+    mids = a + half * (2.0 * np.arange(panels) + 1.0)
+    vals = np.asarray(f((mids[:, None] + half * bumps._GL_NODES).ravel()),
+                      dtype=float).reshape(panels, -1)
+    hi = half * (vals[:, :bumps.QUAD_NODES] @ bumps._GL_WEIGHTS)
+    lo = half * (vals[:, bumps.QUAD_NODES:] @ bumps._GL_WEIGHTS_LO)
+    return float(hi.sum()), float(np.abs(hi - lo).sum())
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+def _assert_quad_matches_oracle(a, b):
+    def f(x):
+        return np.exp(np.sin(3.0 * x)) + x * x
+    assert _bits(*quad(f, a, b)) == _bits(*quad_uncached(f, a, b))
+
+
+@pytest.mark.parametrize("a, b", [
+    # signed zeros: the cache keys -0.0 as 0.0, and quad's sums drop
+    # the sign of a zero-width panel's -0.0
+    (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (2.5, 2.5), (3.0, -4.0)])
+def test_quad_grid_cache_moves_no_bit(a, b):
+    # twice: the second call reads the cached grid
+    for _ in range(2):
+        _assert_quad_matches_oracle(a, b)
+
+
+def test_quad_grid_cache_moves_no_bit_on_the_callers_windows(monkeypatch):
+    # every window tail_mass_quad and integrability_phi integrate over,
+    # with their own integrands, against the uncached oracle
+    windows = set()
+
+    def checked(f, a, b):
+        got = quad(f, a, b)
+        assert _bits(*got) == _bits(*quad_uncached(f, a, b))
+        windows.add((a, b))
+        return got
+    monkeypatch.setattr(bumps, "quad", checked)
+    # power beta = 1/4 and 1/6, logpow kappa = 1.8
+    for family in (log_bump(1.0), log_bump(0.5), loglog_bump(2.0, 0.1)):
+        model = family.epsilon_model()
+        for z in (1e-9, 1e-3, 0.3):
+            model.tail_mass_quad(z)
+            model.tail_mass_quad(z)
+        integrability_phi(family)
+    assert len(windows) == 4
+
+
+@given(st.floats(-60.0, 60.0),
+       st.one_of(st.floats(-1.0, 1.0), st.integers(-60, 60),
+                 st.floats(-60.0, 60.0)))
+@settings(max_examples=200, deadline=None)
+def test_quad_grid_cache_moves_no_bit_on_random_intervals(a, width):
+    # widths below 1, integer widths and b < a
+    _assert_quad_matches_oracle(a, a + width)
+
+
+def test_quad_integrand_may_not_write_into_the_grid():
+    def writes(x):
+        x[0] = 1.0
+        return x
+    with pytest.raises(ValueError):
+        quad(writes, 0.0, 1.0)
+    # the grid is unchanged for the next caller
+    _assert_quad_matches_oracle(0.0, 1.0)
+
+
+def test_quad_grid_cache_is_bounded():
+    for k in range(100):
+        quad(np.cos, 0.0, 1.0 + k / 7.0)
+    assert bumps._gl_grid.cache_info().currsize <= bumps.QUAD_GRIDS
+
+
 def test_epsilon_integrability_power():
     res = log_bump(1.0).epsilon_model().integral_over_t()  # eps(t) = t^{-1/4}
     assert res["verdict"] == "finite"
@@ -1025,6 +1103,52 @@ def test_tail_mass_power_explicit():
     # beta = 1/4: W(z) = 3 z^{1/3}
     model = EpsilonModel("power", beta=0.25)
     assert model.tail_mass(0.008) == pytest.approx(3.0 * 0.2, rel=1e-14, abs=0)
+
+
+POWER_BETAS = st.floats(1e-3, 0.999)
+COEFFS = st.floats(1e-3, 1e3)
+
+
+@given(POWER_BETAS, COEFFS, st.lists(st.floats(-700.0, 700.0), min_size=1,
+                                     max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_power_log_domain_is_the_one_line_formula(beta, c, log_y):
+    model = EpsilonModel("power", beta=beta, coeff=c)
+    for arg in (np.array(log_y), log_y[0]):
+        ell, log_eps = model._log_domain(arg)
+        want = -(math.log(c) + np.asarray(arg, dtype=float)) / (1 - beta)
+        assert _bits(*np.ravel(ell)) == _bits(*np.ravel(want))
+        assert _bits(*np.ravel(log_eps)) == _bits(
+            *np.ravel(math.log(c) - beta * want))
+
+
+@given(POWER_BETAS, COEFFS, st.lists(st.floats(0.0, 1e6), min_size=1,
+                                     max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_power_tail_mass_is_the_one_line_formula(beta, c, zs):
+    model = EpsilonModel("power", beta=beta, coeff=c)
+    for z in (np.array(zs), zs[0]):
+        # past the float range: inf from numpy's pow, OverflowError from
+        # Python's coeff^(1/(1 - beta)), on both sides alike
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                want = ((1.0 - beta) / beta) * c ** (1.0 / (1.0 - beta)) \
+                    * np.asarray(z, dtype=float) ** (beta / (1.0 - beta))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    model.tail_mass(z)
+                continue
+            got = model.tail_mass(z)
+        assert _bits(*np.ravel(got)) == _bits(*np.ravel(want))
+
+
+def test_power_model_whose_tail_prefactor_overflows_still_builds():
+    # coeff^(1/(1 - beta)) = 1e3000: only W needs it
+    model = EpsilonModel("power", beta=0.9, coeff=1e300)
+    assert model.phi(1.0) == 1e-300
+    with pytest.raises(OverflowError):
+        model.tail_mass(1.0)
 
 
 def test_tail_mass_logpow_closed_vs_quad():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadicbump.cli import FIELDS, main
+from dyadicbump.cli import FIELDS, P_MAX, main
 from dyadicbump.dyadic import MAX_DEPTH, CarlesonSequence, LeafWeight
 from dyadicbump.obstruction import (ALPHA, MAX_OBSTRUCTION_DEPTH,
                                     build_hierarchy, build_u, build_v)
@@ -461,6 +461,31 @@ class TestPlumbing:
         code, out = run(tmp_path, campaign, "--config", cfg)
         assert code == 2 and not out.exists()
         assert "B0 probe region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("campaign", ["bellman-b2", "obstruction"])
+    def test_p_past_its_bound_is_input_error(self, tmp_path, capsys,
+                                             campaign):
+        # P = 1e300 once overflowed in B2.value and in the B0 probe
+        cfg = TestCampaigns._cfg(tmp_path, {"P": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, campaign, "--config", cfg)
+        assert code == 2 and not out.exists()
+        assert f"(0, {P_MAX:g}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("campaign, sizes", [
+        ("bellman-b2", {"n_points": 500, "n_quad": 5, "n_points_T": 500}),
+        ("obstruction", {"probe_points": 4, "depth": 1}),
+    ])
+    @pytest.mark.parametrize("P", [None, P_MAX])
+    def test_default_and_largest_p_run(self, tmp_path, campaign, sizes, P):
+        budget = {} if P is None else {"P": P}
+        cfg = TestCampaigns._cfg(tmp_path, {**sizes, **budget})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, campaign, "--config", cfg)
+        assert code in (0, 1)
+        self._strict_json(out / "report.json")
 
     @pytest.mark.parametrize("field", [{"bump_target": 1e-300},
                                        {"delta": 1e-300}])

@@ -389,11 +389,16 @@ def sample_omega2(budget: ConstantBudget, n: int, rng: np.random.Generator,
                   model: EpsilonModel, uv_floor: float = 1e-6) -> np.ndarray:
     """Seeded rejection sample of Omega2; columns (u, v, L, A).  L spans
     [phi(uv)/10, min(P sqrt(uv), z-cap)] log-uniformly so both sides of the
-    combined-drop region are populated; ValueError if that slab is empty
-    on a grid of the whole sampled uv range, where no point is accepted,
-    or if n points take more than MAX_DRAWS_PER_POINT * n draws."""
+    combined-drop region are populated; ValueError if the sampled uv range
+    passes x_max, where phi stops increasing, if that slab is empty on a
+    grid of the whole range, where no point is accepted, or if n points
+    take more than MAX_DRAWS_PER_POINT * n draws."""
+    uv_top = min(budget.delta, 1.0)
+    if uv_top > model.x_max:
+        raise ValueError(f"uv up to {uv_top:g} passes the end of phi's "
+                         f"increasing range, x_max = {model.x_max:.3e}")
     cap = model.z_cap
-    uv = np.geomspace(uv_floor, min(budget.delta, 1.0), 1025)
+    uv = np.geomspace(uv_floor, uv_top, 1025)
     if uv_floor >= budget.delta or not np.any(
             model.phi(uv) / 10.0 < np.minimum(budget.P * np.sqrt(uv), cap)):
         raise ValueError("the L-slab [phi(uv)/10, min(P sqrt(uv), z-cap)] "

@@ -143,6 +143,7 @@ class EpsilonModel:
         self.coeff = float(coeff)
         self._log_coeff = math.log(self.coeff)
         self._power_tail = None  # set by tail_mass: only W may overflow
+        self._y_top = None  # phi(x_max), set by _phi_top
 
     def to_json(self) -> dict:
         """The kind and the parameters that kind uses."""
@@ -172,7 +173,13 @@ class EpsilonModel:
         """Largest argument where f = phi^{-1} is available."""
         if self.kind in ("power", "const"):
             return math.inf
-        return 0.95 * float(self.phi(self.x_max))
+        return 0.95 * self._phi_top()
+
+    def _phi_top(self) -> float:
+        """phi(x_max), the top of phi's range, computed on the first call."""
+        if self._y_top is None:
+            self._y_top = float(self.phi(self.x_max))
+        return self._y_top
 
     def phi(self, x):
         """phi(x) = x / eps(1/x), strictly increasing on (0, x_max]."""
@@ -207,7 +214,7 @@ class EpsilonModel:
             return (self.coeff * y) ** (1.0 / (1.0 - self.beta))
         if self.kind == "const":
             return self.coeff * y
-        y_top = float(self.phi(self.x_max))
+        y_top = self._phi_top()
         if (y > y_top * (1 + 1e-12)).any():
             raise ValueError(f"y outside range of phi (max {y_top:.3e})")
         pos = y > 0
@@ -250,9 +257,11 @@ class EpsilonModel:
     def _logpow_ell(self, log_y):
         # phi(e^-l) = y  <=>  h(l) = l - kappa log l - T = 0, T = -log(coeff y);
         # h increases and is convex on l > kappa, so Newton from the right of
-        # the root descends to it; a step that leaves the bracket bisects.
-        # Each point stops at its own step, so its l does not depend on the
-        # other points of the batch
+        # the root descends to it; a step that leaves the bracket (or is NaN)
+        # bisects.  Each point stops at its own step, so its l does not
+        # depend on the other points of the batch; the midpoints, and the
+        # mask that freezes stopped points, are formed only on the steps
+        # that need them
         k = self.kappa
         target = -self._log_coeff - log_y
         lo = np.full_like(target, k + 1.0)
@@ -263,16 +272,25 @@ class EpsilonModel:
                 break
             hi = np.where(short, 2.0 * hi, hi)
         ell = hi
-        live = np.ones(ell.shape, dtype=bool)
+        live = None  # every point still running
         for _ in range(BISECT_MAXITER):
             h = ell - k * np.log(ell) - target
-            lo = np.where(h < 0, ell, lo)
-            hi = np.where(h < 0, hi, ell)
+            neg = h < 0
+            lo = np.where(neg, ell, lo)
+            hi = np.where(neg, hi, ell)
             new = ell - h / (1.0 - k / ell)
-            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            out = ~((lo <= new) & (new <= hi))
+            if out.any():
+                new = np.where(out, 0.5 * (lo + hi), new)
             moved = np.abs(new - ell) > 1e-15 * ell
-            ell = np.where(live, new, ell)
-            live &= moved
+            if live is None:
+                ell = new
+                if moved.all():
+                    continue
+                live = moved
+            else:
+                ell = np.where(live, new, ell)
+                live &= moved
             if not live.any():
                 break
         return ell
@@ -325,7 +343,7 @@ class EpsilonModel:
         z = float(z)
         self._check_tail_mass()
         if z < 0.0 or (self.kind != "power"
-                       and z > float(self.phi(self.x_max)) * (1 + 1e-12)):
+                       and z > self._phi_top() * (1 + 1e-12)):
             raise ValueError(f"tail mass argument {z:.3e} outside phi's range")
         if z == 0.0:
             return QuadValue(0.0, 0.0)
@@ -336,15 +354,24 @@ class EpsilonModel:
         else:
             # the omitted piece is about r_hi^(1 - kappa)
             r_hi = math.exp(min(690.0, max(50.0, 40.0 / (self.kappa - 1.0))))
-        value, err = quad(
-            lambda s: np.exp(self._log_domain(log_z - np.exp(s))[1] + s),
-            s_lo, math.log(r_hi))
-        ell_hi, log_eps_hi = self._log_domain(log_z - r_hi)
+        tail = []  # (l, log eps) at log z - r_hi, then log eps at log z
+
+        def integrand(s):
+            # the window's nodes and the two tail points in one solve
+            log_y = np.empty(s.size + 2)
+            np.subtract(log_z, np.exp(s), out=log_y[:-2])
+            log_y[-2:] = log_z - r_hi, log_z
+            ell, log_eps = self._log_domain(log_y)
+            tail[:] = ell[-2], log_eps[-2], log_eps[-1]
+            return np.exp(log_eps[:-2] + s)
+
+        value, err = quad(integrand, s_lo, math.log(r_hi))
+        ell_hi, log_eps_hi, log_eps_z = tail
         if self.kind == "power":
             above = math.exp(log_eps_hi) / self.beta
         else:
             above = math.exp(log_eps_hi) * ell_hi / (self.kappa - 1.0)
-        below = math.exp(self._log_domain(log_z)[1] + s_lo)
+        below = math.exp(log_eps_z + s_lo)
         return QuadValue(value, err + above + below)
 
     def truncated_tail_mass(self, z, y_floor):

@@ -561,6 +561,22 @@ def test_sample_omega2_rejects_an_empty_slab():
     assert pts.shape == (10, 4) and np.all(u * v < 1e-4)
 
 
+def test_sample_omega2_rejects_uv_past_phis_increasing_range():
+    # kappa = 15: phi increases only up to x_max = e^-16 = 1.1e-7, so a
+    # budget's uv range up to delta must stop there
+    model = EpsilonModel("logpow", kappa=15.0)
+    rng = np.random.default_rng(0)
+    for delta in (1.0, 2.0 * model.x_max):
+        with pytest.raises(ValueError, match="x_max = 1.125e-07"):
+            sample_omega2(ConstantBudget(c1=1.0, c2=1.0, delta=delta), 10,
+                          rng, model=model, uv_floor=1e-3 * delta)
+    # phi(x_max) = 1.3e11, so the slab needs a large P
+    pts = sample_omega2(ConstantBudget(c1=1.0, c2=1.0, P=1e20,
+                                       delta=model.x_max),
+                        10, rng, model=model, uv_floor=1e-3 * model.x_max)
+    assert np.all(np.prod(pts[:, :2], axis=1) <= model.x_max * (1 + 1e-12))
+
+
 def test_sample_omega2_gives_up_on_a_sliver_slab():
     # at P = 0.00317 the slab is non-empty only for uv < (10 P)^4 =
     # 1.0098e-6, a sliver above uv_floor = 1e-6 that log-uniform u and v

@@ -1192,6 +1192,94 @@ def test_tail_mass_quad_range():
         EpsilonModel("logpow", kappa=0.9).tail_mass_quad(1e-3)
 
 
+def tail_mass_quad_three_solves(model, z):
+    """tail_mass_quad's body with the two tail points solved apart from the
+    window's nodes: the oracle for its one-solve body."""
+    log_z, s_lo = math.log(z), -40.0
+    if model.kind == "power":
+        r_hi = 750.0 * (1.0 - model.beta) / model.beta
+    else:
+        r_hi = math.exp(min(690.0, max(50.0, 40.0 / (model.kappa - 1.0))))
+    value, err = quad(
+        lambda s: np.exp(model._log_domain(log_z - np.exp(s))[1] + s),
+        s_lo, math.log(r_hi))
+    ell_hi, log_eps_hi = model._log_domain(log_z - r_hi)
+    if model.kind == "power":
+        above = math.exp(log_eps_hi) / model.beta
+    else:
+        above = math.exp(log_eps_hi) * ell_hi / (model.kappa - 1.0)
+    below = math.exp(model._log_domain(log_z)[1] + s_lo)
+    return value, err + above + below
+
+
+# power beta = 1/4 and 1/6, logpow kappa = 1.8 and 15
+ONE_SOLVE_MODELS = [log_bump(1.0).epsilon_model(),
+                    log_bump(0.5).epsilon_model(),
+                    loglog_bump(2.0, 0.1).epsilon_model(),
+                    EpsilonModel("logpow", kappa=15.0)]
+
+
+@pytest.mark.parametrize("model", ONE_SOLVE_MODELS)
+def test_tail_mass_quad_one_solve_moves_no_bit(model):
+    # each point's Newton stops at its own step, so the tail points solved
+    # with the window's nodes keep the bits they have solved alone
+    top = model.z_cap if model.kind == "logpow" else 1e3
+    for z in np.geomspace(1e-12, top, 40):
+        got = model.tail_mass_quad(z)
+        assert _bits(got, got.error) == _bits(
+            *tail_mass_quad_three_solves(model, z))
+
+
+def test_tail_mass_quad_solves_once(monkeypatch):
+    calls = []
+    solve = EpsilonModel._logpow_ell
+
+    def counted(self, log_y):
+        calls.append(np.shape(log_y))
+        return solve(self, log_y)
+    monkeypatch.setattr(EpsilonModel, "_logpow_ell", counted)
+    for model in ONE_SOLVE_MODELS[2:]:
+        for z in (1e-9, 1e-3, 0.5 * model.z_cap):
+            calls.clear()
+            model.tail_mass_quad(z)
+            # the window's nodes of both rules and the two tail points
+            assert len(calls) == 1 and calls[0][0] % 30 == 2
+
+
+@given(st.floats(0.3, 60.0), st.floats(-5.0, 5.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_logpow_newton_batch_is_its_points_alone(kappa, log_c, fractions):
+    model = EpsilonModel("logpow", kappa=kappa, coeff=math.exp(log_c))
+    # log y over phi's range, from its top down by 700
+    log_y = math.log(model._phi_top()) - 700.0 * np.array(fractions)
+    batch = model._logpow_ell(log_y)
+    alone = [model._logpow_ell(np.asarray(x)) for x in log_y]
+    assert all(np.shape(ell) == () for ell in alone)
+    assert _bits(*batch) == _bits(*alone)
+    # each l solves l - kappa log l = -log(coeff y)
+    residual = batch - kappa * np.log(batch) + log_c + log_y
+    assert np.all(np.abs(residual) <= 1e-12 * batch)
+
+
+def test_phi_top_is_kept_per_model():
+    # models whose phi ranges differ: each keeps its own top, so each
+    # still raises at its own edge after a first call succeeds
+    models = [EpsilonModel("logpow", kappa=1.8, coeff=0.5),
+              EpsilonModel("logpow", kappa=1.5, coeff=2.0)]
+    tops = [float(m.phi(m.x_max)) for m in models]
+    assert tops[0] > 2.0 * tops[1]
+    for _ in range(2):
+        for model, top in zip(models, tops):
+            model.inverse(0.99 * top)
+            model.tail_mass_quad(0.99 * top)
+            with pytest.raises(ValueError, match=f"max {top:.3e}"):
+                model.inverse(1.01 * top)
+            with pytest.raises(ValueError, match="outside phi's range"):
+                model.tail_mass_quad(1.01 * top)
+            assert _bits(model.z_cap) == _bits(0.95 * top)
+
+
 @pytest.mark.parametrize("model", [
     EpsilonModel("logpow", kappa=1.8, coeff=0.5),
     EpsilonModel("logpow", kappa=1.8, coeff=2.0),

@@ -473,6 +473,36 @@ class TestPlumbing:
         assert code == 2 and not out.exists()
         assert f"(0, {P_MAX:g}]" in capsys.readouterr().err
 
+    def test_b2_sample_past_phis_increasing_range_is_input_error(
+            self, tmp_path, capsys):
+        # loglog sigma = 30 with delta = 0.5 has kappa = 15: phi increases
+        # only up to x_max = e^-16, and uv up to 1 once divided 0 by 0 in
+        # the combined drop
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"tag": "loglog", "sigma": 30,
+                                      "delta": 0.5}))
+        cfg = TestCampaigns._cfg(tmp_path, {"delta": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "bellman-b2", "--config", cfg,
+                            "--family", str(family))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "no B2 sample" in err and f"x_max = {math.exp(-16):.3e}" in err
+
+    def test_bellman_b2_under_loglog_still_runs(self, tmp_path):
+        # loglog sigma = 2: x_max = e^-2.8 lies above the default delta
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"tag": "loglog", "sigma": 2.0}))
+        cfg = TestCampaigns._cfg(tmp_path, {"n_points": 500, "n_quad": 5,
+                                            "n_points_T": 500})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "bellman-b2", "--config", cfg,
+                            "--family", str(family))
+        assert code in (0, 1)
+        self._strict_json(out / "report.json")
+
     @pytest.mark.parametrize("campaign, sizes", [
         ("bellman-b2", {"n_points": 500, "n_quad": 5, "n_points_T": 500}),
         ("obstruction", {"probe_points": 4, "depth": 1}),
